@@ -19,7 +19,15 @@ from pathlib import Path
 
 from . import sounds
 from .contact import NoContact, classify_slice, contact_to_dict
-from .dome import DomeShape, PalateGeometry, default_palate, load_palate, slice_at, with_shape
+from .dome import (
+    DomeShape,
+    PalateGeometry,
+    default_palate,
+    load_palate,
+    slice_at,
+    surface_xs,
+    with_shape,
+)
 from .epg import compute_epg, epg_text, epg_to_dict
 from .errors import ConfigError, PalatogramError
 from .render import (
@@ -168,9 +176,7 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
     if ns.sound or ns.contour:
         target = _load_target(ns)
         contacts = []
-        for i in range(ns.nx + 1):
-            g = i / ns.nx
-            x = (1.0 - g) * geometry.x_min + g * geometry.x_max
+        for x in surface_xs(geometry, ns.nx):
             if target.contour.x_min <= x <= target.contour.x_max:
                 contact = classify_slice(slice_at(geometry, x), midsagittal_height(target.contour, x))
             else:

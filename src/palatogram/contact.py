@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
-from .dome import DomeShape, DomeSlice, dome_elevation
+from .dome import DomeShape, DomeSlice
 from .errors import DomainError
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "ContactClass",
     "invert_dome",
     "classify_slice",
-    "contact_intervals",
     "contact_to_dict",
 ]
 
@@ -82,53 +81,6 @@ def classify_slice(slice_: DomeSlice, u: float) -> ContactClass:
     if u >= slice_.h:
         return FullContact(z_apex=slice_.z_center)
     return Intersection(*invert_dome(slice_, u))
-
-
-def contact_intervals(
-    slice_: DomeSlice,
-    tongue_profile: Callable[[float], float],
-    n_samples: int,
-) -> list[tuple[float, float]]:
-    """Maximal z-intervals where a sampled tongue profile reaches the dome.
-
-    The profile is sampled uniformly across the span; each contact boundary
-    is then refined by a single bisection step, so interval endpoints are
-    accurate to within one sample step. Constant profiles agree with
-    classify_slice.
-    """
-    if n_samples < 16:
-        raise DomainError(f"n_samples must be >= 16, got {n_samples}")
-    zs = []
-    for k in range(n_samples):
-        f = k / (n_samples - 1)
-        zs.append((1.0 - f) * slice_.z_min + f * slice_.z_max)
-
-    def touching(z: float) -> bool:
-        return tongue_profile(z) >= dome_elevation(slice_, z)
-
-    flags = [touching(z) for z in zs]
-
-    def refine(k: int) -> float:
-        # one bisection step across the sign change between samples k, k+1
-        lo, hi = zs[k], zs[k + 1]
-        mid = 0.5 * (lo + hi)
-        if touching(mid) == flags[k]:
-            lo = mid
-        else:
-            hi = mid
-        return 0.5 * (lo + hi)
-
-    intervals: list[tuple[float, float]] = []
-    start: float | None = None
-    for k, flag in enumerate(flags):
-        if flag and start is None:
-            start = zs[k] if k == 0 else refine(k - 1)
-        elif not flag and start is not None:
-            intervals.append((start, refine(k - 1)))
-            start = None
-    if start is not None:
-        intervals.append((start, zs[-1]))
-    return intervals
 
 
 def contact_to_dict(contact: ContactClass) -> dict:

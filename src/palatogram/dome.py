@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 from .errors import ConfigError, DomainError
 
@@ -26,7 +27,9 @@ __all__ = [
     "PalateGeometry",
     "Point3",
     "dome_elevation",
+    "dome_elevations",
     "slice_at",
+    "surface_xs",
     "sample_surface",
     "palate_from_dict",
     "load_palate",
@@ -130,20 +133,31 @@ def dome_elevation(slice_: DomeSlice, z: float) -> float:
     Zero exactly at both edges, ``h`` at the midline, mirror-symmetric about
     the midline. Raises DomainError for z outside [z_min, z_max].
     """
-    if not slice_.z_min <= z <= slice_.z_max:
-        raise DomainError(
-            f"z={z} outside lateral span [{slice_.z_min}, {slice_.z_max}] "
-            f"of slice at x={slice_.x}"
-        )
+    return dome_elevations(slice_, (z,))[0]
+
+
+def dome_elevations(slice_: DomeSlice, zs: Sequence[float]) -> list[float]:
+    """``dome_elevation`` at every z in zs, reading the slice fields once.
+
+    Raises DomainError for the first z outside [z_min, z_max].
+    """
+    z_min, z_max = slice_.z_min, slice_.z_max
+    for z in zs:
+        if not z_min <= z <= z_max:
+            raise DomainError(
+                f"z={z} outside lateral span [{z_min}, {z_max}] of slice at x={slice_.x}"
+            )
+    z_center = slice_.z_center
     if slice_.shape is DomeShape.COSINE:
         # distance-from-midline form of the raised cosine; evaluates to an
         # exact 0.0 at the edges and exact h at the center
-        q = abs(z - slice_.z_center) / slice_.span
-        return 0.5 * slice_.h * (1.0 + math.cos(TWO_PI * q))
+        half_h, span = 0.5 * slice_.h, slice_.span
+        return [half_h * (1.0 + math.cos(TWO_PI * (abs(z - z_center) / span))) for z in zs]
     # half-ellipse, factored so the radicand hits an exact 0.0 at the edges:
-    # half_width^2 - (z - z_center)^2 == (z - z_min) * (z_max - z)
-    rad = (z - slice_.z_min) * (slice_.z_max - z)
-    return slice_.h * math.sqrt(max(rad, 0.0)) / slice_.half_width
+    # half_width^2 - (z - z_center)^2 == (z - z_min) * (z_max - z), which the
+    # span check above keeps >= 0
+    h, half_width = slice_.h, slice_.half_width
+    return [h * math.sqrt((z - z_min) * (z_max - z)) / half_width for z in zs]
 
 
 def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
@@ -176,6 +190,14 @@ def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
     )
 
 
+def surface_xs(geometry: PalateGeometry, nx: int) -> list[float]:
+    """The nx + 1 evenly spaced row positions from x_min to x_max inclusive."""
+    if nx < 1:
+        raise DomainError(f"grid needs nx >= 1, got nx={nx}")
+    x_lo, x_hi = geometry.x_min, geometry.x_max
+    return [(1.0 - i / nx) * x_lo + i / nx * x_hi for i in range(nx + 1)]
+
+
 def sample_surface(geometry: PalateGeometry, nx: int, nz: int) -> list[list[Point3]]:
     """Sample the dome into an (nx+1) x (nz+1) row-major grid of points.
 
@@ -183,20 +205,15 @@ def sample_surface(geometry: PalateGeometry, nx: int, nz: int) -> list[list[Poin
     z spans that slice's [z_min, z_max] so the boundary columns land exactly
     on the dome edges (y = 0).
     """
-    if nx < 1 or nz < 1:
-        raise DomainError(f"grid needs nx >= 1 and nz >= 1, got nx={nx}, nz={nz}")
-    x_lo, x_hi = geometry.x_min, geometry.x_max
+    xs = surface_xs(geometry, nx)
+    if nz < 1:
+        raise DomainError(f"grid needs nz >= 1, got nz={nz}")
+    fs = [j / nz for j in range(nz + 1)]
     grid: list[list[Point3]] = []
-    for i in range(nx + 1):
-        g = i / nx
-        x = (1.0 - g) * x_lo + g * x_hi
+    for x in xs:
         sl = slice_at(geometry, x)
-        row = []
-        for j in range(nz + 1):
-            f = j / nz
-            z = (1.0 - f) * sl.z_min + f * sl.z_max
-            row.append(Point3(x=x, y=dome_elevation(sl, z), z=z))
-        grid.append(row)
+        zs = [(1.0 - f) * sl.z_min + f * sl.z_max for f in fs]
+        grid.append([Point3(x=x, y=y, z=z) for z, y in zip(zs, dome_elevations(sl, zs))])
     return grid
 
 

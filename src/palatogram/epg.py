@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .dome import PalateGeometry, dome_elevation, slice_at
+from .dome import PalateGeometry, dome_elevations, slice_at
 from .errors import DomainError
-from .shaping import (
-    ShapingParams,
-    TongueContour,
-    edge_elevation_delta,
-    groove_delta,
-    lateral_lowering_delta,
-    midsagittal_height,
-)
+from .shaping import ShapingParams, TongueContour, midsagittal_height, shaped_heights
 
 __all__ = ["EPGFrame", "compute_epg", "epg_text", "epg_to_dict", "column_fractions"]
 
@@ -88,6 +82,7 @@ def compute_epg(
             "tongue contour and palate do not overlap along the anterior-posterior axis"
         )
     fracs = column_fractions(cols)
+    offsets = [f - 0.5 for f in fracs]
     x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
     cells = []
     for x in x_of_row:
@@ -95,18 +90,13 @@ def compute_epg(
         try:
             u_mid = midsagittal_height(contour, x)
         except DomainError:
-            cells.append(tuple([False] * cols))
+            cells.append((False,) * cols)
             continue
-        row = []
-        for f in fracs:
-            # offsets mirror exactly, keeping symmetric shapes bit-symmetric
-            z = sl.z_center + (f - 0.5) * sl.span
-            u = u_mid
-            u += edge_elevation_delta(params, sl, x, z)
-            u += groove_delta(params, sl, z)
-            u += lateral_lowering_delta(params, sl, z)
-            row.append(u >= dome_elevation(sl, z))
-        cells.append(tuple(row))
+        # offsets mirror exactly, keeping symmetric shapes bit-symmetric
+        z_center, span = sl.z_center, sl.span
+        zs = [z_center + o * span for o in offsets]
+        heights = shaped_heights(params, sl, x, u_mid, zs)
+        cells.append(tuple(map(operator.ge, heights, dome_elevations(sl, zs))))
     return EPGFrame(
         rows=rows,
         cols=cols,

@@ -11,7 +11,14 @@ import re
 from dataclasses import dataclass
 
 from .contact import ContactClass, FullContact, Intersection, NoContact, classify_slice
-from .dome import DomeSlice, PalateGeometry, dome_elevation, sample_surface, slice_at
+from .dome import (
+    DomeSlice,
+    PalateGeometry,
+    dome_elevation,
+    dome_elevations,
+    sample_surface,
+    slice_at,
+)
 from .epg import EPGFrame
 from .errors import ConfigError, DomainError
 
@@ -145,11 +152,9 @@ def render_coronal_svg(
         f'x2="{f(sx(slice_.z_max))}" y2="{f(sy(0.0))}" '
         f'stroke="#999999" stroke-width="1"/>'
     )
-    pts = []
-    for k in range(CORONAL_CURVE_SAMPLES):
-        t = k / (CORONAL_CURVE_SAMPLES - 1)
-        z = (1.0 - t) * slice_.z_min + t * slice_.z_max
-        pts.append(f"{f(sx(z))},{f(sy(dome_elevation(slice_, z)))}")
+    ts = [k / (CORONAL_CURVE_SAMPLES - 1) for k in range(CORONAL_CURVE_SAMPLES)]
+    zs = [(1.0 - t) * slice_.z_min + t * slice_.z_max for t in ts]
+    pts = [f"{f(sx(z))},{f(sy(y))}" for z, y in zip(zs, dome_elevations(slice_, zs))]
     parts.append(
         f'<polyline points="{" ".join(pts)}" fill="none" '
         f'stroke="{style.outline_color}" stroke-width="2"/>'

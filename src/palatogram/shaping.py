@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .dome import DomeSlice, PalateGeometry, slice_at
 from .errors import DomainError
@@ -34,6 +34,7 @@ __all__ = [
     "edge_elevation_delta",
     "groove_delta",
     "lateral_lowering_delta",
+    "shaped_heights",
     "tongue_height_field",
 ]
 
@@ -81,6 +82,17 @@ class TongueContour:
         return self.points[-1][0]
 
 
+_FLOAT_FIELDS = (
+    "tth",
+    "edge_elev_max",
+    "posterior_onset_x",
+    "groove_width",
+    "groove_depth",
+    "lateral_lower_width",
+    "lateral_lower_depth",
+)
+
+
 @dataclass(frozen=True)
 class ShapingParams:
     """Manner settings and coronal shaping magnitudes for one speech sound.
@@ -102,6 +114,9 @@ class ShapingParams:
     lateral_lower_depth: float = 23.0
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.tth <= 1.0:
             raise DomainError(f"tth must lie in [0, 1], got {self.tth}")
         for name in (
@@ -175,6 +190,45 @@ def lateral_lowering_delta(params: ShapingParams, slice_: DomeSlice, z: float) -
     return 0.0
 
 
+def shaped_heights(
+    params: ShapingParams,
+    slice_: DomeSlice,
+    x: float,
+    u_mid: float,
+    zs: Sequence[float],
+) -> list[float]:
+    """Shaped tongue height at each lateral position zs of the row at x.
+
+    Bit for bit ``u_mid + edge_elevation_delta + groove_delta +
+    lateral_lowering_delta`` at each z: the same float operations in the same
+    order, with the slice fields and manner flags read once per row and the
+    terms that are zero across the row skipped. u_mid is the midsagittal
+    height at x and slice_ the dome slice there; zs must be finite.
+    """
+    # adding 0.0 turns -0.0 into 0.0, as the zero terms of the per-term sum
+    # do; from then on no sum is -0.0, so adding a zero term changes nothing
+    u0 = u_mid + 0.0
+    z_center = slice_.z_center
+    scale = 0.0
+    if params.tt_manner is TipManner.FULL or params.td_manner is DorsumManner.FULL:
+        ramp = min(1.0, max(0.0, (x - params.posterior_onset_x) / EDGE_RAMP_LENGTH))
+        scale = params.tth * params.edge_elev_max * ramp
+    if scale:
+        half_width = slice_.half_width
+        us = [u0 + scale * (abs(z - z_center) / half_width) ** 2 for z in zs]
+    else:
+        us = [u0] * len(zs)
+    if params.groove_enabled:
+        half, drop = 0.5 * params.groove_width, -params.groove_depth
+        return [u + drop if abs(z - z_center) <= half else u for u, z in zip(us, zs)]
+    if params.lateral_lower_enabled:
+        left = slice_.z_min + params.lateral_lower_width
+        right = slice_.z_max - params.lateral_lower_width
+        drop = -params.lateral_lower_depth
+        return [u + drop if z <= left or z >= right else u for u, z in zip(us, zs)]
+    return us
+
+
 def tongue_height_field(
     contour: TongueContour,
     params: ShapingParams,
@@ -183,7 +237,7 @@ def tongue_height_field(
     """Compose the midsagittal contour and shaping terms into u_t(x, z).
 
     With all shaping disabled the field is z-independent and reduces to the
-    flat coronal tongue assumption.
+    flat coronal tongue assumption. z must be finite.
     """
     if max(contour.x_min, geometry.x_min) >= min(contour.x_max, geometry.x_max):
         raise DomainError(
@@ -191,11 +245,9 @@ def tongue_height_field(
         )
 
     def field(x: float, z: float) -> float:
+        if not math.isfinite(z):
+            raise DomainError(f"z must be finite, got {z}")
         sl = slice_at(geometry, x)
-        u = midsagittal_height(contour, x)
-        u += edge_elevation_delta(params, sl, x, z)
-        u += groove_delta(params, sl, z)
-        u += lateral_lowering_delta(params, sl, z)
-        return u
+        return shaped_heights(params, sl, x, midsagittal_height(contour, x), (z,))[0]
 
     return field

@@ -33,13 +33,8 @@ from palatogram import (
     render_palatal_svg,
     slice_at,
 )
-from palatogram.shaping import (
-    edge_elevation_delta,
-    groove_delta,
-    lateral_lowering_delta,
-    midsagittal_height,
-)
-from oracles import bisect_crossings
+from palatogram.shaping import midsagittal_height
+from oracles import bisect_crossings, shaped_height
 from patterns import PATTERN_CHECKS
 
 
@@ -175,12 +170,9 @@ def molar_edges_sealed(shape: DomeShape, tth: float) -> bool:
         x = MOLAR_REGION[0] + (MOLAR_REGION[1] - MOLAR_REGION[0]) * k / 24
         sl = slice_at(geometry, x)
         eps = 0.05 * sl.half_width
+        u_mid = midsagittal_height(target.contour, x)
         for z in (sl.z_min + eps, sl.z_max - eps):
-            u = midsagittal_height(target.contour, x)
-            u += edge_elevation_delta(params, sl, x, z)
-            u += groove_delta(params, sl, z)
-            u += lateral_lowering_delta(params, sl, z)
-            if u < dome_elevation(sl, z):
+            if shaped_height(params, sl, x, u_mid, z) < dome_elevation(sl, z):
                 return False
     return True
 

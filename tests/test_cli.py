@@ -126,6 +126,14 @@ def test_mesh_with_sound_markers(tmp_path):
     assert "g no_contact" in text
 
 
+def test_mesh_zero_rows_is_one_error_line(capsys):
+    for argv in (["mesh", "--sound", "t", "--nx", "0"], ["mesh", "--nx", "0"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain:") and "nx" in err
+        assert err.count("\n") == 1
+
+
 def test_animate_frames(tmp_path):
     spec = tmp_path / "anim.json"
     spec.write_text(

@@ -13,13 +13,31 @@ from palatogram import (
     FullContact,
     Intersection,
     NoContact,
+    ShapingParams,
     classify_slice,
-    contact_intervals,
     contact_to_dict,
     dome_elevation,
     invert_dome,
 )
+from palatogram.dome import dome_elevations
+from palatogram.shaping import shaped_heights
 from oracles import bisect_crossings
+
+
+def _flat_row_contact_runs(sl: DomeSlice, u: float, n: int) -> list[tuple[float, float]]:
+    # the runs of touching samples, as (first z, last z), of a flat tongue's
+    # row sampled at n evenly spaced points over the slice's lateral span
+    zs = [sl.z_min + sl.span * k / (n - 1) for k in range(n)]
+    us = shaped_heights(ShapingParams(), sl, sl.x, u, zs)
+    runs: list[tuple[float, float]] = []
+    start = None
+    for k, (z, t, d) in enumerate(zip(zs, us, dome_elevations(sl, zs))):
+        if t >= d and start is None:
+            start = z
+        if start is not None and (t < d or k == n - 1):
+            runs.append((start, z if t >= d else zs[k - 1]))
+            start = None
+    return runs
 
 
 def test_invert_cosine_half_height(s0_cosine):
@@ -130,37 +148,22 @@ def test_model_comparison_offsets():
 
 
 def test_contact_intervals_constant_profiles(s0_cosine):
-    assert contact_intervals(s0_cosine, lambda z: -2.0, 256) == []
-    full = contact_intervals(s0_cosine, lambda z: 12.0, 256)
-    assert full == [(-1.0, 1.0)]
+    # below the baseline nothing touches; above the apex the whole row does
+    assert _flat_row_contact_runs(s0_cosine, -2.0, 256) == []
+    assert _flat_row_contact_runs(s0_cosine, 12.0, 256) == [(-1.0, 1.0)]
 
 
 def test_contact_intervals_match_inversion(s0_cosine):
+    # a flat row between baseline and apex touches in two edge runs that end
+    # at invert_dome's crossings, to within one sample step
     step = 2.0 / 4095
-    intervals = contact_intervals(s0_cosine, lambda z: 5.0, 4096)
+    intervals = _flat_row_contact_runs(s0_cosine, 5.0, 4096)
     assert len(intervals) == 2
     (a0, a1), (b0, b1) = intervals
     z_left, z_right = invert_dome(s0_cosine, 5.0)
     assert a0 == -1.0 and b1 == 1.0
     assert a1 == pytest.approx(z_left, abs=step)
     assert b0 == pytest.approx(z_right, abs=step)
-
-
-def test_contact_intervals_shaped_profile(s0_cosine):
-    # a narrow central bump over the apex touches only around the midline
-    def profile(z):
-        return 11.0 if abs(z) < 0.2 else -1.0
-
-    intervals = contact_intervals(s0_cosine, profile, 1024)
-    assert len(intervals) == 1
-    lo, hi = intervals[0]
-    assert lo == pytest.approx(-0.2, abs=2.0 / 1023)
-    assert hi == pytest.approx(0.2, abs=2.0 / 1023)
-
-
-def test_contact_intervals_rejects_few_samples(s0_cosine):
-    with pytest.raises(DomainError):
-        contact_intervals(s0_cosine, lambda z: 1.0, 8)
 
 
 def test_contact_serialization(s0_cosine):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palatogram import (
@@ -17,6 +17,7 @@ from palatogram import (
     sample_surface,
     slice_at,
 )
+from palatogram.dome import surface_xs
 from oracles import bisect_ellipse_elevation
 
 
@@ -57,12 +58,27 @@ def test_edge_zero_and_apex(sl):
     assert abs(dome_elevation(sl, sl.z_center) - sl.h) < 1e-12
 
 
+def on_grid(v: float, bits: int) -> float:
+    return round(v * 2**bits) / 2**bits
+
+
+# The slice ends are moved onto a 2**-10 grid and the offset d onto 2**-31,
+# so z_center and both mirrored points z_center -/+ d are exact. Rounded
+# mirror points are not: at the half-ellipse's vertical edge tangent a
+# one-ulp shift of z moves the dome by about h * sqrt(2 * ulp / half_width).
 @settings(max_examples=80, deadline=None)
 @given(sl=slice_strategy, frac=st.floats(0.0, 1.0))
+@example(
+    sl=DomeSlice(x=0.0, z_min=16.0, z_max=16.99999, h=1.0, shape=DomeShape.HALF_ELLIPSE),
+    frac=1.0,
+)
 def test_mirror_symmetry_and_bounds(sl, frac):
-    d = frac * sl.half_width
-    left = dome_elevation(sl, max(sl.z_center - d, sl.z_min))
-    right = dome_elevation(sl, min(sl.z_center + d, sl.z_max))
+    sl = DomeSlice(
+        x=0.0, z_min=on_grid(sl.z_min, 10), z_max=on_grid(sl.z_max, 10), h=sl.h, shape=sl.shape
+    )
+    d = sl.half_width * on_grid(frac, 20)
+    left = dome_elevation(sl, sl.z_center - d)
+    right = dome_elevation(sl, sl.z_center + d)
     assert abs(left - right) < 1e-12
     assert -1e-12 <= left <= sl.h + 1e-12
 
@@ -138,6 +154,18 @@ def test_sample_surface_exhaustive(two_slice_geometry):
 def test_sample_surface_rejects_bad_counts(two_slice_geometry):
     with pytest.raises(DomainError):
         sample_surface(two_slice_geometry, 0, 4)
+    with pytest.raises(DomainError):
+        sample_surface(two_slice_geometry, 4, 0)
+
+
+def test_surface_xs(two_slice_geometry):
+    assert surface_xs(two_slice_geometry, 1) == [0.0, 10.0]
+    assert surface_xs(two_slice_geometry, 4) == [0.0, 2.5, 5.0, 7.5, 10.0]
+    grid = sample_surface(two_slice_geometry, 3, 2)
+    assert [row[0].x for row in grid] == surface_xs(two_slice_geometry, 3)
+    for nx in (0, -1):
+        with pytest.raises(DomainError, match="nx"):
+            surface_xs(two_slice_geometry, nx)
 
 
 VALID_CONFIG = {

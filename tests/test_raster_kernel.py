@@ -1,0 +1,252 @@
+"""The row kernels of the EPG raster against the per-cell evaluator in oracles.py.
+
+compute_epg evaluates one row at a time (shaped_heights, dome_elevations);
+every cell must come out as the per-cell sum and dome formula give it, and
+every height bit for bit, -0.0 included.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from palatogram import (
+    DomainError,
+    DomeShape,
+    DomeSlice,
+    DorsumManner,
+    FullContact,
+    Intersection,
+    NoContact,
+    PalateGeometry,
+    ShapingParams,
+    TipManner,
+    TongueContour,
+    classify_slice,
+    compute_epg,
+    default_library,
+    default_palate,
+    dome_elevation,
+    midsagittal_height,
+    slice_at,
+    tongue_height_field,
+)
+from palatogram.dome import dome_elevations
+from palatogram.shaping import shaped_heights
+from oracles import dome_height, epg_cells, shaped_height
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+slices = st.builds(
+    lambda x, z_min, width, h, shape: DomeSlice(
+        x=x, z_min=z_min, z_max=z_min + width, h=h, shape=shape
+    ),
+    x=st.floats(-5, 45),
+    z_min=st.floats(-25, 5),
+    width=st.floats(0.5, 40),
+    h=st.floats(0.5, 20),
+    shape=st.sampled_from(list(DomeShape)),
+)
+
+
+@st.composite
+def palates(draw) -> PalateGeometry:
+    shape = draw(st.sampled_from(list(DomeShape)))
+    x = draw(st.floats(-5, 5))
+    stack = []
+    for _ in range(draw(st.integers(2, 4))):
+        z_min = draw(st.floats(-25, 0))
+        stack.append(
+            DomeSlice(
+                x=x,
+                z_min=z_min,
+                z_max=z_min + draw(st.floats(1, 40)),
+                h=draw(st.floats(0.5, 20)),
+                shape=shape,
+            )
+        )
+        x += draw(st.floats(1, 25))
+    return PalateGeometry(slices=tuple(stack), shape=shape)
+
+
+heights = st.floats(-5, 25) | st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def contours(draw, geometry: PalateGeometry) -> TongueContour:
+    """A contour overlapping the palate, often over only part of its length."""
+    lo, hi = geometry.x_min, geometry.x_max
+    start = draw(st.floats(lo - 10, hi - 1))
+    end = draw(st.floats(max(start, lo) + 0.5, hi + 10))
+    n = draw(st.integers(2, 5))
+    xs = [start + (end - start) * k / (n - 1) for k in range(n)]
+    return TongueContour(points=tuple((x, draw(heights)) for x in xs))
+
+
+# 0, inside the span, and wider than any span drawn here
+widths = st.sampled_from((0.0, 100.0)) | st.floats(0, 8) | st.floats(40, 100)
+
+
+@st.composite
+def shaping(draw) -> ShapingParams:
+    mode = draw(st.sampled_from(("none", "groove", "lateral")))
+    return ShapingParams(
+        tt_manner=draw(st.sampled_from(list(TipManner))),
+        td_manner=draw(st.sampled_from(list(DorsumManner))),
+        tth=draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 1)),
+        edge_elev_max=draw(st.floats(0, 20)),
+        posterior_onset_x=draw(st.floats(-10, 50)),
+        groove_enabled=mode == "groove",
+        groove_width=draw(widths),
+        groove_depth=draw(st.floats(0, 30)),
+        lateral_lower_enabled=mode == "lateral",
+        lateral_lower_width=draw(widths),
+        lateral_lower_depth=draw(st.floats(0, 30)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 40), cols=st.integers(2, 41))
+def test_compute_epg_matches_per_cell_oracle(data, rows, cols):
+    geometry = data.draw(palates())
+    contour = data.draw(contours(geometry))
+    params = data.draw(shaping())
+    frame = compute_epg(geometry, contour, params, rows=rows, cols=cols)
+    assert frame.cells == epg_cells(geometry, contour, params, rows, cols)
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+@pytest.mark.parametrize("rows, cols", [(8, 8), (7, 9), (62, 62), (1, 2)])
+def test_presets_match_per_cell_oracle(shape, rows, cols):
+    geometry = default_palate(shape)
+    for target in default_library():
+        frame = compute_epg(geometry, target.contour, target.params, rows=rows, cols=cols)
+        assert frame.cells == epg_cells(geometry, target.contour, target.params, rows, cols)
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_cells_on_the_threshold_match_oracle(shape):
+    # a flat tongue exactly at one cell's dome height touches that cell, so a
+    # cell position or dome value one ulp off would show
+    geometry, rows, cols = default_palate(shape), 5, 7
+    frame = compute_epg(geometry, TongueContour(points=((0.0, 0.0), (40.0, 0.0))),
+                        ShapingParams(), rows=rows, cols=cols)
+    for i, x in enumerate(frame.x_of_row):
+        sl = slice_at(geometry, x)
+        for j, f in enumerate(frame.z_frac_of_col):
+            u = dome_height(sl, sl.z_center + (f - 0.5) * sl.span)
+            # a contour point at x gives the midline height u exactly
+            contour = TongueContour(points=((geometry.x_min, u), (x, u), (geometry.x_max, u)))
+            cells = compute_epg(geometry, contour, ShapingParams(), rows=rows, cols=cols).cells
+            assert cells[i][j]
+            assert cells == epg_cells(geometry, contour, ShapingParams(), rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sl=slices,
+    params=shaping(),
+    behind_onset=st.floats(-5, 15),
+    u_mid=heights,
+    fracs=st.lists(st.floats(-0.25, 1.25), max_size=41),
+)
+def test_kernel_heights_match_per_term_sum(sl, params, behind_onset, u_mid, fracs):
+    # x often inside the edge ramp; z also on the midline and strip boundaries
+    x = params.posterior_onset_x + behind_onset
+    zs = [sl.z_min + f * sl.span for f in fracs] + [
+        sl.z_center,
+        sl.z_center - 0.5 * params.groove_width,
+        sl.z_center + 0.5 * params.groove_width,
+        sl.z_min + params.lateral_lower_width,
+        sl.z_max - params.lateral_lower_width,
+    ]
+    want = [shaped_height(params, sl, x, u_mid, z) for z in zs]
+    assert bits(shaped_heights(params, sl, x, u_mid, zs)) == bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), params=shaping(), g=st.floats(0, 1), f=st.floats(-0.25, 1.25))
+def test_field_matches_per_term_sum(data, params, g, f):
+    geometry = data.draw(palates())
+    contour = data.draw(contours(geometry))
+    lo = max(geometry.x_min, contour.x_min)
+    x = lo + g * (min(geometry.x_max, contour.x_max) - lo)
+    sl = slice_at(geometry, x)
+    z = sl.z_min + f * sl.span
+    got = tongue_height_field(contour, params, geometry)(x, z)
+    want = shaped_height(params, sl, x, midsagittal_height(contour, x), z)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_field_rejects_non_finite_z(z):
+    field = tongue_height_field(
+        TongueContour(points=((0.0, 5.0), (40.0, 5.0))), ShapingParams(), default_palate()
+    )
+    with pytest.raises(DomainError):
+        field(10.0, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl=slices, fracs=st.lists(st.floats(0, 1), max_size=41))
+@example(
+    sl=DomeSlice(x=0.0, z_min=16.0, z_max=16.99999, h=1.0, shape=DomeShape.HALF_ELLIPSE),
+    fracs=[0.0, 1e-9, 0.5, 1.0],
+)
+def test_dome_row_matches_scalar_formula(sl, fracs):
+    zs = [min(max(sl.z_min + f * sl.span, sl.z_min), sl.z_max) for f in fracs]
+    want = bits(dome_height(sl, z) for z in zs)
+    assert bits(dome_elevations(sl, zs)) == want
+    assert bits(dome_elevation(sl, z) for z in zs) == want
+
+
+@pytest.mark.parametrize("bad", [-1.5, 1.5, math.nan])
+def test_dome_row_rejects_out_of_span(s0_cosine, bad):
+    with pytest.raises(DomainError, match="x=0"):
+        dome_elevations(s0_cosine, [0.0, bad, 0.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl=slices, u=st.floats(-5, 30), cols=st.integers(2, 41))
+def test_flat_rows_match_classify_slice(sl, u, cols):
+    # a flat tongue's row is the analytic three-case classification, cell for
+    # cell, away from the rounding of the two crossings and of the apex: the
+    # half-ellipse's apex can round to one ulp above h
+    assume(abs(u - sl.h) > 1e-9 * sl.h)
+    zs = [sl.z_min + (k + 0.5) / cols * sl.span for k in range(cols)]
+    us = shaped_heights(ShapingParams(), sl, sl.x, u, zs)
+    assert us == [u] * cols
+    touching = [a >= b for a, b in zip(us, dome_elevations(sl, zs))]
+    contact = classify_slice(sl, u)
+    if isinstance(contact, NoContact):
+        assert not any(touching)
+    elif isinstance(contact, FullContact):
+        assert all(touching)
+    else:
+        assert isinstance(contact, Intersection)
+        for z, t in zip(zs, touching):
+            if min(abs(z - contact.z_left), abs(z - contact.z_right)) > 1e-9 * sl.span:
+                assert t == (z <= contact.z_left or z >= contact.z_right)
+
+
+def test_shaped_row_contacts_only_unlowered_strip(s0_cosine):
+    # above the apex, with both edge strips lowered under the baseline, only
+    # the central strip |z| < 0.2 still reaches the dome
+    params = ShapingParams(
+        lateral_lower_enabled=True, lateral_lower_width=0.8, lateral_lower_depth=12.0
+    )
+    n = 1024
+    zs = [-1.0 + 2.0 * k / (n - 1) for k in range(n)]
+    us = shaped_heights(params, s0_cosine, 0.0, 11.0, zs)
+    touching = [z for z, u, d in zip(zs, us, dome_elevations(s0_cosine, zs)) if u >= d]
+    assert touching == [z for z in zs if -0.2 < z < 0.2]
+    groove = ShapingParams(groove_enabled=True, groove_width=0.4, groove_depth=12.0)
+    us = shaped_heights(groove, s0_cosine, 0.0, 11.0, zs)
+    touching = [z for z, u, d in zip(zs, us, dome_elevations(s0_cosine, zs)) if u >= d]
+    assert touching == [z for z in zs if abs(z) > 0.2]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from palatogram import (
+    ConfigError,
     DomainError,
     DomeShape,
     DomeSlice,
@@ -13,12 +15,14 @@ from palatogram import (
     ShapingParams,
     TipManner,
     TongueContour,
+    default_library,
     edge_elevation_delta,
     groove_delta,
     lateral_lowering_delta,
     midsagittal_height,
     tongue_height_field,
 )
+from palatogram.sounds import params_from_dict, params_to_dict
 
 
 @pytest.fixture
@@ -59,6 +63,31 @@ def test_params_validation():
         ShapingParams(groove_width=-1.0)
     with pytest.raises(DomainError):
         ShapingParams(groove_enabled=True, lateral_lower_enabled=True)
+
+
+FLOAT_FIELDS = (
+    "tth",
+    "edge_elev_max",
+    "posterior_onset_x",
+    "groove_width",
+    "groove_depth",
+    "lateral_lower_width",
+    "lateral_lower_depth",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(DomainError, match=name):
+        ShapingParams(**{name: value})
+
+
+def test_preset_params_reject_nan_groove_width():
+    # a NaN width used to pass the < 0 check and close the s channel
+    doc = params_to_dict(default_library().get("s").params)
+    with pytest.raises(ConfigError, match="groove_width"):
+        params_from_dict({**doc, "groove_width": math.nan})
 
 
 def test_edge_elevation_zero_cases(molar_slice):
