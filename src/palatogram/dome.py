@@ -12,6 +12,7 @@ dome apex. Units are millimeters throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ __all__ = [
     "DomeShape",
     "DomeSlice",
     "PalateGeometry",
-    "Point3",
     "dome_elevation",
     "dome_elevations",
     "slice_at",
@@ -114,19 +114,6 @@ class PalateGeometry:
         return self.slices[-1].x
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A 3D point: x anterior-posterior, y vertical elevation, z lateral."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise DomainError("point coordinates must be finite")
-
-
 def dome_elevation(slice_: DomeSlice, z: float) -> float:
     """Height of the dome surface above the baseline at lateral position z.
 
@@ -198,22 +185,26 @@ def surface_xs(geometry: PalateGeometry, nx: int) -> list[float]:
     return [(1.0 - i / nx) * x_lo + i / nx * x_hi for i in range(nx + 1)]
 
 
-def sample_surface(geometry: PalateGeometry, nx: int, nz: int) -> list[list[Point3]]:
-    """Sample the dome into an (nx+1) x (nz+1) row-major grid of points.
+def sample_surface(
+    geometry: PalateGeometry, nx: int, nz: int
+) -> list[list[tuple[float, float, float]]]:
+    """Sample the dome into an (nx+1) x (nz+1) row-major grid of (x, y, z) points.
 
-    Row i sits at an x uniformly spanning the palate's range; within a row,
-    z spans that slice's [z_min, z_max] so the boundary columns land exactly
-    on the dome edges (y = 0).
+    x runs anterior to posterior, y is the elevation and z is lateral. Row i
+    sits at an x uniformly spanning the palate's range; within a row, z spans
+    that slice's [z_min, z_max] so the boundary columns land exactly on the
+    dome edges (y = 0). Every coordinate is finite: the slices are.
     """
     xs = surface_xs(geometry, nx)
     if nz < 1:
         raise DomainError(f"grid needs nz >= 1, got nz={nz}")
-    fs = [j / nz for j in range(nz + 1)]
-    grid: list[list[Point3]] = []
+    weights = [(1.0 - j / nz, j / nz) for j in range(nz + 1)]
+    grid = []
     for x in xs:
         sl = slice_at(geometry, x)
-        zs = [(1.0 - f) * sl.z_min + f * sl.z_max for f in fs]
-        grid.append([Point3(x=x, y=y, z=z) for z, y in zip(zs, dome_elevations(sl, zs))])
+        z_min, z_max = sl.z_min, sl.z_max
+        zs = [g * z_min + f * z_max for g, f in weights]
+        grid.append([(x, y, z) for z, y in zip(zs, dome_elevations(sl, zs))])
     return grid
 
 
@@ -284,10 +275,17 @@ def load_palate(path: str | Path) -> PalateGeometry:
     return palate_from_dict(doc)
 
 
+# typed: a str equal to a DomeShape value must not share the member's entry
+@functools.lru_cache(maxsize=None, typed=True)
 def default_palate(shape: DomeShape | None = None) -> PalateGeometry:
-    """The built-in schematic adult palate (incisors at x=0, velum at x=40)."""
+    """The built-in schematic adult palate (incisors at x=0, velum at x=40).
+
+    Parsed once and cached per shape; the geometry is immutable, so every
+    caller can share it.
+    """
+    if shape is not None:
+        return with_shape(default_palate(), shape)
     from importlib import resources
 
     text = resources.files("palatogram").joinpath("presets/palate.json").read_text("utf-8")
-    geometry = palate_from_dict(json.loads(text))
-    return geometry if shape is None else with_shape(geometry, shape)
+    return palate_from_dict(json.loads(text))

@@ -35,14 +35,13 @@ _HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
 
 @dataclass(frozen=True)
 class RenderStyle:
-    """Canvas size, marker colors, and numeric precision for documents."""
+    """Canvas size and marker colors for documents."""
 
     width: int = 420
     height: int = 480
     contact_color: str = "#cc2222"
     no_contact_color: str = "#eecc44"
     outline_color: str = "#445566"
-    precision: int = 3
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -50,11 +49,11 @@ class RenderStyle:
         for name in ("contact_color", "no_contact_color", "outline_color"):
             if not _HEX_COLOR.match(getattr(self, name)):
                 raise ConfigError(f"{name} must be a 6-digit hex color like #rrggbb")
-        if self.precision != 3:
-            raise ConfigError("decimal precision is fixed at 3")
 
-    def fmt(self, value: float) -> str:
-        text = f"{value:.{self.precision}f}"
+    @staticmethod
+    def fmt(value: float) -> str:
+        """A document coordinate: fixed 3 decimals, never ``-0.000``."""
+        text = f"{value:.3f}"
         return "0.000" if text == "-0.000" else text
 
 
@@ -90,11 +89,17 @@ def _palatal_layout(frame: EPGFrame, style: RenderStyle):
     return centers, radius, margin
 
 
-def _horseshoe_path(style: RenderStyle, margin: float) -> str:
+def _horseshoe(style: RenderStyle, margin: float) -> tuple[float, float, float]:
+    """Radii rx, ry of the palatal outline's arch and the y of its shoulders."""
     w, h = float(style.width), float(style.height)
     rx = 0.5 * w - margin
     ry = 0.42 * (h - 2 * margin)
-    shoulder_y = margin + ry
+    return rx, ry, margin + ry
+
+
+def _horseshoe_path(style: RenderStyle, margin: float) -> str:
+    w, h = float(style.width), float(style.height)
+    rx, ry, shoulder_y = _horseshoe(style, margin)
     f = style.fmt
     return (
         f"M {f(margin)} {f(h - margin)} "
@@ -194,13 +199,13 @@ def render_coronal_svg(
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-OBJ_PRECISION = 6
-
 _GROUP_OF_CLASS = {
     NoContact: "no_contact",
     Intersection: "intersection",
     FullContact: "full_contact",
 }
+
+_OBJ_VERTEX = "v %.6f %.6f %.6f"
 
 
 def export_obj(
@@ -219,24 +224,20 @@ def export_obj(
         raise DomainError(
             f"contacts list must have nx+1 = {nx + 1} entries, got {len(contacts)}"
         )
-    p = OBJ_PRECISION
-    lines = []
-    for row in grid:
-        for pt in row:
-            lines.append(f"v {pt.x:.{p}f} {pt.y:.{p}f} {pt.z:.{p}f}")
+    lines = [_OBJ_VERTEX % point for row in grid for point in row]
     lines.append("g palate")
+    # two triangles per quad; v is the 1-based index of the quad's corner at
+    # (row i, column j), and base that of the row's first vertex
     stride = nz + 1
-    for i in range(nx):
-        for j in range(nz):
-            v00 = i * stride + j + 1
-            v10 = (i + 1) * stride + j + 1
-            v11 = (i + 1) * stride + j + 2
-            v01 = i * stride + j + 2
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
+    lines += [
+        f"f {v} {v + stride} {v + stride + 1}\nf {v} {v + stride + 1} {v + 1}"
+        for base in range(1, nx * stride + 1, stride)
+        for v in range(base, base + nz)
+    ]
     if contacts is not None:
         for i, contact in enumerate(contacts):
-            sl = slice_at(geometry, grid[i][0].x)
+            x = grid[i][0][0]
+            sl = slice_at(geometry, x)
             group = _GROUP_OF_CLASS.get(type(contact))
             if group is None:
                 raise DomainError(f"contacts[{i}] is not a contact classification")
@@ -250,37 +251,65 @@ def export_obj(
                 ]
             else:
                 markers = [(contact.z_apex, sl.h)]
-            for z, y in markers:
-                lines.append(f"v {sl.x:.{p}f} {y:.{p}f} {z:.{p}f}")
+            lines.extend(_OBJ_VERTEX % (x, y, z) for z, y in markers)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _hex_rgb(color: str) -> tuple[int, int, int]:
-    return (int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16))
+def _hex_rgb(color: str) -> bytes:
+    return bytes((int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)))
+
+
+def _disc_runs(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int, int, int]]:
+    """The pixels of a w x h canvas inside a disc, as (row, first, last) runs.
+
+    Pixel (px, py) is inside when ``(px + 0.5 - cx) ** 2 + (py + 0.5 - cy) ** 2
+    <= r * r``, tested over the disc's bounding box widened by one pixel.
+    """
+    x0, x1 = max(0, int(cx - r) - 1), min(w - 1, int(cx + r) + 1)
+    y0, y1 = max(0, int(cy - r) - 1), min(h - 1, int(cy + r) + 1)
+    rr = r * r
+    runs = []
+    for py in range(y0, y1 + 1):
+        dy2 = (py + 0.5 - cy) ** 2
+        if dy2 > rr:
+            continue
+        # The pixels passing the test form one run: fl(px + 0.5 - cx) is
+        # monotone in px, and squaring and adding dy2 keep its order on each
+        # side of cx. The exact circle, widened by a pixel on each side for
+        # rounding, covers that run; trim both ends with the test itself.
+        half = math.sqrt(rr - dy2)
+        a = max(x0, math.ceil(cx - 0.5 - half) - 1)
+        b = min(x1, math.floor(cx - 0.5 + half) + 1)
+        while a <= b and (a + 0.5 - cx) ** 2 + dy2 > rr:
+            a += 1
+        while b >= a and (b + 0.5 - cx) ** 2 + dy2 > rr:
+            b -= 1
+        if a <= b:
+            runs.append((py, a, b))
+    return runs
 
 
 def render_palatal_ppm(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> bytes:
-    """Raster fallback of the palatal view (binary PPM, P6)."""
-    w, h = style.width, style.height
-    white = (255, 255, 255)
-    raster = bytearray()
-    pixels = [[white] * w for _ in range(h)]
+    """Raster fallback of the palatal view (binary PPM, P6).
 
-    def put_disc(cx: float, cy: float, r: float, rgb: tuple[int, int, int]) -> None:
-        x0, x1 = max(0, int(cx - r) - 1), min(w - 1, int(cx + r) + 1)
-        y0, y1 = max(0, int(cy - r) - 1), min(h - 1, int(cy + r) + 1)
-        rr = r * r
-        for py in range(y0, y1 + 1):
-            for px in range(x0, x1 + 1):
-                if (px + 0.5 - cx) ** 2 + (py + 0.5 - cy) ** 2 <= rr:
-                    pixels[py][px] = rgb
+    Discs are painted in order, later ones over earlier ones, each as one
+    slice assignment per pixel row.
+    """
+    w, h = style.width, style.height
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    raster = bytearray(header)
+    raster += b"\xff" * (3 * w * h)
+    origin = len(header)
+
+    def put_disc(cx: float, cy: float, r: float, rgb: bytes) -> None:
+        for py, a, b in _disc_runs(cx, cy, r, w, h):
+            start = origin + 3 * (py * w + a)
+            raster[start : start + 3 * (b - a + 1)] = rgb * (b - a + 1)
 
     centers, radius, margin = _palatal_layout(frame, style)
     outline = _hex_rgb(style.outline_color)
     # trace the horseshoe outline with small discs along its three segments
-    rx = 0.5 * w - margin
-    ry = 0.42 * (h - 2 * margin)
-    shoulder_y = margin + ry
+    rx, ry, shoulder_y = _horseshoe(style, margin)
     steps = 160
     for k in range(steps + 1):
         t = k / steps
@@ -294,8 +323,4 @@ def render_palatal_ppm(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> b
         for j, contacted in enumerate(row):
             cx, cy = centers[i][j]
             put_disc(cx, cy, radius, contact_rgb if contacted else open_rgb)
-    raster.extend(f"P6\n{w} {h}\n255\n".encode("ascii"))
-    for prow in pixels:
-        for rgb in prow:
-            raster.extend(rgb)
     return bytes(raster)

@@ -54,7 +54,8 @@ class AnimationSpec:
     """Timed sequence of targets: hold each, then blend into the next.
 
     hold_ms has one entry per target; transition_ms has one entry per gap
-    between consecutive targets. All durations are positive milliseconds.
+    between consecutive targets. All durations are positive, finite
+    milliseconds; fps is finite and at least 1.
     """
 
     targets: tuple[SoundTarget, ...]
@@ -69,6 +70,8 @@ class AnimationSpec:
             raise ConfigError("hold_ms needs one duration per target")
         if len(self.transition_ms) != len(self.targets) - 1:
             raise ConfigError("transition_ms needs one duration per target gap")
+        if not all(math.isfinite(v) for v in (*self.hold_ms, *self.transition_ms, self.fps)):
+            raise ConfigError("fps and all durations must be finite")
         if any(d <= 0 for d in self.hold_ms) or any(d <= 0 for d in self.transition_ms):
             raise ConfigError("all durations must be positive")
         if self.fps < 1:

@@ -8,7 +8,9 @@ from palatogram import (
     DomainError,
     DomeShape,
     DomeSlice,
+    EPGFrame,
     PalateGeometry,
+    RenderStyle,
     ShapingParams,
     TongueContour,
     dome_elevation,
@@ -19,6 +21,7 @@ from palatogram import (
     slice_at,
 )
 from palatogram.epg import column_fractions
+from palatogram.render import _palatal_layout
 
 
 def bisect_crossings(slice_: DomeSlice, u: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -122,3 +125,58 @@ def epg_cells(
             row.append(shaped_height(params, sl, x, u_mid, z) >= dome_height(sl, z))
         cells.append(tuple(row))
     return tuple(cells)
+
+
+def disc_pixels(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int, int]]:
+    """The (px, py) of a w x h canvas inside a disc, testing every pixel of its box."""
+    x0, x1 = max(0, int(cx - r) - 1), min(w - 1, int(cx + r) + 1)
+    y0, y1 = max(0, int(cy - r) - 1), min(h - 1, int(cy + r) + 1)
+    rr = r * r
+    return [
+        (px, py)
+        for py in range(y0, y1 + 1)
+        for px in range(x0, x1 + 1)
+        if (px + 0.5 - cx) ** 2 + (py + 0.5 - cy) ** 2 <= rr
+    ]
+
+
+def palatal_ppm(frame: EPGFrame, style: RenderStyle) -> bytes:
+    """The palatal PPM painted pixel by pixel into a grid of RGB tuples.
+
+    This is the painter render_palatal_ppm used before it wrote scanline
+    runs; both must give the same bytes.
+    """
+    w, h = style.width, style.height
+    white = (255, 255, 255)
+    pixels = [[white] * w for _ in range(h)]
+
+    def hex_rgb(color: str) -> tuple[int, int, int]:
+        return (int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16))
+
+    def put_disc(cx: float, cy: float, r: float, rgb: tuple[int, int, int]) -> None:
+        for px, py in disc_pixels(cx, cy, r, w, h):
+            pixels[py][px] = rgb
+
+    centers, radius, margin = _palatal_layout(frame, style)
+    outline = hex_rgb(style.outline_color)
+    rx = 0.5 * w - margin
+    ry = 0.42 * (h - 2 * margin)
+    shoulder_y = margin + ry
+    steps = 160
+    for k in range(steps + 1):
+        t = k / steps
+        put_disc(margin, h - margin + t * (shoulder_y - (h - margin)), 1.2, outline)
+        put_disc(w - margin, h - margin + t * (shoulder_y - (h - margin)), 1.2, outline)
+        angle = math.pi * (1.0 - t)
+        put_disc(0.5 * w + rx * math.cos(angle), shoulder_y - ry * math.sin(angle), 1.2, outline)
+    contact_rgb = hex_rgb(style.contact_color)
+    open_rgb = hex_rgb(style.no_contact_color)
+    for i, row in enumerate(frame.cells):
+        for j, contacted in enumerate(row):
+            cx, cy = centers[i][j]
+            put_disc(cx, cy, radius, contact_rgb if contacted else open_rgb)
+    raster = bytearray(f"P6\n{w} {h}\n255\n".encode("ascii"))
+    for prow in pixels:
+        for rgb in prow:
+            raster.extend(rgb)
+    return bytes(raster)

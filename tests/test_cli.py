@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from palatogram.cli import run
 
 
@@ -155,6 +157,26 @@ def test_animate_rejects_bad_spec(tmp_path, capsys):
     spec.write_text(json.dumps({"targets": [], "fps": 10}), encoding="utf-8")
     assert run(["animate", "--spec", str(spec), "--outdir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize(
+    "spec_text",
+    [
+        '{"targets": ["t"], "fps": NaN}',
+        '{"targets": ["t", "s"], "hold_ms": [Infinity, 100]}',
+    ],
+    ids=["fps-nan", "hold-infinity"],
+)
+def test_animate_rejects_non_finite_timing(tmp_path, capsys, spec_text):
+    spec = tmp_path / "anim.json"
+    spec.write_text(spec_text, encoding="utf-8")
+    outdir = tmp_path / "o"
+    assert run(["animate", "--spec", str(spec), "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not outdir.exists() or not any(outdir.iterdir())
 
 
 def test_help_exits_zero():

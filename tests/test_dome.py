@@ -12,6 +12,7 @@ from palatogram import (
     DomeShape,
     DomeSlice,
     PalateGeometry,
+    default_palate,
     dome_elevation,
     palate_from_dict,
     sample_surface,
@@ -128,27 +129,37 @@ def test_sample_surface_corners(two_slice_geometry):
     grid = sample_surface(two_slice_geometry, 1, 1)
     points = [p for row in grid for p in row]
     assert len(points) == 4
-    assert all(p.y == pytest.approx(0.0, abs=1e-12) for p in points)
+    assert all(y == pytest.approx(0.0, abs=1e-12) for _x, y, _z in points)
 
 
 def test_sample_surface_center_apex():
     from conftest import s0_geometry
 
     grid = sample_surface(s0_geometry(DomeShape.COSINE), 2, 2)
-    assert grid[1][1].y == pytest.approx(10.0, abs=1e-12)
+    assert grid[1][1][1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_sample_surface_exhaustive(two_slice_geometry):
     grid = sample_surface(two_slice_geometry, 4, 8)
     points = [p for row in grid for p in row]
     assert len(points) == 45
-    best = max(points, key=lambda p: p.y)
-    assert best.y == pytest.approx(12.0, abs=1e-12)
-    assert (best.x, best.z) == (10.0, 0.0)
+    best_x, best_y, best_z = max(points, key=lambda p: p[1])
+    assert best_y == pytest.approx(12.0, abs=1e-12)
+    assert (best_x, best_z) == (10.0, 0.0)
     for row in grid:
-        sl = slice_at(two_slice_geometry, row[0].x)
-        for p in row:
-            assert p.y == pytest.approx(dome_elevation(sl, p.z), abs=1e-12)
+        sl = slice_at(two_slice_geometry, row[0][0])
+        for x, y, z in row:
+            assert x == sl.x
+            assert y == pytest.approx(dome_elevation(sl, z), abs=1e-12)
+
+
+def test_sample_surface_points_are_float_tuples(two_slice_geometry):
+    grid = sample_surface(two_slice_geometry, 2, 3)
+    assert [len(row) for row in grid] == [4, 4, 4]
+    for row in grid:
+        for point in row:
+            assert type(point) is tuple and len(point) == 3
+            assert all(type(c) is float for c in point)
 
 
 def test_sample_surface_rejects_bad_counts(two_slice_geometry):
@@ -162,7 +173,7 @@ def test_surface_xs(two_slice_geometry):
     assert surface_xs(two_slice_geometry, 1) == [0.0, 10.0]
     assert surface_xs(two_slice_geometry, 4) == [0.0, 2.5, 5.0, 7.5, 10.0]
     grid = sample_surface(two_slice_geometry, 3, 2)
-    assert [row[0].x for row in grid] == surface_xs(two_slice_geometry, 3)
+    assert [row[0][0] for row in grid] == surface_xs(two_slice_geometry, 3)
     for nx in (0, -1):
         with pytest.raises(DomainError, match="nx"):
             surface_xs(two_slice_geometry, nx)
@@ -199,3 +210,10 @@ def test_palate_config_rejects_unknown_keys():
 def test_palate_config_rejects_bad_shape():
     with pytest.raises(ConfigError, match="half_ellipse"):
         palate_from_dict(dict(VALID_CONFIG, shape="parabola"))
+
+
+@pytest.mark.parametrize("shape", [None, *DomeShape])
+def test_default_palate_is_cached_per_shape(shape):
+    geometry = default_palate(shape)
+    assert default_palate(shape) is geometry
+    assert shape is None or geometry.shape is shape

@@ -51,9 +51,17 @@ def test_style_validation():
     with pytest.raises(ConfigError):
         RenderStyle(contact_color="red")
     with pytest.raises(ConfigError):
-        RenderStyle(precision=4)
-    with pytest.raises(ConfigError):
         RenderStyle(width=0)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(1.0, "1.000"), (2.71828, "2.718"), (-3.14159, "-3.142"), (-0.0, "0.000"),
+     (-0.0004, "0.000"), (-0.0005, "-0.001"), (0.0004, "0.000"), (12345.6789, "12345.679")],
+)
+def test_fmt_three_decimals_without_negative_zero(value, text):
+    assert RenderStyle.fmt(value) == text
+    assert RenderStyle(width=10, height=10).fmt(value) == text
 
 
 @pytest.mark.parametrize("value, expected_contact", [(False, 0), (True, 64)])

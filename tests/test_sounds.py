@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -171,6 +172,16 @@ def test_animation_spec_validation():
         AnimationSpec(targets=(a,), hold_ms=(0.0,), transition_ms=(), fps=10.0)
     with pytest.raises(ConfigError):
         AnimationSpec(targets=(a,), hold_ms=(100.0,), transition_ms=(), fps=0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["hold_ms", "transition_ms", "fps"])
+def test_animation_spec_rejects_non_finite(field, bad):
+    a, b = flat_target("a", 1.0), flat_target("b", 2.0)
+    kwargs = {"targets": (a, b), "hold_ms": (100.0, 100.0), "transition_ms": (100.0,), "fps": 10.0}
+    kwargs[field] = bad if field == "fps" else (bad,) + kwargs[field][1:]
+    with pytest.raises(ConfigError, match="finite"):
+        AnimationSpec(**kwargs)
 
 
 def test_animate_single_hold():
