@@ -206,35 +206,7 @@ def _load_animation_spec(path: str) -> sounds.AnimationSpec:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("animation spec must be a JSON object")
-    unknown = set(doc) - {"targets", "hold_ms", "transition_ms", "fps"}
-    if unknown:
-        raise ConfigError(f"animation spec has unknown keys: {sorted(unknown)}")
-    names = doc.get("targets")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names) or not names:
-        raise ConfigError("animation spec needs a non-empty 'targets' list of sound names")
-    targets = tuple(sounds.get_target(n) for n in names)
-
-    def durations(key: str, count: int, default: float) -> tuple[float, ...]:
-        value = doc.get(key, default)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return tuple([float(value)] * count)
-        if isinstance(value, list) and len(value) == count and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            return tuple(float(v) for v in value)
-        raise ConfigError(f"animation spec key {key!r} must be a number or list of {count}")
-
-    fps = doc.get("fps", 25)
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
-        raise ConfigError("animation spec 'fps' must be a number")
-    return sounds.AnimationSpec(
-        targets=targets,
-        hold_ms=durations("hold_ms", len(targets), 120.0),
-        transition_ms=durations("transition_ms", max(len(targets) - 1, 0), 400.0),
-        fps=float(fps),
-    )
+    return sounds.animation_spec_from_dict(doc)
 
 
 def _cmd_list_sounds(_: argparse.Namespace) -> int:

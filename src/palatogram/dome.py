@@ -208,8 +208,17 @@ def sample_surface(
     return grid
 
 
-def with_shape(geometry: PalateGeometry, shape: DomeShape) -> PalateGeometry:
-    """Same slice stack with the lateral profile family replaced."""
+def with_shape(geometry: PalateGeometry, shape: DomeShape | str) -> PalateGeometry:
+    """Same slice stack with the lateral profile family replaced.
+
+    shape is a DomeShape or its value; any other name raises DomainError.
+    """
+    try:
+        shape = DomeShape(shape)
+    except ValueError:
+        raise DomainError(
+            f"dome shape must be one of {[s.value for s in DomeShape]}, got {shape!r}"
+        ) from None
     if shape is geometry.shape:
         return geometry
     slices = tuple(
@@ -275,13 +284,12 @@ def load_palate(path: str | Path) -> PalateGeometry:
     return palate_from_dict(doc)
 
 
-# typed: a str equal to a DomeShape value must not share the member's entry
-@functools.lru_cache(maxsize=None, typed=True)
-def default_palate(shape: DomeShape | None = None) -> PalateGeometry:
+@functools.lru_cache(maxsize=None)
+def default_palate(shape: DomeShape | str | None = None) -> PalateGeometry:
     """The built-in schematic adult palate (incisors at x=0, velum at x=40).
 
     Parsed once and cached per shape; the geometry is immutable, so every
-    caller can share it.
+    caller can share it. shape is taken as by with_shape.
     """
     if shape is not None:
         return with_shape(default_palate(), shape)

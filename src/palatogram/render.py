@@ -6,6 +6,8 @@ across runs: fixed attribute order, fixed decimal precision, no timestamps.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -44,6 +46,10 @@ class RenderStyle:
     outline_color: str = "#445566"
 
     def __post_init__(self) -> None:
+        # whole pixels only: 420.0 would print as "420.0" yet equal 420, and
+        # equal styles share one cached palatal layout
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.width, self.height)):
+            raise ConfigError("canvas dimensions must be integers")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("canvas dimensions must be positive")
         for name in ("contact_color", "no_contact_color", "outline_color"):
@@ -66,8 +72,8 @@ def _svg_open(style: RenderStyle) -> list[str]:
     ]
 
 
-def _palatal_layout(frame: EPGFrame, style: RenderStyle):
-    """Dot centers and radius for the palatal lattice, anterior at the top."""
+def _palatal_layout(rows: int, fracs: tuple[float, ...], style: RenderStyle):
+    """Dot centers and radius for a rows x len(fracs) palatal lattice, anterior at the top."""
     w, h = float(style.width), float(style.height)
     margin = 0.08 * min(w, h)
     arch_top = margin
@@ -75,14 +81,14 @@ def _palatal_layout(frame: EPGFrame, style: RenderStyle):
     usable_h = arch_bottom - arch_top
     y0 = arch_top + 0.22 * usable_h
     y1 = arch_bottom - 0.08 * usable_h
-    radius = min((y1 - y0) / frame.rows, (w - 2 * margin) / frame.cols) * 0.30
+    radius = min((y1 - y0) / rows, (w - 2 * margin) / len(fracs)) * 0.30
     centers = []
-    for i in range(frame.rows):
-        cy = y0 + (i + 0.5) * (y1 - y0) / frame.rows
+    for i in range(rows):
+        cy = y0 + (i + 0.5) * (y1 - y0) / rows
         # the palate narrows toward the incisors; shrink anterior rows
-        narrow = 0.58 + 0.42 * (i + 0.5) / frame.rows
+        narrow = 0.58 + 0.42 * (i + 0.5) / rows
         row = []
-        for f in frame.z_frac_of_col:
+        for f in fracs:
             cx = 0.5 * w + (f - 0.5) * (w - 2 * margin - 2 * radius) * narrow
             row.append((cx, cy))
         centers.append(row)
@@ -109,22 +115,39 @@ def _horseshoe_path(style: RenderStyle, margin: float) -> str:
     )
 
 
-def render_palatal_svg(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> bytes:
-    """Palatal view: one dot per grid cell inside a horseshoe outline."""
+# The frames of one animation share a canvas and a lattice; a few entries
+# cover the lattices one process renders at a time.
+@functools.lru_cache(maxsize=16)
+def _palatal_svg_layout(
+    style: RenderStyle, rows: int, fracs: tuple[float, ...]
+) -> tuple[str, tuple[str, ...]]:
+    """The palatal SVG up to its first dot, and each dot's text up to its fill color."""
     parts = _svg_open(style)
-    centers, radius, margin = _palatal_layout(frame, style)
+    centers, radius, margin = _palatal_layout(rows, fracs, style)
     parts.append(
         f'<path d="{_horseshoe_path(style, margin)}" fill="none" '
         f'stroke="{style.outline_color}" stroke-width="2"/>'
     )
     f = style.fmt
-    for i, row in enumerate(frame.cells):
-        for j, contacted in enumerate(row):
-            cx, cy = centers[i][j]
-            fill = style.contact_color if contacted else style.no_contact_color
-            parts.append(
-                f'<circle cx="{f(cx)}" cy="{f(cy)}" r="{f(radius)}" fill="{fill}"/>'
-            )
+    r = f(radius)
+    dots = []
+    for row in centers:
+        cy = f(row[0][1])
+        dots.extend(f'<circle cx="{f(cx)}" cy="{cy}" r="{r}" fill="' for cx, _cy in row)
+    return "\n".join(parts), tuple(dots)
+
+
+def render_palatal_svg(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> bytes:
+    """Palatal view: one dot per grid cell inside a horseshoe outline.
+
+    The layout is computed once per canvas, style and lattice; a frame only
+    adds its fill colors.
+    """
+    head, dots = _palatal_svg_layout(style, frame.rows, tuple(frame.z_frac_of_col))
+    on, off = style.contact_color + '"/>', style.no_contact_color + '"/>'
+    cells = itertools.chain.from_iterable(frame.cells)
+    parts = [head]
+    parts += [dot + (on if contacted else off) for dot, contacted in zip(dots, cells)]
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -306,7 +329,7 @@ def render_palatal_ppm(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> b
             start = origin + 3 * (py * w + a)
             raster[start : start + 3 * (b - a + 1)] = rgb * (b - a + 1)
 
-    centers, radius, margin = _palatal_layout(frame, style)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.z_frac_of_col, style)
     outline = _hex_rgb(style.outline_color)
     # trace the horseshoe outline with small discs along its three segments
     rx, ry, shoulder_y = _horseshoe(style, margin)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError, DomainError
 from .shaping import DorsumManner, ShapingParams, TipManner, TongueContour, midsagittal_height
@@ -26,10 +27,12 @@ __all__ = [
     "interpolate",
     "animate",
     "target_from_dict",
+    "animation_spec_from_dict",
     "target_to_dict",
 ]
 
 BLEND_GRID_POINTS = 64
+MAX_FRAMES = 100_000  # frames one animation may have; bounds what animate allocates
 
 _ENUM_FIELDS = {"tt_manner": TipManner, "td_manner": DorsumManner}
 _FLAG_FIELDS = {"groove_enabled", "lateral_lower_enabled"}
@@ -55,7 +58,8 @@ class AnimationSpec:
 
     hold_ms has one entry per target; transition_ms has one entry per gap
     between consecutive targets. All durations are positive, finite
-    milliseconds; fps is finite and at least 1.
+    milliseconds; fps is finite and at least 1; the whole animation has at
+    most MAX_FRAMES frames.
     """
 
     targets: tuple[SoundTarget, ...]
@@ -76,10 +80,22 @@ class AnimationSpec:
             raise ConfigError("all durations must be positive")
         if self.fps < 1:
             raise ConfigError(f"fps must be >= 1, got {self.fps}")
+        # ceil(n) > MAX_FRAMES iff n > MAX_FRAMES; an infinite n fails too
+        n_frames = self.total_ms * self.fps / 1000.0
+        if not n_frames <= MAX_FRAMES:
+            raise ConfigError(
+                f"animation would need {n_frames:.0f} frames, more than {MAX_FRAMES}"
+            )
 
     @property
     def total_ms(self) -> float:
-        return sum(self.hold_ms) + sum(self.transition_ms)
+        """Length of the timeline, summed hold, transition, hold, ... as animate does."""
+        clock = 0.0
+        for i, hold in enumerate(self.hold_ms):
+            clock += hold
+            if i < len(self.transition_ms):
+                clock += self.transition_ms[i]
+        return clock
 
 
 def params_from_dict(doc: object) -> ShapingParams:
@@ -153,6 +169,43 @@ def target_to_dict(target: SoundTarget) -> dict:
         "contour": [[x, u] for x, u in target.contour.points],
         "params": params_to_dict(target.params),
     }
+
+
+def animation_spec_from_dict(doc: object) -> AnimationSpec:
+    """Strict AnimationSpec parser: preset names, durations in ms and fps.
+
+    hold_ms and transition_ms are each one number for every entry or a list
+    with one number per entry; they default to 120 and 400 ms, fps to 25.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("animation spec must be a JSON object")
+    unknown = set(doc) - {"targets", "hold_ms", "transition_ms", "fps"}
+    if unknown:
+        raise ConfigError(f"animation spec has unknown keys: {sorted(unknown)}")
+    names = doc.get("targets")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names) or not names:
+        raise ConfigError("animation spec needs a non-empty 'targets' list of sound names")
+    targets = tuple(get_target(n) for n in names)
+
+    def durations(key: str, count: int, default: float) -> tuple[float, ...]:
+        value = doc.get(key, default)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return tuple([float(value)] * count)
+        if isinstance(value, list) and len(value) == count and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        ):
+            return tuple(float(v) for v in value)
+        raise ConfigError(f"animation spec key {key!r} must be a number or list of {count}")
+
+    fps = doc.get("fps", 25)
+    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+        raise ConfigError("animation spec 'fps' must be a number")
+    return AnimationSpec(
+        targets=targets,
+        hold_ms=durations("hold_ms", len(targets), 120.0),
+        transition_ms=durations("transition_ms", len(targets) - 1, 400.0),
+        fps=float(fps),
+    )
 
 
 class SoundLibrary:
@@ -249,36 +302,53 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
         return a
     if lam == 1.0:
         return b
+    return _blend(a, b)(lam)
+
+
+def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
+    """The blend of a into b as a function of lam in (0, 1).
+
+    The common x grid, both contours' heights on it and the blended name do
+    not depend on lam, so they are computed once; each call only lerps.
+    """
     x_lo = max(a.contour.x_min, b.contour.x_min)
     x_hi = min(a.contour.x_max, b.contour.x_max)
     if not x_lo < x_hi:
         raise DomainError(f"contours of {a.name!r} and {b.name!r} do not overlap in x")
-    points = []
+    heights = []  # (x, u of a, u of b) on the common grid
     for k in range(BLEND_GRID_POINTS):
         f = k / (BLEND_GRID_POINTS - 1)
         x = (1.0 - f) * x_lo + f * x_hi
-        u = (1.0 - lam) * midsagittal_height(a.contour, x) + lam * midsagittal_height(
-            b.contour, x
-        )
-        points.append((x, u))
-    discrete_src = a.params if lam < 0.5 else b.params
-    blended = {}
+        heights.append((x, midsagittal_height(a.contour, x), midsagittal_height(b.contour, x)))
+    name = f"{a.name}~{b.name}"
+    numeric, discrete = [], []
     for fld in fields(ShapingParams):
         if fld.name in _ENUM_FIELDS or fld.name in _FLAG_FIELDS:
-            blended[fld.name] = getattr(discrete_src, fld.name)
+            discrete.append(fld.name)
         else:
-            va = getattr(a.params, fld.name)
-            vb = getattr(b.params, fld.name)
-            blended[fld.name] = (1.0 - lam) * va + lam * vb
-    return SoundTarget(
-        name=f"{a.name}~{b.name}",
-        contour=TongueContour(points=tuple(points)),
-        params=ShapingParams(**blended),
-    )
+            numeric.append((fld.name, getattr(a.params, fld.name), getattr(b.params, fld.name)))
+
+    def at(lam: float) -> SoundTarget:
+        points = tuple((x, (1.0 - lam) * u0 + lam * u1) for x, u0, u1 in heights)
+        blended = {n: (1.0 - lam) * va + lam * vb for n, va, vb in numeric}
+        discrete_src = a.params if lam < 0.5 else b.params
+        for n in discrete:
+            blended[n] = getattr(discrete_src, n)
+        return SoundTarget(
+            name=name,
+            contour=TongueContour(points=points),
+            params=ShapingParams(**blended),
+        )
+
+    return at
 
 
 def animate(spec: AnimationSpec) -> list[SoundTarget]:
-    """One target per frame: holds repeat a target, transitions blend linearly."""
+    """One target per frame: holds repeat a target, transitions blend linearly.
+
+    Each transition's blend is prepared once, on its first frame strictly
+    inside it, and reused by the transition's later frames.
+    """
     segments = []  # (start_ms, duration_ms, kind, payload)
     clock = 0.0
     for i, target in enumerate(spec.targets):
@@ -291,13 +361,21 @@ def animate(spec: AnimationSpec) -> list[SoundTarget]:
             clock += spec.transition_ms[i]
     n_frames = math.ceil(clock * spec.fps / 1000.0)
     frames = []
+    blends: dict[int, Callable[[float], SoundTarget]] = {}
     for k in range(n_frames):
         t = k * 1000.0 / spec.fps
-        seg = next((s for s in segments if t < s[0] + s[1]), segments[-1])
-        start, duration, kind, payload = seg
+        i = next((i for i, seg in enumerate(segments) if t < seg[0] + seg[1]), len(segments) - 1)
+        start, duration, kind, payload = segments[i]
         if kind == "hold":
             frames.append(payload[0])
+            continue
+        lam = min(max((t - start) / duration, 0.0), 1.0)
+        if lam == 0.0:
+            frames.append(payload[0])
+        elif lam == 1.0:
+            frames.append(payload[1])
         else:
-            lam = min(max((t - start) / duration, 0.0), 1.0)
-            frames.append(interpolate(payload[0], payload[1], lam))
+            if i not in blends:
+                blends[i] = _blend(*payload)
+            frames.append(blends[i](lam))
     return frames

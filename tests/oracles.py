@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from palatogram import (
+    AnimationSpec,
     DomainError,
     DomeShape,
     DomeSlice,
@@ -12,6 +14,7 @@ from palatogram import (
     PalateGeometry,
     RenderStyle,
     ShapingParams,
+    SoundTarget,
     TongueContour,
     dome_elevation,
     edge_elevation_delta,
@@ -21,7 +24,8 @@ from palatogram import (
     slice_at,
 )
 from palatogram.epg import column_fractions
-from palatogram.render import _palatal_layout
+from palatogram.render import _horseshoe_path, _palatal_layout, _svg_open
+from palatogram.sounds import _ENUM_FIELDS, _FLAG_FIELDS, BLEND_GRID_POINTS
 
 
 def bisect_crossings(slice_: DomeSlice, u: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -157,7 +161,7 @@ def palatal_ppm(frame: EPGFrame, style: RenderStyle) -> bytes:
         for px, py in disc_pixels(cx, cy, r, w, h):
             pixels[py][px] = rgb
 
-    centers, radius, margin = _palatal_layout(frame, style)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.z_frac_of_col, style)
     outline = hex_rgb(style.outline_color)
     rx = 0.5 * w - margin
     ry = 0.42 * (h - 2 * margin)
@@ -180,3 +184,93 @@ def palatal_ppm(frame: EPGFrame, style: RenderStyle) -> bytes:
         for rgb in prow:
             raster.extend(rgb)
     return bytes(raster)
+
+
+def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
+    """Blend two targets, resampling both contours afresh for this one lam.
+
+    This is the blend sounds.interpolate made before one blend served a
+    whole transition; both must give the same target, float for float.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"blend fraction must lie in [0, 1], got {lam}")
+    if lam == 0.0:
+        return a
+    if lam == 1.0:
+        return b
+    x_lo = max(a.contour.x_min, b.contour.x_min)
+    x_hi = min(a.contour.x_max, b.contour.x_max)
+    if not x_lo < x_hi:
+        raise DomainError(f"contours of {a.name!r} and {b.name!r} do not overlap in x")
+    points = []
+    for k in range(BLEND_GRID_POINTS):
+        f = k / (BLEND_GRID_POINTS - 1)
+        x = (1.0 - f) * x_lo + f * x_hi
+        u = (1.0 - lam) * midsagittal_height(a.contour, x) + lam * midsagittal_height(
+            b.contour, x
+        )
+        points.append((x, u))
+    discrete_src = a.params if lam < 0.5 else b.params
+    blended = {}
+    for fld in fields(ShapingParams):
+        if fld.name in _ENUM_FIELDS or fld.name in _FLAG_FIELDS:
+            blended[fld.name] = getattr(discrete_src, fld.name)
+        else:
+            va = getattr(a.params, fld.name)
+            vb = getattr(b.params, fld.name)
+            blended[fld.name] = (1.0 - lam) * va + lam * vb
+    return SoundTarget(
+        name=f"{a.name}~{b.name}",
+        contour=TongueContour(points=tuple(points)),
+        params=ShapingParams(**blended),
+    )
+
+
+def animate(spec: AnimationSpec) -> list[SoundTarget]:
+    """The frame list with one full interpolate call per transition frame."""
+    segments = []  # (start_ms, duration_ms, kind, payload)
+    clock = 0.0
+    for i, target in enumerate(spec.targets):
+        segments.append((clock, spec.hold_ms[i], "hold", (target,)))
+        clock += spec.hold_ms[i]
+        if i < len(spec.targets) - 1:
+            segments.append(
+                (clock, spec.transition_ms[i], "transition", (target, spec.targets[i + 1]))
+            )
+            clock += spec.transition_ms[i]
+    n_frames = math.ceil(clock * spec.fps / 1000.0)
+    frames = []
+    for k in range(n_frames):
+        t = k * 1000.0 / spec.fps
+        seg = next((s for s in segments if t < s[0] + s[1]), segments[-1])
+        start, duration, kind, payload = seg
+        if kind == "hold":
+            frames.append(payload[0])
+        else:
+            lam = min(max((t - start) / duration, 0.0), 1.0)
+            frames.append(interpolate(payload[0], payload[1], lam))
+    return frames
+
+
+def palatal_svg(frame: EPGFrame, style: RenderStyle) -> bytes:
+    """The palatal SVG laid out and formatted afresh, cell by cell.
+
+    This is the emitter render_palatal_svg used before it kept one layout
+    per canvas; both must give the same bytes.
+    """
+    parts = _svg_open(style)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.z_frac_of_col, style)
+    parts.append(
+        f'<path d="{_horseshoe_path(style, margin)}" fill="none" '
+        f'stroke="{style.outline_color}" stroke-width="2"/>'
+    )
+    f = style.fmt
+    for i, row in enumerate(frame.cells):
+        for j, contacted in enumerate(row):
+            cx, cy = centers[i][j]
+            fill = style.contact_color if contacted else style.no_contact_color
+            parts.append(
+                f'<circle cx="{f(cx)}" cy="{f(cy)}" r="{f(radius)}" fill="{fill}"/>'
+            )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")

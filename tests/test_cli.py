@@ -179,6 +179,23 @@ def test_animate_rejects_non_finite_timing(tmp_path, capsys, spec_text):
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
+def test_animate_rejects_too_many_frames(tmp_path, capsys, monkeypatch):
+    from palatogram import sounds
+
+    def no_frames(spec):
+        raise AssertionError("frames built for a rejected spec")
+
+    monkeypatch.setattr(sounds, "animate", no_frames)
+    spec = tmp_path / "anim.json"
+    spec.write_text('{"targets": ["t", "s"], "fps": 5e8}', encoding="utf-8")
+    outdir = tmp_path / "o"
+    assert run(["animate", "--spec", str(spec), "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "100000" in err
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
 

@@ -17,6 +17,7 @@ from palatogram import (
     palate_from_dict,
     sample_surface,
     slice_at,
+    with_shape,
 )
 from palatogram.dome import surface_xs
 from oracles import bisect_ellipse_elevation
@@ -217,3 +218,22 @@ def test_default_palate_is_cached_per_shape(shape):
     geometry = default_palate(shape)
     assert default_palate(shape) is geometry
     assert shape is None or geometry.shape is shape
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_shape_given_by_name_is_the_shape(shape):
+    # a plain str used to pass through and be evaluated as a half-ellipse
+    by_name, by_member = default_palate(shape.value), default_palate(shape)
+    assert by_name.shape is shape
+    for x in (0.0, 10.0, 27.5, 40.0):
+        a, b = slice_at(by_name, x), slice_at(by_member, x)
+        zs = [a.z_min + k / 16 * a.span for k in range(17)]
+        assert [dome_elevation(a, z) for z in zs] == [dome_elevation(b, z) for z in zs]
+    assert with_shape(default_palate(), shape.value).shape is shape
+
+
+def test_unknown_shape_name_is_rejected():
+    with pytest.raises(DomainError, match="bogus"):
+        default_palate("bogus")
+    with pytest.raises(DomainError, match="half_ellipse"):
+        with_shape(default_palate(), "bogus")

@@ -52,6 +52,10 @@ def test_style_validation():
         RenderStyle(contact_color="red")
     with pytest.raises(ConfigError):
         RenderStyle(width=0)
+    # 420.0 == 420, but its document would read width="420.0"
+    for bad in ({"width": 420.0}, {"height": 480.0}, {"width": True}):
+        with pytest.raises(ConfigError, match="integers"):
+            RenderStyle(**bad)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,12 @@ from palatogram import (
     slice_at,
     sound_names,
 )
-from palatogram.sounds import target_from_dict, target_to_dict
+from palatogram.sounds import (
+    MAX_FRAMES,
+    animation_spec_from_dict,
+    target_from_dict,
+    target_to_dict,
+)
 from patterns import PATTERN_CHECKS
 
 EXPECTED_NAMES = ["a:", "i:", "j", "k", "l", "s", "t", "u:", "x", "ç", "ʃ", "θ"]
@@ -182,6 +187,41 @@ def test_animation_spec_rejects_non_finite(field, bad):
     kwargs[field] = bad if field == "fps" else (bad,) + kwargs[field][1:]
     with pytest.raises(ConfigError, match="finite"):
         AnimationSpec(**kwargs)
+
+
+def test_animation_spec_frame_cap():
+    a, b = flat_target("a", 1.0), flat_target("b", 2.0)
+    at_cap = AnimationSpec(targets=(a,), hold_ms=(1000.0,), transition_ms=(), fps=MAX_FRAMES)
+    assert at_cap.total_ms * at_cap.fps / 1000.0 == MAX_FRAMES
+    with pytest.raises(ConfigError, match="frames"):
+        AnimationSpec(targets=(a,), hold_ms=(1000.0,), transition_ms=(), fps=MAX_FRAMES + 1)
+    with pytest.raises(ConfigError, match="frames"):
+        AnimationSpec(targets=(a, b), hold_ms=(120.0, 120.0), transition_ms=(400.0,), fps=5e8)
+    # each duration finite, their sum not: this used to reach math.ceil(inf)
+    with pytest.raises(ConfigError, match="frames"):
+        AnimationSpec(targets=(a, b), hold_ms=(1e308, 1e308), transition_ms=(1e308,), fps=1.0)
+
+
+def test_animation_spec_from_dict():
+    spec = animation_spec_from_dict({"targets": ["t", "s", "t"]})
+    assert [t.name for t in spec.targets] == ["t", "s", "t"]
+    assert spec.targets[0] is get_target("t")
+    assert (spec.hold_ms, spec.transition_ms, spec.fps) == ((120.0,) * 3, (400.0,) * 2, 25.0)
+    spec = animation_spec_from_dict(
+        {"targets": ["t", "s"], "hold_ms": [50, 60], "transition_ms": 70, "fps": 10}
+    )
+    assert (spec.hold_ms, spec.transition_ms, spec.fps) == ((50.0, 60.0), (70.0,), 10.0)
+    for bad, match in (
+        ([], "object"),
+        ({"targets": ["t"], "loop": True}, "unknown keys"),
+        ({"targets": []}, "targets"),
+        ({"targets": ["t", "zz"]}, "unknown sound"),
+        ({"targets": ["t", "s"], "hold_ms": [1]}, "hold_ms"),
+        ({"targets": ["t", "s"], "transition_ms": True}, "transition_ms"),
+        ({"targets": ["t"], "fps": "25"}, "fps"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            animation_spec_from_dict(bad)
 
 
 def test_animate_single_hold():
