@@ -1,0 +1,45 @@
+"""Base class of the package's immutable value classes."""
+
+from __future__ import annotations
+
+
+class Frozen:
+    """An immutable value whose fields are named, in constructor order, in ``__slots__``.
+
+    A subclass sets its fields in ``__init__`` with ``object.__setattr__``
+    and then validates them. This base gives what ``@dataclass(frozen=True)``
+    would: field-wise equality between instances of the same class, a hash
+    and repr of the fields, ``__match_args__``, and ``AttributeError`` on
+    assignment or deletion. Pickling and copying rebuild the value through
+    the constructor, so a copy is validated like the original.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()

@@ -29,7 +29,7 @@ from .dome import (
     with_shape,
 )
 from .epg import compute_epg, epg_text, epg_to_dict
-from .errors import ConfigError, PalatogramError
+from .errors import PalatogramError, parse_json
 from .render import (
     RenderStyle,
     export_obj,
@@ -118,10 +118,7 @@ def _load_target(ns: argparse.Namespace) -> SoundTarget:
     if sound_args:
         return sounds.get_target(sound_args[0])
     path = Path(ns.contour)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    doc = parse_json(path.read_bytes(), path)
     if isinstance(doc, list):
         doc = {"name": path.stem, "contour": doc, "params": {}}
     elif isinstance(doc, dict) and "name" not in doc:
@@ -202,11 +199,7 @@ def _cmd_animate(ns: argparse.Namespace) -> int:
 
 
 def _load_animation_spec(path: str) -> sounds.AnimationSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return sounds.animation_spec_from_dict(doc)
+    return sounds.animation_spec_from_dict(parse_json(Path(path).read_bytes(), path))
 
 
 def _cmd_list_sounds(_: argparse.Namespace) -> int:

@@ -9,9 +9,9 @@ lateral points that are computed in closed form by inverting the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
+from ._frozen import Frozen
 from .dome import DomeShape, DomeSlice
 from .errors import DomainError
 
@@ -28,24 +28,29 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class NoContact:
+class NoContact(Frozen):
     """Tongue below the tooth-row baseline: no intersection exists."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Intersection:
+
+class Intersection(Frozen):
     """Tongue crosses the dome profile at two lateral points."""
 
-    z_left: float
-    z_right: float
+    __slots__ = ("z_left", "z_right")
+
+    def __init__(self, z_left: float, z_right: float) -> None:
+        object.__setattr__(self, "z_left", z_left)
+        object.__setattr__(self, "z_right", z_right)
 
 
-@dataclass(frozen=True)
-class FullContact:
+class FullContact(Frozen):
     """Tongue at or above the apex: contact across the whole span."""
 
-    z_apex: float
+    __slots__ = ("z_apex",)
+
+    def __init__(self, z_apex: float) -> None:
+        object.__setattr__(self, "z_apex", z_apex)
 
 
 ContactClass = Union[NoContact, Intersection, FullContact]

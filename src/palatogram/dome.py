@@ -13,14 +13,13 @@ dome apex. Units are millimeters throughout.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, DomainError
+from ._frozen import Frozen
+from .errors import ConfigError, DomainError, finite_float, parse_json
 
 __all__ = [
     "DomeShape",
@@ -31,6 +30,7 @@ __all__ = [
     "slice_at",
     "surface_xs",
     "sample_surface",
+    "MAX_SURFACE_STEPS",
     "palate_from_dict",
     "load_palate",
     "default_palate",
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+MAX_SURFACE_STEPS = 512  # largest nx or nz of a sampled surface; bounds what it allocates
 
 
 class DomeShape(str, Enum):
@@ -47,8 +48,7 @@ class DomeShape(str, Enum):
     HALF_ELLIPSE = "half_ellipse"
 
 
-@dataclass(frozen=True)
-class DomeSlice:
+class DomeSlice(Frozen):
     """One coronal cross-section of the palatal dome.
 
     Attributes:
@@ -56,25 +56,34 @@ class DomeSlice:
         z_min: lateral position of the left molar edge (z_min < z_max).
         z_max: lateral position of the right molar edge.
         h: dome height above the occlusal baseline (h > 0).
-        shape: lateral profile family.
+        shape: lateral profile family, a DomeShape or its value; any other
+            name raises DomainError.
     """
 
-    x: float
-    z_min: float
-    z_max: float
-    h: float
-    shape: DomeShape = DomeShape.COSINE
+    __slots__ = ("x", "z_min", "z_max", "h", "shape")
 
-    def __post_init__(self) -> None:
-        for name in ("x", "z_min", "z_max", "h"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(
+        self,
+        x: float,
+        z_min: float,
+        z_max: float,
+        h: float,
+        shape: DomeShape = DomeShape.COSINE,
+    ) -> None:
+        if shape is not DomeShape.COSINE and shape is not DomeShape.HALF_ELLIPSE:
+            shape = _as_shape(shape)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z_min", z_min)
+        object.__setattr__(self, "z_max", z_max)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "shape", shape)
+        for name, value in (("x", x), ("z_min", z_min), ("z_max", z_max), ("h", h)):
+            if not math.isfinite(value):
                 raise DomainError(f"slice field {name} must be finite")
-        if not self.z_min < self.z_max:
-            raise DomainError(
-                f"slice at x={self.x}: z_min ({self.z_min}) must be < z_max ({self.z_max})"
-            )
-        if not self.h > 0:
-            raise DomainError(f"slice at x={self.x}: dome height must be positive, got {self.h}")
+        if not z_min < z_max:
+            raise DomainError(f"slice at x={x}: z_min ({z_min}) must be < z_max ({z_max})")
+        if not h > 0:
+            raise DomainError(f"slice at x={x}: dome height must be positive, got {h}")
 
     @property
     def z_center(self) -> float:
@@ -89,20 +98,24 @@ class DomeSlice:
         return 0.5 * (self.z_max - self.z_min)
 
 
-@dataclass(frozen=True)
-class PalateGeometry:
-    """Ordered stack of dome slices from the incisors to the velar transition."""
+class PalateGeometry(Frozen):
+    """Ordered stack of dome slices from the incisors to the velar transition.
 
-    slices: tuple[DomeSlice, ...]
-    shape: DomeShape
+    shape is taken as by DomeSlice and must be every slice's shape.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.slices) < 2:
+    __slots__ = ("slices", "shape")
+
+    def __init__(self, slices: tuple[DomeSlice, ...], shape: DomeShape) -> None:
+        shape = _as_shape(shape)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "shape", shape)
+        if len(slices) < 2:
             raise DomainError("a palate needs at least two slices")
-        xs = [s.x for s in self.slices]
+        xs = [s.x for s in slices]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("slice x positions must be strictly increasing")
-        if any(s.shape is not self.shape for s in self.slices):
+        if any(s.shape is not shape for s in slices):
             raise DomainError("all slices must share the geometry's dome shape")
 
     @property
@@ -112,6 +125,15 @@ class PalateGeometry:
     @property
     def x_max(self) -> float:
         return self.slices[-1].x
+
+
+def _as_shape(shape: DomeShape | str) -> DomeShape:
+    try:
+        return DomeShape(shape)
+    except ValueError:
+        raise DomainError(
+            f"dome shape must be one of {[s.value for s in DomeShape]}, got {shape!r}"
+        ) from None
 
 
 def dome_elevation(slice_: DomeSlice, z: float) -> float:
@@ -177,10 +199,17 @@ def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
     )
 
 
+def _check_steps(name: str, n: int) -> None:
+    if not 1 <= n <= MAX_SURFACE_STEPS:
+        raise DomainError(f"grid needs 1 <= {name} <= {MAX_SURFACE_STEPS}, got {name}={n}")
+
+
 def surface_xs(geometry: PalateGeometry, nx: int) -> list[float]:
-    """The nx + 1 evenly spaced row positions from x_min to x_max inclusive."""
-    if nx < 1:
-        raise DomainError(f"grid needs nx >= 1, got nx={nx}")
+    """The nx + 1 evenly spaced row positions from x_min to x_max inclusive.
+
+    nx must lie in [1, MAX_SURFACE_STEPS].
+    """
+    _check_steps("nx", nx)
     x_lo, x_hi = geometry.x_min, geometry.x_max
     return [(1.0 - i / nx) * x_lo + i / nx * x_hi for i in range(nx + 1)]
 
@@ -193,11 +222,11 @@ def sample_surface(
     x runs anterior to posterior, y is the elevation and z is lateral. Row i
     sits at an x uniformly spanning the palate's range; within a row, z spans
     that slice's [z_min, z_max] so the boundary columns land exactly on the
-    dome edges (y = 0). Every coordinate is finite: the slices are.
+    dome edges (y = 0). Every coordinate is finite: the slices are. nx and
+    nz must each lie in [1, MAX_SURFACE_STEPS].
     """
+    _check_steps("nz", nz)
     xs = surface_xs(geometry, nx)
-    if nz < 1:
-        raise DomainError(f"grid needs nz >= 1, got nz={nz}")
     weights = [(1.0 - j / nz, j / nz) for j in range(nz + 1)]
     grid = []
     for x in xs:
@@ -213,12 +242,7 @@ def with_shape(geometry: PalateGeometry, shape: DomeShape | str) -> PalateGeomet
 
     shape is a DomeShape or its value; any other name raises DomainError.
     """
-    try:
-        shape = DomeShape(shape)
-    except ValueError:
-        raise DomainError(
-            f"dome shape must be one of {[s.value for s in DomeShape]}, got {shape!r}"
-        ) from None
+    shape = _as_shape(shape)
     if shape is geometry.shape:
         return geometry
     slices = tuple(
@@ -258,12 +282,7 @@ def palate_from_dict(doc: object) -> PalateGeometry:
         missing = _SLICE_KEYS - set(item)
         if missing:
             raise ConfigError(f"slice #{i} is missing keys: {sorted(missing)}")
-        values = {}
-        for key in _SLICE_KEYS:
-            v = item[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"slice #{i} key {key!r} must be a number, got {v!r}")
-            values[key] = float(v)
+        values = {key: finite_float(item[key], f"slice #{i} key {key!r}") for key in _SLICE_KEYS}
         try:
             slices.append(DomeSlice(shape=shape, **values))
         except DomainError as exc:
@@ -276,12 +295,7 @@ def palate_from_dict(doc: object) -> PalateGeometry:
 
 def load_palate(path: str | Path) -> PalateGeometry:
     """Load a palate config from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return palate_from_dict(doc)
+    return palate_from_dict(parse_json(Path(path).read_bytes(), path))
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,5 +309,5 @@ def default_palate(shape: DomeShape | str | None = None) -> PalateGeometry:
         return with_shape(default_palate(), shape)
     from importlib import resources
 
-    text = resources.files("palatogram").joinpath("presets/palate.json").read_text("utf-8")
-    return palate_from_dict(json.loads(text))
+    data = resources.files("palatogram").joinpath("presets/palate.json").read_bytes()
+    return palate_from_dict(parse_json(data, "presets/palate.json"))

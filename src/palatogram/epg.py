@@ -3,36 +3,51 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .dome import PalateGeometry, dome_elevations, slice_at
 from .errors import DomainError
 from .shaping import ShapingParams, TongueContour, midsagittal_height, shaped_heights
 
-__all__ = ["EPGFrame", "compute_epg", "epg_text", "epg_to_dict", "column_fractions"]
+__all__ = [
+    "EPGFrame",
+    "MAX_EPG_SIDE",
+    "compute_epg",
+    "epg_text",
+    "epg_to_dict",
+    "column_fractions",
+]
+
+MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg allocates
 
 
-@dataclass(frozen=True)
-class EPGFrame:
+class EPGFrame(Frozen):
     """Boolean contact grid; rows run anterior to posterior, columns left to right."""
 
-    rows: int
-    cols: int
-    cells: tuple[tuple[bool, ...], ...]
-    x_of_row: tuple[float, ...]
-    z_frac_of_col: tuple[float, ...]
+    __slots__ = ("rows", "cols", "cells", "x_of_row", "z_frac_of_col")
 
-    def __post_init__(self) -> None:
-        if len(self.cells) != self.rows or any(len(r) != self.cols for r in self.cells):
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        cells: tuple[tuple[bool, ...], ...],
+        x_of_row: tuple[float, ...],
+        z_frac_of_col: tuple[float, ...],
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "x_of_row", x_of_row)
+        object.__setattr__(self, "z_frac_of_col", z_frac_of_col)
+        if len(cells) != rows or any(len(r) != cols for r in cells):
             raise DomainError("cell matrix does not match rows x cols")
-        if len(self.x_of_row) != self.rows:
+        if len(x_of_row) != rows:
             raise DomainError("x_of_row length must equal rows")
-        if len(self.z_frac_of_col) != self.cols:
+        if len(z_frac_of_col) != cols:
             raise DomainError("z_frac_of_col length must equal cols")
-        xs = self.x_of_row
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if any(b <= a for a, b in zip(x_of_row, x_of_row[1:])):
             raise DomainError("x_of_row must be strictly increasing")
-        fr = self.z_frac_of_col
+        fr = z_frac_of_col
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise DomainError("z_frac_of_col must be strictly increasing")
         if any(not 0.0 < f < 1.0 for f in fr):
@@ -69,12 +84,13 @@ def compute_epg(
 
     Cell (i, j) is contacted iff the shaped tongue height at the cell center
     reaches the dome surface there. Rows whose center falls outside the
-    tongue contour are all-false.
+    tongue contour are all-false. rows must lie in [1, MAX_EPG_SIDE] and cols
+    in [2, MAX_EPG_SIDE].
     """
-    if rows < 1:
-        raise DomainError(f"rows must be >= 1, got {rows}")
-    if cols < 2:
-        raise DomainError(f"cols must be >= 2, got {cols}")
+    if not 1 <= rows <= MAX_EPG_SIDE:
+        raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
+    if not 2 <= cols <= MAX_EPG_SIDE:
+        raise DomainError(f"cols must lie in [2, {MAX_EPG_SIDE}], got {cols}")
     x_lo = max(geometry.x_min, contour.x_min)
     x_hi = min(geometry.x_max, contour.x_max)
     if not x_lo < x_hi:

@@ -10,8 +10,8 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .contact import ContactClass, FullContact, Intersection, NoContact, classify_slice
 from .dome import (
     DomeSlice,
@@ -35,22 +35,29 @@ __all__ = [
 _HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
 
 
-@dataclass(frozen=True)
-class RenderStyle:
+class RenderStyle(Frozen):
     """Canvas size and marker colors for documents."""
 
-    width: int = 420
-    height: int = 480
-    contact_color: str = "#cc2222"
-    no_contact_color: str = "#eecc44"
-    outline_color: str = "#445566"
+    __slots__ = ("width", "height", "contact_color", "no_contact_color", "outline_color")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        width: int = 420,
+        height: int = 480,
+        contact_color: str = "#cc2222",
+        no_contact_color: str = "#eecc44",
+        outline_color: str = "#445566",
+    ) -> None:
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "contact_color", contact_color)
+        object.__setattr__(self, "no_contact_color", no_contact_color)
+        object.__setattr__(self, "outline_color", outline_color)
         # whole pixels only: 420.0 would print as "420.0" yet equal 420, and
         # equal styles share one cached palatal layout
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.width, self.height)):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (width, height)):
             raise ConfigError("canvas dimensions must be integers")
-        if self.width <= 0 or self.height <= 0:
+        if width <= 0 or height <= 0:
             raise ConfigError("canvas dimensions must be positive")
         for name in ("contact_color", "no_contact_color", "outline_color"):
             if not _HEX_COLOR.match(getattr(self, name)):

@@ -17,10 +17,10 @@ The groove and lateral lowering are mutually exclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+from ._frozen import Frozen
 from .dome import DomeSlice, PalateGeometry, slice_at
 from .errors import DomainError
 
@@ -53,23 +53,23 @@ class DorsumManner(str, Enum):
     NEAR = "near"
 
 
-@dataclass(frozen=True)
-class TongueContour:
+class TongueContour(Frozen):
     """Midsagittal tongue heights as (x, u) pairs, x strictly increasing.
 
     Heights are elevations above the occlusal baseline and may be negative
     (tongue below the tooth row).
     """
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
+    def __init__(self, points: tuple[tuple[float, float], ...]) -> None:
+        object.__setattr__(self, "points", points)
+        if len(points) < 2:
             raise DomainError("a tongue contour needs at least two points")
-        for x, u in self.points:
+        for x, u in points:
             if not (math.isfinite(x) and math.isfinite(u)):
                 raise DomainError("contour coordinates must be finite")
-        xs = [p[0] for p in self.points]
+        xs = [p[0] for p in points]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("contour x positions must be strictly increasing")
 
@@ -93,32 +93,57 @@ _FLOAT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ShapingParams:
+class ShapingParams(Frozen):
     """Manner settings and coronal shaping magnitudes for one speech sound.
 
     tth is the normalized tongue tip height control in [0, 1]; it scales the
     posterior edge elevation. Widths and depths are in millimeters.
     """
 
-    tt_manner: TipManner = TipManner.NEAR
-    td_manner: DorsumManner = DorsumManner.NEAR
-    tth: float = 0.0
-    edge_elev_max: float = 8.0
-    posterior_onset_x: float = 12.0
-    groove_enabled: bool = False
-    groove_width: float = 8.0
-    groove_depth: float = 23.0
-    lateral_lower_enabled: bool = False
-    lateral_lower_width: float = 6.4
-    lateral_lower_depth: float = 23.0
+    __slots__ = (
+        "tt_manner",
+        "td_manner",
+        "tth",
+        "edge_elev_max",
+        "posterior_onset_x",
+        "groove_enabled",
+        "groove_width",
+        "groove_depth",
+        "lateral_lower_enabled",
+        "lateral_lower_width",
+        "lateral_lower_depth",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tt_manner: TipManner = TipManner.NEAR,
+        td_manner: DorsumManner = DorsumManner.NEAR,
+        tth: float = 0.0,
+        edge_elev_max: float = 8.0,
+        posterior_onset_x: float = 12.0,
+        groove_enabled: bool = False,
+        groove_width: float = 8.0,
+        groove_depth: float = 23.0,
+        lateral_lower_enabled: bool = False,
+        lateral_lower_width: float = 6.4,
+        lateral_lower_depth: float = 23.0,
+    ) -> None:
+        object.__setattr__(self, "tt_manner", tt_manner)
+        object.__setattr__(self, "td_manner", td_manner)
+        object.__setattr__(self, "tth", tth)
+        object.__setattr__(self, "edge_elev_max", edge_elev_max)
+        object.__setattr__(self, "posterior_onset_x", posterior_onset_x)
+        object.__setattr__(self, "groove_enabled", groove_enabled)
+        object.__setattr__(self, "groove_width", groove_width)
+        object.__setattr__(self, "groove_depth", groove_depth)
+        object.__setattr__(self, "lateral_lower_enabled", lateral_lower_enabled)
+        object.__setattr__(self, "lateral_lower_width", lateral_lower_width)
+        object.__setattr__(self, "lateral_lower_depth", lateral_lower_depth)
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 <= self.tth <= 1.0:
-            raise DomainError(f"tth must lie in [0, 1], got {self.tth}")
+        if not 0.0 <= tth <= 1.0:
+            raise DomainError(f"tth must lie in [0, 1], got {tth}")
         for name in (
             "edge_elev_max",
             "groove_width",
@@ -128,7 +153,7 @@ class ShapingParams:
         ):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
-        if self.groove_enabled and self.lateral_lower_enabled:
+        if groove_enabled and lateral_lower_enabled:
             raise DomainError("groove and lateral lowering are mutually exclusive")
 
 

@@ -7,14 +7,13 @@ schematic, hand-tuned shapes, not measurements of any speaker.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .errors import ConfigError, DomainError
+from ._frozen import Frozen
+from .errors import ConfigError, DomainError, finite_float, parse_json
 from .shaping import DorsumManner, ShapingParams, TipManner, TongueContour, midsagittal_height
 
 __all__ = [
@@ -36,24 +35,23 @@ MAX_FRAMES = 100_000  # frames one animation may have; bounds what animate alloc
 
 _ENUM_FIELDS = {"tt_manner": TipManner, "td_manner": DorsumManner}
 _FLAG_FIELDS = {"groove_enabled", "lateral_lower_enabled"}
-_PARAM_FIELDS = {f.name for f in fields(ShapingParams)}
+_PARAM_FIELDS = frozenset(ShapingParams.__slots__)
 
 
-@dataclass(frozen=True)
-class SoundTarget:
+class SoundTarget(Frozen):
     """A named articulatory target: contour plus shaping parameters."""
 
-    name: str
-    contour: TongueContour
-    params: ShapingParams
+    __slots__ = ("name", "contour", "params")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, contour: TongueContour, params: ShapingParams) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "contour", contour)
+        object.__setattr__(self, "params", params)
+        if not name:
             raise ConfigError("sound target needs a non-empty name")
 
 
-@dataclass(frozen=True)
-class AnimationSpec:
+class AnimationSpec(Frozen):
     """Timed sequence of targets: hold each, then blend into the next.
 
     hold_ms has one entry per target; transition_ms has one entry per gap
@@ -62,26 +60,33 @@ class AnimationSpec:
     most MAX_FRAMES frames.
     """
 
-    targets: tuple[SoundTarget, ...]
-    hold_ms: tuple[float, ...]
-    transition_ms: tuple[float, ...]
-    fps: float
+    __slots__ = ("targets", "hold_ms", "transition_ms", "fps")
 
-    def __post_init__(self) -> None:
-        if len(self.targets) < 1:
+    def __init__(
+        self,
+        targets: tuple[SoundTarget, ...],
+        hold_ms: tuple[float, ...],
+        transition_ms: tuple[float, ...],
+        fps: float,
+    ) -> None:
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "hold_ms", hold_ms)
+        object.__setattr__(self, "transition_ms", transition_ms)
+        object.__setattr__(self, "fps", fps)
+        if len(targets) < 1:
             raise ConfigError("animation needs at least one target")
-        if len(self.hold_ms) != len(self.targets):
+        if len(hold_ms) != len(targets):
             raise ConfigError("hold_ms needs one duration per target")
-        if len(self.transition_ms) != len(self.targets) - 1:
+        if len(transition_ms) != len(targets) - 1:
             raise ConfigError("transition_ms needs one duration per target gap")
-        if not all(math.isfinite(v) for v in (*self.hold_ms, *self.transition_ms, self.fps)):
+        if not all(math.isfinite(v) for v in (*hold_ms, *transition_ms, fps)):
             raise ConfigError("fps and all durations must be finite")
-        if any(d <= 0 for d in self.hold_ms) or any(d <= 0 for d in self.transition_ms):
+        if any(d <= 0 for d in hold_ms) or any(d <= 0 for d in transition_ms):
             raise ConfigError("all durations must be positive")
-        if self.fps < 1:
-            raise ConfigError(f"fps must be >= 1, got {self.fps}")
+        if fps < 1:
+            raise ConfigError(f"fps must be >= 1, got {fps}")
         # ceil(n) > MAX_FRAMES iff n > MAX_FRAMES; an infinite n fails too
-        n_frames = self.total_ms * self.fps / 1000.0
+        n_frames = self.total_ms * fps / 1000.0
         if not n_frames <= MAX_FRAMES:
             raise ConfigError(
                 f"animation would need {n_frames:.0f} frames, more than {MAX_FRAMES}"
@@ -118,9 +123,7 @@ def params_from_dict(doc: object) -> ShapingParams:
                 raise ConfigError(f"params key {key!r} must be a boolean")
             kwargs[key] = value
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"params key {key!r} must be a number")
-            kwargs[key] = float(value)
+            kwargs[key] = finite_float(value, f"params key {key!r}")
     try:
         return ShapingParams(**kwargs)
     except DomainError as exc:
@@ -129,9 +132,9 @@ def params_from_dict(doc: object) -> ShapingParams:
 
 def params_to_dict(params: ShapingParams) -> dict:
     out = {}
-    for f in fields(ShapingParams):
-        value = getattr(params, f.name)
-        out[f.name] = value.value if f.name in _ENUM_FIELDS else value
+    for name in ShapingParams.__slots__:
+        value = getattr(params, name)
+        out[name] = value.value if name in _ENUM_FIELDS else value
     return out
 
 
@@ -149,13 +152,10 @@ def target_from_dict(doc: object) -> SoundTarget:
         raise ConfigError(f"sound target {name!r} needs a 'contour' list of [x, u] pairs")
     points = []
     for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-        ):
-            raise ConfigError(f"sound target {name!r}: contour entry #{i} must be [x, u]")
-        points.append((float(pair[0]), float(pair[1])))
+        what = f"sound target {name!r}: contour entry #{i}"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{what} must be [x, u]")
+        points.append((finite_float(pair[0], f"{what} x"), finite_float(pair[1], f"{what} u")))
     try:
         contour = TongueContour(points=tuple(points))
     except DomainError as exc:
@@ -189,22 +189,18 @@ def animation_spec_from_dict(doc: object) -> AnimationSpec:
 
     def durations(key: str, count: int, default: float) -> tuple[float, ...]:
         value = doc.get(key, default)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return tuple([float(value)] * count)
-        if isinstance(value, list) and len(value) == count and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            return tuple(float(v) for v in value)
-        raise ConfigError(f"animation spec key {key!r} must be a number or list of {count}")
+        what = f"animation spec key {key!r}"
+        if not isinstance(value, list):
+            return (finite_float(value, what),) * count
+        if len(value) != count:
+            raise ConfigError(f"{what} must be a number or list of {count}")
+        return tuple(finite_float(v, f"{what} entry #{i}") for i, v in enumerate(value))
 
-    fps = doc.get("fps", 25)
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
-        raise ConfigError("animation spec 'fps' must be a number")
     return AnimationSpec(
         targets=targets,
         hold_ms=durations("hold_ms", len(targets), 120.0),
         transition_ms=durations("transition_ms", len(targets) - 1, 400.0),
-        fps=float(fps),
+        fps=finite_float(doc.get("fps", 25), "animation spec key 'fps'"),
     )
 
 
@@ -223,7 +219,7 @@ class SoundLibrary:
     def from_dir(cls, path: str | Path) -> "SoundLibrary":
         """Load every *.json target in a directory; file stems become aliases."""
         directory = Path(path)
-        entries = [(f.name, f.read_text(encoding="utf-8")) for f in sorted(directory.glob("*.json"))]
+        entries = [(f.name, f.read_bytes()) for f in sorted(directory.glob("*.json"))]
         if not any(name != "palate.json" for name, _ in entries):
             raise ConfigError(f"no sound target files found in {directory}")
         return cls(*_parse_target_files(entries))
@@ -247,16 +243,14 @@ class SoundLibrary:
         return len(self._targets)
 
 
-def _parse_target_files(entries: list[tuple[str, str]]) -> tuple[list[SoundTarget], dict[str, str]]:
+def _parse_target_files(
+    entries: list[tuple[str, bytes]],
+) -> tuple[list[SoundTarget], dict[str, str]]:
     targets, aliases = [], {}
-    for filename, text in entries:
+    for filename, data in entries:
         if filename == "palate.json" or not filename.endswith(".json"):
             continue
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {filename}: {exc}") from None
-        target = target_from_dict(doc)
+        target = target_from_dict(parse_json(data, filename))
         targets.append(target)
         stem = filename[: -len(".json")]
         if stem != target.name:
@@ -273,7 +267,7 @@ def default_library() -> SoundLibrary:
     if _default_library is None:
         presets = resources.files("palatogram").joinpath("presets")
         entries = sorted(
-            (entry.name, entry.read_text(encoding="utf-8"))
+            (entry.name, entry.read_bytes())
             for entry in presets.iterdir()
             if entry.name.endswith(".json")
         )
@@ -322,11 +316,11 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
         heights.append((x, midsagittal_height(a.contour, x), midsagittal_height(b.contour, x)))
     name = f"{a.name}~{b.name}"
     numeric, discrete = [], []
-    for fld in fields(ShapingParams):
-        if fld.name in _ENUM_FIELDS or fld.name in _FLAG_FIELDS:
-            discrete.append(fld.name)
+    for n in ShapingParams.__slots__:
+        if n in _ENUM_FIELDS or n in _FLAG_FIELDS:
+            discrete.append(n)
         else:
-            numeric.append((fld.name, getattr(a.params, fld.name), getattr(b.params, fld.name)))
+            numeric.append((n, getattr(a.params, n), getattr(b.params, n)))
 
     def at(lam: float) -> SoundTarget:
         points = tuple((x, (1.0 - lam) * u0 + lam * u1) for x, u0, u1 in heights)

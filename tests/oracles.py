@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import dataclass
 
 from palatogram import (
     AnimationSpec,
+    ConfigError,
     DomainError,
     DomeShape,
     DomeSlice,
+    DorsumManner,
     EPGFrame,
+    FullContact,
+    Intersection,
+    NoContact,
     PalateGeometry,
     RenderStyle,
     ShapingParams,
     SoundTarget,
+    TipManner,
     TongueContour,
     dome_elevation,
     edge_elevation_delta,
@@ -24,8 +30,9 @@ from palatogram import (
     slice_at,
 )
 from palatogram.epg import column_fractions
-from palatogram.render import _horseshoe_path, _palatal_layout, _svg_open
-from palatogram.sounds import _ENUM_FIELDS, _FLAG_FIELDS, BLEND_GRID_POINTS
+from palatogram.render import _HEX_COLOR, _horseshoe_path, _palatal_layout, _svg_open
+from palatogram.shaping import _FLOAT_FIELDS
+from palatogram.sounds import _ENUM_FIELDS, _FLAG_FIELDS, BLEND_GRID_POINTS, MAX_FRAMES
 
 
 def bisect_crossings(slice_: DomeSlice, u: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -212,13 +219,13 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
         points.append((x, u))
     discrete_src = a.params if lam < 0.5 else b.params
     blended = {}
-    for fld in fields(ShapingParams):
-        if fld.name in _ENUM_FIELDS or fld.name in _FLAG_FIELDS:
-            blended[fld.name] = getattr(discrete_src, fld.name)
+    for name in ShapingParams.__slots__:
+        if name in _ENUM_FIELDS or name in _FLAG_FIELDS:
+            blended[name] = getattr(discrete_src, name)
         else:
-            va = getattr(a.params, fld.name)
-            vb = getattr(b.params, fld.name)
-            blended[fld.name] = (1.0 - lam) * va + lam * vb
+            va = getattr(a.params, name)
+            vb = getattr(b.params, name)
+            blended[name] = (1.0 - lam) * va + lam * vb
     return SoundTarget(
         name=f"{a.name}~{b.name}",
         contour=TongueContour(points=tuple(points)),
@@ -274,3 +281,214 @@ def palatal_svg(frame: EPGFrame, style: RenderStyle) -> bytes:
             )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+# The value classes as frozen dataclasses, each with the fields, defaults and
+# checks the package's slotted class has; the value class tests compare the two.
+
+
+@dataclass(frozen=True)
+class DataclassDomeSlice:
+    x: float
+    z_min: float
+    z_max: float
+    h: float
+    shape: DomeShape = DomeShape.COSINE
+
+    def __post_init__(self) -> None:
+        for name in ("x", "z_min", "z_max", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"slice field {name} must be finite")
+        if not self.z_min < self.z_max:
+            raise DomainError(
+                f"slice at x={self.x}: z_min ({self.z_min}) must be < z_max ({self.z_max})"
+            )
+        if not self.h > 0:
+            raise DomainError(f"slice at x={self.x}: dome height must be positive, got {self.h}")
+
+
+@dataclass(frozen=True)
+class DataclassPalateGeometry:
+    slices: tuple[DomeSlice, ...]
+    shape: DomeShape
+
+    def __post_init__(self) -> None:
+        if len(self.slices) < 2:
+            raise DomainError("a palate needs at least two slices")
+        xs = [s.x for s in self.slices]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise DomainError("slice x positions must be strictly increasing")
+        if any(s.shape is not self.shape for s in self.slices):
+            raise DomainError("all slices must share the geometry's dome shape")
+
+
+@dataclass(frozen=True)
+class DataclassNoContact:
+    pass
+
+
+@dataclass(frozen=True)
+class DataclassIntersection:
+    z_left: float
+    z_right: float
+
+
+@dataclass(frozen=True)
+class DataclassFullContact:
+    z_apex: float
+
+
+@dataclass(frozen=True)
+class DataclassEPGFrame:
+    rows: int
+    cols: int
+    cells: tuple[tuple[bool, ...], ...]
+    x_of_row: tuple[float, ...]
+    z_frac_of_col: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.cells) != self.rows or any(len(r) != self.cols for r in self.cells):
+            raise DomainError("cell matrix does not match rows x cols")
+        if len(self.x_of_row) != self.rows:
+            raise DomainError("x_of_row length must equal rows")
+        if len(self.z_frac_of_col) != self.cols:
+            raise DomainError("z_frac_of_col length must equal cols")
+        xs = self.x_of_row
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise DomainError("x_of_row must be strictly increasing")
+        fr = self.z_frac_of_col
+        if any(b <= a for a, b in zip(fr, fr[1:])):
+            raise DomainError("z_frac_of_col must be strictly increasing")
+        if any(not 0.0 < f < 1.0 for f in fr):
+            raise DomainError("z_frac_of_col values must lie in (0, 1)")
+        for j in range(len(fr) // 2 + 1):
+            if abs(fr[j] + fr[len(fr) - 1 - j] - 1.0) > 1e-9:
+                raise DomainError("z_frac_of_col must be symmetric about 0.5")
+
+
+@dataclass(frozen=True)
+class DataclassRenderStyle:
+    width: int = 420
+    height: int = 480
+    contact_color: str = "#cc2222"
+    no_contact_color: str = "#eecc44"
+    outline_color: str = "#445566"
+
+    def __post_init__(self) -> None:
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.width, self.height)):
+            raise ConfigError("canvas dimensions must be integers")
+        if self.width <= 0 or self.height <= 0:
+            raise ConfigError("canvas dimensions must be positive")
+        for name in ("contact_color", "no_contact_color", "outline_color"):
+            if not _HEX_COLOR.match(getattr(self, name)):
+                raise ConfigError(f"{name} must be a 6-digit hex color like #rrggbb")
+
+
+@dataclass(frozen=True)
+class DataclassTongueContour:
+    points: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.points) < 2:
+            raise DomainError("a tongue contour needs at least two points")
+        for x, u in self.points:
+            if not (math.isfinite(x) and math.isfinite(u)):
+                raise DomainError("contour coordinates must be finite")
+        xs = [p[0] for p in self.points]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise DomainError("contour x positions must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class DataclassShapingParams:
+    tt_manner: TipManner = TipManner.NEAR
+    td_manner: DorsumManner = DorsumManner.NEAR
+    tth: float = 0.0
+    edge_elev_max: float = 8.0
+    posterior_onset_x: float = 12.0
+    groove_enabled: bool = False
+    groove_width: float = 8.0
+    groove_depth: float = 23.0
+    lateral_lower_enabled: bool = False
+    lateral_lower_width: float = 6.4
+    lateral_lower_depth: float = 23.0
+
+    def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.tth <= 1.0:
+            raise DomainError(f"tth must lie in [0, 1], got {self.tth}")
+        for name in (
+            "edge_elev_max",
+            "groove_width",
+            "groove_depth",
+            "lateral_lower_width",
+            "lateral_lower_depth",
+        ):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0")
+        if self.groove_enabled and self.lateral_lower_enabled:
+            raise DomainError("groove and lateral lowering are mutually exclusive")
+
+
+@dataclass(frozen=True)
+class DataclassSoundTarget:
+    name: str
+    contour: TongueContour
+    params: ShapingParams
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigError("sound target needs a non-empty name")
+
+
+@dataclass(frozen=True)
+class DataclassAnimationSpec:
+    targets: tuple[SoundTarget, ...]
+    hold_ms: tuple[float, ...]
+    transition_ms: tuple[float, ...]
+    fps: float
+
+    def __post_init__(self) -> None:
+        if len(self.targets) < 1:
+            raise ConfigError("animation needs at least one target")
+        if len(self.hold_ms) != len(self.targets):
+            raise ConfigError("hold_ms needs one duration per target")
+        if len(self.transition_ms) != len(self.targets) - 1:
+            raise ConfigError("transition_ms needs one duration per target gap")
+        if not all(math.isfinite(v) for v in (*self.hold_ms, *self.transition_ms, self.fps)):
+            raise ConfigError("fps and all durations must be finite")
+        if any(d <= 0 for d in self.hold_ms) or any(d <= 0 for d in self.transition_ms):
+            raise ConfigError("all durations must be positive")
+        if self.fps < 1:
+            raise ConfigError(f"fps must be >= 1, got {self.fps}")
+        n_frames = self.total_ms * self.fps / 1000.0
+        if not n_frames <= MAX_FRAMES:
+            raise ConfigError(
+                f"animation would need {n_frames:.0f} frames, more than {MAX_FRAMES}"
+            )
+
+    @property
+    def total_ms(self) -> float:
+        clock = 0.0
+        for i, hold in enumerate(self.hold_ms):
+            clock += hold
+            if i < len(self.transition_ms):
+                clock += self.transition_ms[i]
+        return clock
+
+
+DATACLASS_OF = {
+    DomeSlice: DataclassDomeSlice,
+    PalateGeometry: DataclassPalateGeometry,
+    NoContact: DataclassNoContact,
+    Intersection: DataclassIntersection,
+    FullContact: DataclassFullContact,
+    EPGFrame: DataclassEPGFrame,
+    RenderStyle: DataclassRenderStyle,
+    TongueContour: DataclassTongueContour,
+    ShapingParams: DataclassShapingParams,
+    SoundTarget: DataclassSoundTarget,
+    AnimationSpec: DataclassAnimationSpec,
+}

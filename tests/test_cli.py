@@ -202,3 +202,68 @@ def test_help_exits_zero():
 
 def test_no_command_is_usage_error():
     assert run([]) == 1
+
+
+def assert_one_error_line(capsys, code: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}:") and err.count("\n") == 1, err
+    return err
+
+
+HUGE_INT = "1" + "0" * 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "argv_of, text",
+    [
+        (lambda f, tmp: ["animate", "--spec", f, "--outdir", str(tmp / "o")],
+         '{"targets": ["t"], "fps": ' + HUGE_INT + "}"),
+        (lambda f, tmp: ["epg", "--contour", f], "[[0, 1], [" + HUGE_INT + ", 2]]"),
+        (lambda f, tmp: ["epg", "--sound", "t", "--palate", f],
+         '{"shape": "cosine", "slices": [{"x": 0, "z_min": -1, "z_max": 1, "h": ' + HUGE_INT
+         + '}, {"x": 1, "z_min": -1, "z_max": 1, "h": 2}]}'),
+        (lambda f, tmp: ["epg", "--contour", f], "[[0, 1], [40, NaN]]"),
+        (lambda f, tmp: ["epg", "--contour", f], '{"contour": [[0, 1], [40, 1]], '
+         '"params": {"tth": -Infinity}}'),
+        (lambda f, tmp: ["epg", "--contour", f], "[[0, 1], [40, 1e400]]"),
+        (lambda f, tmp: ["epg", "--contour", f], "[" * 100_000),
+        (lambda f, tmp: ["epg", "--contour", f], "[[0, 1], [40, 1" + "0" * 5000 + "]]"),
+    ],
+    ids=["fps-overflow", "contour-overflow", "palate-overflow", "nan", "infinity",
+         "float-overflow", "deep-nesting", "too-many-digits"],
+)
+def test_json_numbers_outside_floats_are_one_config_error(tmp_path, capsys, argv_of, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    assert run(argv_of(str(doc), tmp_path)) == 2
+    assert_one_error_line(capsys, "config")
+
+
+def test_contour_file_not_utf8_is_one_config_error(tmp_path, capsys):
+    doc = tmp_path / "c.json"
+    doc.write_bytes(b"[[0, 1], [40, \xff]]")
+    assert run(["epg", "--contour", str(doc)]) == 2
+    assert_one_error_line(capsys, "config")
+
+
+def test_grid_sizes_are_bounded(tmp_path, capsys, monkeypatch):
+    from palatogram import epg
+    from palatogram.dome import MAX_SURFACE_STEPS
+
+    def no_grid(cols):
+        raise AssertionError("grid built for a rejected size")
+
+    monkeypatch.setattr(epg, "column_fractions", no_grid)
+    spec = tmp_path / "anim.json"
+    spec.write_text('{"targets": ["t"], "fps": 10}', encoding="utf-8")
+    too_many = str(epg.MAX_EPG_SIDE + 1)
+    for argv in (
+        ["epg", "--sound", "t", "--rows", "100000000"],
+        ["epg", "--sound", "t", "--cols", too_many],
+        ["animate", "--spec", str(spec), "--outdir", str(tmp_path / "o"), "--rows", too_many],
+        ["mesh", "--nx", str(MAX_SURFACE_STEPS + 1)],
+        ["mesh", "--nz", str(MAX_SURFACE_STEPS + 1)],
+        ["mesh", "--sound", "t", "--nx", str(MAX_SURFACE_STEPS + 1)],
+    ):
+        assert run(argv) == 2, argv
+        assert_one_error_line(capsys, "domain")

@@ -19,7 +19,8 @@ from palatogram import (
     slice_at,
     with_shape,
 )
-from palatogram.dome import surface_xs
+from palatogram.dome import MAX_SURFACE_STEPS, surface_xs
+from conftest import s0_geometry
 from oracles import bisect_ellipse_elevation
 
 
@@ -237,3 +238,33 @@ def test_unknown_shape_name_is_rejected():
         default_palate("bogus")
     with pytest.raises(DomainError, match="half_ellipse"):
         with_shape(default_palate(), "bogus")
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_slice_built_with_a_shape_name_has_the_shape(shape):
+    # a plain str used to be kept and evaluated as a half-ellipse: at z = -9
+    # the cosine dome is 0.122 high, the half-ellipse 2.179
+    by_name = DomeSlice(x=0.0, z_min=-10.0, z_max=10.0, h=5.0, shape=shape.value)
+    by_member = DomeSlice(x=0.0, z_min=-10.0, z_max=10.0, h=5.0, shape=shape)
+    assert by_name.shape is shape and by_name == by_member
+    expected = {DomeShape.COSINE: 0.122, DomeShape.HALF_ELLIPSE: 2.179}[shape]
+    assert dome_elevation(by_name, -9.0) == dome_elevation(by_member, -9.0)
+    assert dome_elevation(by_name, -9.0) == pytest.approx(expected, abs=5e-4)
+    later = DomeSlice(x=1.0, z_min=-10.0, z_max=10.0, h=5.0, shape=shape)
+    assert PalateGeometry(slices=(by_name, later), shape=shape.value).shape is shape
+
+
+def test_slice_with_unknown_shape_name_is_rejected():
+    with pytest.raises(DomainError, match="bogus"):
+        DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=1.0, shape="bogus")
+    with pytest.raises(DomainError, match="cosine"):
+        PalateGeometry(slices=s0_geometry(DomeShape.COSINE).slices, shape="dome")
+
+
+def test_surface_grid_is_bounded(two_slice_geometry):
+    assert len(surface_xs(two_slice_geometry, MAX_SURFACE_STEPS)) == MAX_SURFACE_STEPS + 1
+    for nx, nz in ((MAX_SURFACE_STEPS + 1, 2), (2, MAX_SURFACE_STEPS + 1), (10**8, 10**8)):
+        with pytest.raises(DomainError, match=str(MAX_SURFACE_STEPS)):
+            sample_surface(two_slice_geometry, nx, nz)
+    with pytest.raises(DomainError, match="nx"):
+        surface_xs(two_slice_geometry, 10**8)

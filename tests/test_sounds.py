@@ -126,6 +126,15 @@ def test_custom_library_dir(tmp_path):
     assert lib.get("hum").contour.points[0] == (0.0, 2.0)
 
 
+def test_library_dir_with_a_bad_file_is_a_config_error(tmp_path):
+    (tmp_path / "hum.json").write_bytes(b'{"name": "hum", "contour": [[0, 1], [40, 1]]}\xff')
+    with pytest.raises(ConfigError, match="hum.json"):
+        SoundLibrary.from_dir(tmp_path)
+    (tmp_path / "hum.json").write_text('{"name": "hum", "contour": [[0, NaN], [40, 1]]}')
+    with pytest.raises(ConfigError, match="hum.json"):
+        SoundLibrary.from_dir(tmp_path)
+
+
 def test_target_file_validation():
     with pytest.raises(ConfigError, match="unknown keys"):
         target_from_dict({"name": "z", "contour": [[0, 1], [1, 2]], "params": {}, "color": 1})
