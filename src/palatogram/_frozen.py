@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class Frozen:
     """An immutable value whose fields are named, in constructor order, in ``__slots__``.
@@ -18,18 +20,25 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls.__slots__
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        cls.__match_args__ = fields = cls.__slots__
+        # _values(value) is the tuple of value's fields; attrgetter returns a
+        # bare value for one name and needs at least one
+        if len(fields) > 1:
+            values = operator.attrgetter(*fields)
+        elif fields:
+            get = operator.attrgetter(*fields)
+            values = lambda value: (get(value),)
+        else:
+            values = lambda value: ()
+        cls._values = staticmethod(values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -42,4 +51,4 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return self.__class__, self._values(self)

@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
 def _load_geometry(ns: argparse.Namespace) -> PalateGeometry:
     geometry = load_palate(ns.palate) if ns.palate else default_palate()
     if ns.model:
-        geometry = with_shape(geometry, DomeShape(ns.model))
+        geometry = with_shape(geometry, ns.model)
     return geometry
 
 
@@ -185,7 +185,7 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
 
 def _cmd_animate(ns: argparse.Namespace) -> int:
     geometry = _load_geometry(ns)
-    spec = _load_animation_spec(ns.spec)
+    spec = sounds.animation_spec_from_dict(parse_json(Path(ns.spec).read_bytes(), ns.spec))
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     style = RenderStyle()
@@ -196,10 +196,6 @@ def _cmd_animate(ns: argparse.Namespace) -> int:
         path.write_bytes(_render_frame(frame, ns.format, style))
     print(f"wrote {len(frames)} frames to {outdir}", file=sys.stderr)
     return 0
-
-
-def _load_animation_spec(path: str) -> sounds.AnimationSpec:
-    return sounds.animation_spec_from_dict(parse_json(Path(path).read_bytes(), path))
 
 
 def _cmd_list_sounds(_: argparse.Namespace) -> int:

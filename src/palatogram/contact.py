@@ -3,7 +3,7 @@
 A flat coronal tongue at elevation ``u`` meets a dome slice in one of three
 ways: it stays below the tooth row (no contact), it lies at or above the
 apex (full contact across the span), or it crosses the dome profile at two
-lateral points that are computed in closed form by inverting the profile.
+lateral points that ``dome.invert_dome`` computes in closed form.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from typing import Union
 
 from ._frozen import Frozen
-from .dome import DomeShape, DomeSlice
+from .dome import DomeSlice, invert_dome
 from .errors import DomainError
 
 __all__ = [
@@ -20,12 +20,9 @@ __all__ = [
     "Intersection",
     "FullContact",
     "ContactClass",
-    "invert_dome",
     "classify_slice",
     "contact_to_dict",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 class NoContact(Frozen):
@@ -54,27 +51,6 @@ class FullContact(Frozen):
 
 
 ContactClass = Union[NoContact, Intersection, FullContact]
-
-
-def invert_dome(slice_: DomeSlice, u: float) -> tuple[float, float]:
-    """Lateral positions where the dome profile sits at elevation u.
-
-    Defined for 0 < u < h only; use classify_slice for the boundary cases.
-    Returns (z_left, z_right) with z_left < z_center < z_right.
-    """
-    if not 0.0 < u < slice_.h:
-        raise DomainError(
-            f"invert_dome needs 0 < u < h ({slice_.h}), got u={u}; "
-            "classify_slice handles the boundary cases"
-        )
-    if slice_.shape is DomeShape.COSINE:
-        arg = 1.0 - 2.0 * u / slice_.h
-        arg = min(1.0, max(-1.0, arg))  # absorb 1-ulp excursions
-        t = math.acos(arg) / TWO_PI
-        return (slice_.z_min + t * slice_.span, slice_.z_max - t * slice_.span)
-    r = u / slice_.h
-    off = slice_.half_width * math.sqrt(max(1.0 - r * r, 0.0))
-    return (slice_.z_center - off, slice_.z_center + off)
 
 
 def classify_slice(slice_: DomeSlice, u: float) -> ContactClass:

@@ -4,6 +4,7 @@ The hard palate is modeled as a stack of coronal cross-sections ("slices").
 Each slice spans the tooth row laterally from ``z_min`` (left molar edge) to
 ``z_max`` (right) and arches to a height ``h`` above the occlusal baseline.
 Two lateral profiles are supported: a raised-cosine dome and a half-ellipse.
+This module holds both the profiles and their closed-form inverse.
 
 All heights in this package are elevations ``u`` above the tooth-row
 baseline: ``u = 0`` on the gum line at the lateral edges, ``u = h`` at the
@@ -27,6 +28,7 @@ __all__ = [
     "PalateGeometry",
     "dome_elevation",
     "dome_elevations",
+    "invert_dome",
     "slice_at",
     "surface_xs",
     "sample_surface",
@@ -58,6 +60,8 @@ class DomeSlice(Frozen):
         h: dome height above the occlusal baseline (h > 0).
         shape: lateral profile family, a DomeShape or its value; any other
             name raises DomainError.
+
+    Every field and the derived span and z_center must be finite.
     """
 
     __slots__ = ("x", "z_min", "z_max", "h", "shape")
@@ -77,13 +81,25 @@ class DomeSlice(Frozen):
         object.__setattr__(self, "z_max", z_max)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "shape", shape)
-        for name, value in (("x", x), ("z_min", z_min), ("z_max", z_max), ("h", h)):
-            if not math.isfinite(value):
-                raise DomainError(f"slice field {name} must be finite")
+        try:
+            for name, value in (("x", x), ("z_min", z_min), ("z_max", z_max), ("h", h)):
+                if not math.isfinite(value):
+                    raise DomainError(f"slice field {name} must be finite")
+        except OverflowError:  # an int too large for a float
+            raise DomainError(f"slice field {name} must be finite") from None
         if not z_min < z_max:
             raise DomainError(f"slice at x={x}: z_min ({z_min}) must be < z_max ({z_max})")
         if not h > 0:
             raise DomainError(f"slice at x={x}: dome height must be positive, got {h}")
+        # finite ends can still overflow span and z_center, exactly when these overflow
+        try:
+            derived_finite = math.isfinite(z_max - z_min) and math.isfinite(z_min + z_max)
+        except OverflowError:
+            derived_finite = False
+        if not derived_finite:
+            raise DomainError(
+                f"slice at x={x}: span and center of [{z_min}, {z_max}] must be finite"
+            )
 
     @property
     def z_center(self) -> float:
@@ -101,22 +117,26 @@ class DomeSlice(Frozen):
 class PalateGeometry(Frozen):
     """Ordered stack of dome slices from the incisors to the velar transition.
 
-    shape is taken as by DomeSlice and must be every slice's shape.
+    Every slice must have the same shape, which is the palate's shape.
     """
 
-    __slots__ = ("slices", "shape")
+    __slots__ = ("slices",)
 
-    def __init__(self, slices: tuple[DomeSlice, ...], shape: DomeShape) -> None:
-        shape = _as_shape(shape)
+    def __init__(self, slices: tuple[DomeSlice, ...]) -> None:
         object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "shape", shape)
         if len(slices) < 2:
             raise DomainError("a palate needs at least two slices")
         xs = [s.x for s in slices]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("slice x positions must be strictly increasing")
+        shape = slices[0].shape
         if any(s.shape is not shape for s in slices):
-            raise DomainError("all slices must share the geometry's dome shape")
+            raise DomainError("all slices of a palate must share one dome shape")
+
+    @property
+    def shape(self) -> DomeShape:
+        """The lateral profile family of every slice."""
+        return self.slices[0].shape
 
     @property
     def x_min(self) -> float:
@@ -169,8 +189,32 @@ def dome_elevations(slice_: DomeSlice, zs: Sequence[float]) -> list[float]:
     return [h * math.sqrt((z - z_min) * (z_max - z)) / half_width for z in zs]
 
 
+def invert_dome(slice_: DomeSlice, u: float) -> tuple[float, float]:
+    """Lateral positions where the dome profile sits at elevation u.
+
+    Defined for 0 < u < h only; use classify_slice for the boundary cases.
+    Returns (z_left, z_right) with z_left < z_center < z_right.
+    """
+    if not 0.0 < u < slice_.h:
+        raise DomainError(
+            f"invert_dome needs 0 < u < h ({slice_.h}), got u={u}; "
+            "classify_slice handles the boundary cases"
+        )
+    if slice_.shape is DomeShape.COSINE:
+        arg = 1.0 - 2.0 * u / slice_.h
+        arg = min(1.0, max(-1.0, arg))  # absorb 1-ulp excursions
+        t = math.acos(arg) / TWO_PI
+        return (slice_.z_min + t * slice_.span, slice_.z_max - t * slice_.span)
+    r = u / slice_.h
+    off = slice_.half_width * math.sqrt(max(1.0 - r * r, 0.0))
+    return (slice_.z_center - off, slice_.z_center + off)
+
+
 def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
-    """Slice at an arbitrary x, linearly interpolating between stored slices."""
+    """Slice at an arbitrary x, linearly interpolating between stored slices.
+
+    The interpolated slice has the shape of the stored slices.
+    """
     slices = geometry.slices
     if not slices[0].x <= x <= slices[-1].x:
         raise DomainError(
@@ -195,7 +239,7 @@ def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
         z_min=s * a.z_min + t * b.z_min,
         z_max=s * a.z_max + t * b.z_max,
         h=s * a.h + t * b.h,
-        shape=geometry.shape,
+        shape=a.shape,
     )
 
 
@@ -249,7 +293,7 @@ def with_shape(geometry: PalateGeometry, shape: DomeShape | str) -> PalateGeomet
         DomeSlice(x=s.x, z_min=s.z_min, z_max=s.z_max, h=s.h, shape=shape)
         for s in geometry.slices
     )
-    return PalateGeometry(slices=slices, shape=shape)
+    return PalateGeometry(slices=slices)
 
 
 _SLICE_KEYS = {"x", "z_min", "z_max", "h"}
@@ -263,12 +307,9 @@ def palate_from_dict(doc: object) -> PalateGeometry:
     if unknown:
         raise ConfigError(f"palate config has unknown keys: {sorted(unknown)}")
     try:
-        shape = DomeShape(doc.get("shape"))
-    except ValueError:
-        raise ConfigError(
-            f"palate shape must be one of {[s.value for s in DomeShape]}, "
-            f"got {doc.get('shape')!r}"
-        ) from None
+        shape = _as_shape(doc.get("shape"))
+    except DomainError as exc:
+        raise ConfigError(f"palate {exc}") from None
     raw_slices = doc.get("slices")
     if not isinstance(raw_slices, list) or not raw_slices:
         raise ConfigError("palate config needs a non-empty 'slices' list")
@@ -282,13 +323,13 @@ def palate_from_dict(doc: object) -> PalateGeometry:
         missing = _SLICE_KEYS - set(item)
         if missing:
             raise ConfigError(f"slice #{i} is missing keys: {sorted(missing)}")
-        values = {key: finite_float(item[key], f"slice #{i} key {key!r}") for key in _SLICE_KEYS}
+        values = {key: finite_float(item[key], "slice #%d key %r", i, key) for key in _SLICE_KEYS}
         try:
             slices.append(DomeSlice(shape=shape, **values))
         except DomainError as exc:
             raise ConfigError(f"slice #{i}: {exc}") from None
     try:
-        return PalateGeometry(slices=tuple(slices), shape=shape)
+        return PalateGeometry(slices=tuple(slices))
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -24,19 +24,22 @@ class ConfigError(PalatogramError, ValueError):
     code = "config"
 
 
-def finite_float(value: object, what: str) -> float:
+def finite_float(value: object, what: str, *args: object) -> float:
     """A number read from a config document, as a finite float.
 
-    Raises ConfigError naming `what` for a bool or any other non-number, and
-    for NaN, an infinity or an int too large for a float.
+    Raises ConfigError naming `what % args` (or `what` without args) for a
+    bool or any other non-number, and for NaN, an infinity or an int too
+    large for a float; the name is formatted only then.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        what = what % args if args else what
         raise ConfigError(f"{what} must be a number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
+        what = what % args if args else what
         raise ConfigError(f"{what} must be a finite number")
     return number
 

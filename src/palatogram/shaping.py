@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._frozen import Frozen
-from .dome import DomeSlice, PalateGeometry, slice_at
+from .dome import DomeSlice
 from .errors import DomainError
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "groove_delta",
     "lateral_lowering_delta",
     "shaped_heights",
-    "tongue_height_field",
 ]
 
 # anterior-posterior distance over which the edge-elevation ramp saturates
@@ -66,9 +65,12 @@ class TongueContour(Frozen):
         object.__setattr__(self, "points", points)
         if len(points) < 2:
             raise DomainError("a tongue contour needs at least two points")
-        for x, u in points:
-            if not (math.isfinite(x) and math.isfinite(u)):
-                raise DomainError("contour coordinates must be finite")
+        try:
+            for x, u in points:
+                if not (math.isfinite(x) and math.isfinite(u)):
+                    raise DomainError("contour coordinates must be finite")
+        except OverflowError:  # an int too large for a float
+            raise DomainError("contour coordinates must be finite") from None
         xs = [p[0] for p in points]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("contour x positions must be strictly increasing")
@@ -139,9 +141,12 @@ class ShapingParams(Frozen):
         object.__setattr__(self, "lateral_lower_enabled", lateral_lower_enabled)
         object.__setattr__(self, "lateral_lower_width", lateral_lower_width)
         object.__setattr__(self, "lateral_lower_depth", lateral_lower_depth)
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            for name in _FLOAT_FIELDS:
+                if not math.isfinite(getattr(self, name)):
+                    raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        except OverflowError:
+            raise DomainError(f"{name} must be finite, got an int too large for a float") from None
         if not 0.0 <= tth <= 1.0:
             raise DomainError(f"tth must lie in [0, 1], got {tth}")
         for name in (
@@ -252,27 +257,3 @@ def shaped_heights(
         drop = -params.lateral_lower_depth
         return [u + drop if z <= left or z >= right else u for u, z in zip(us, zs)]
     return us
-
-
-def tongue_height_field(
-    contour: TongueContour,
-    params: ShapingParams,
-    geometry: PalateGeometry,
-) -> Callable[[float, float], float]:
-    """Compose the midsagittal contour and shaping terms into u_t(x, z).
-
-    With all shaping disabled the field is z-independent and reduces to the
-    flat coronal tongue assumption. z must be finite.
-    """
-    if max(contour.x_min, geometry.x_min) >= min(contour.x_max, geometry.x_max):
-        raise DomainError(
-            "tongue contour and palate do not overlap along the anterior-posterior axis"
-        )
-
-    def field(x: float, z: float) -> float:
-        if not math.isfinite(z):
-            raise DomainError(f"z must be finite, got {z}")
-        sl = slice_at(geometry, x)
-        return shaped_heights(params, sl, x, midsagittal_height(contour, x), (z,))[0]
-
-    return field

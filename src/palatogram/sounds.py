@@ -7,6 +7,7 @@ schematic, hand-tuned shapes, not measurements of any speaker.
 
 from __future__ import annotations
 
+import functools
 import math
 from importlib import resources
 from pathlib import Path
@@ -27,7 +28,6 @@ __all__ = [
     "animate",
     "target_from_dict",
     "animation_spec_from_dict",
-    "target_to_dict",
 ]
 
 BLEND_GRID_POINTS = 64
@@ -79,7 +79,11 @@ class AnimationSpec(Frozen):
             raise ConfigError("hold_ms needs one duration per target")
         if len(transition_ms) != len(targets) - 1:
             raise ConfigError("transition_ms needs one duration per target gap")
-        if not all(math.isfinite(v) for v in (*hold_ms, *transition_ms, fps)):
+        try:
+            finite = all(math.isfinite(v) for v in (*hold_ms, *transition_ms, fps))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ConfigError("fps and all durations must be finite")
         if any(d <= 0 for d in hold_ms) or any(d <= 0 for d in transition_ms):
             raise ConfigError("all durations must be positive")
@@ -94,13 +98,28 @@ class AnimationSpec(Frozen):
 
     @property
     def total_ms(self) -> float:
-        """Length of the timeline, summed hold, transition, hold, ... as animate does."""
-        clock = 0.0
-        for i, hold in enumerate(self.hold_ms):
-            clock += hold
-            if i < len(self.transition_ms):
-                clock += self.transition_ms[i]
-        return clock
+        """Length of the timeline in ms, as animate reads it."""
+        return _timeline(self)[1]
+
+
+def _timeline(spec: AnimationSpec) -> tuple[list[tuple], float]:
+    """The segments of spec and the time they end at, in ms.
+
+    A segment is (start_ms, duration_ms, kind, payload): a "hold" of
+    (target,) or a "transition" of (target, next target). The clock sums
+    hold, transition, hold, ... in that order.
+    """
+    segments = []
+    clock = 0.0
+    for i, target in enumerate(spec.targets):
+        segments.append((clock, spec.hold_ms[i], "hold", (target,)))
+        clock += spec.hold_ms[i]
+        if i < len(spec.transition_ms):
+            segments.append(
+                (clock, spec.transition_ms[i], "transition", (target, spec.targets[i + 1]))
+            )
+            clock += spec.transition_ms[i]
+    return segments, clock
 
 
 def params_from_dict(doc: object) -> ShapingParams:
@@ -123,19 +142,11 @@ def params_from_dict(doc: object) -> ShapingParams:
                 raise ConfigError(f"params key {key!r} must be a boolean")
             kwargs[key] = value
         else:
-            kwargs[key] = finite_float(value, f"params key {key!r}")
+            kwargs[key] = finite_float(value, "params key %r", key)
     try:
         return ShapingParams(**kwargs)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def params_to_dict(params: ShapingParams) -> dict:
-    out = {}
-    for name in ShapingParams.__slots__:
-        value = getattr(params, name)
-        out[name] = value.value if name in _ENUM_FIELDS else value
-    return out
 
 
 def target_from_dict(doc: object) -> SoundTarget:
@@ -152,23 +163,16 @@ def target_from_dict(doc: object) -> SoundTarget:
         raise ConfigError(f"sound target {name!r} needs a 'contour' list of [x, u] pairs")
     points = []
     for i, pair in enumerate(raw):
-        what = f"sound target {name!r}: contour entry #{i}"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{what} must be [x, u]")
-        points.append((finite_float(pair[0], f"{what} x"), finite_float(pair[1], f"{what} u")))
+            raise ConfigError(f"sound target {name!r}: contour entry #{i} must be [x, u]")
+        x = finite_float(pair[0], "sound target %r: contour entry #%d x", name, i)
+        u = finite_float(pair[1], "sound target %r: contour entry #%d u", name, i)
+        points.append((x, u))
     try:
         contour = TongueContour(points=tuple(points))
     except DomainError as exc:
         raise ConfigError(f"sound target {name!r}: {exc}") from None
     return SoundTarget(name=name, contour=contour, params=params_from_dict(doc.get("params", {})))
-
-
-def target_to_dict(target: SoundTarget) -> dict:
-    return {
-        "name": target.name,
-        "contour": [[x, u] for x, u in target.contour.points],
-        "params": params_to_dict(target.params),
-    }
 
 
 def animation_spec_from_dict(doc: object) -> AnimationSpec:
@@ -258,21 +262,16 @@ def _parse_target_files(
     return targets, aliases
 
 
-_default_library: SoundLibrary | None = None
-
-
+@functools.lru_cache(maxsize=None)
 def default_library() -> SoundLibrary:
     """The packaged preset library (loaded once per process)."""
-    global _default_library
-    if _default_library is None:
-        presets = resources.files("palatogram").joinpath("presets")
-        entries = sorted(
-            (entry.name, entry.read_bytes())
-            for entry in presets.iterdir()
-            if entry.name.endswith(".json")
-        )
-        _default_library = SoundLibrary(*_parse_target_files(entries))
-    return _default_library
+    presets = resources.files("palatogram").joinpath("presets")
+    entries = sorted(
+        (entry.name, entry.read_bytes())
+        for entry in presets.iterdir()
+        if entry.name.endswith(".json")
+    )
+    return SoundLibrary(*_parse_target_files(entries))
 
 
 def get_target(name: str) -> SoundTarget:
@@ -343,17 +342,8 @@ def animate(spec: AnimationSpec) -> list[SoundTarget]:
     Each transition's blend is prepared once, on its first frame strictly
     inside it, and reused by the transition's later frames.
     """
-    segments = []  # (start_ms, duration_ms, kind, payload)
-    clock = 0.0
-    for i, target in enumerate(spec.targets):
-        segments.append((clock, spec.hold_ms[i], "hold", (target,)))
-        clock += spec.hold_ms[i]
-        if i < len(spec.targets) - 1:
-            segments.append(
-                (clock, spec.transition_ms[i], "transition", (target, spec.targets[i + 1]))
-            )
-            clock += spec.transition_ms[i]
-    n_frames = math.ceil(clock * spec.fps / 1000.0)
+    segments, total_ms = _timeline(spec)
+    n_frames = math.ceil(total_ms * spec.fps / 1000.0)
     frames = []
     blends: dict[int, Callable[[float], SoundTarget]] = {}
     for k in range(n_frames):

@@ -21,7 +21,7 @@ def two_slice_geometry() -> PalateGeometry:
         DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=8.0),
         DomeSlice(x=10.0, z_min=-1.0, z_max=1.0, h=12.0),
     )
-    return PalateGeometry(slices=slices, shape=DomeShape.COSINE)
+    return PalateGeometry(slices=slices)
 
 
 def s0_geometry(shape: DomeShape, x_len: float = 10.0) -> PalateGeometry:
@@ -29,4 +29,4 @@ def s0_geometry(shape: DomeShape, x_len: float = 10.0) -> PalateGeometry:
         DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=10.0, shape=shape),
         DomeSlice(x=x_len, z_min=-1.0, z_max=1.0, h=10.0, shape=shape),
     )
-    return PalateGeometry(slices=slices, shape=shape)
+    return PalateGeometry(slices=slices)

@@ -305,12 +305,16 @@ class DataclassDomeSlice:
             )
         if not self.h > 0:
             raise DomainError(f"slice at x={self.x}: dome height must be positive, got {self.h}")
+        z_min, z_max = self.z_min, self.z_max
+        if not (math.isfinite(z_max - z_min) and math.isfinite(0.5 * (z_min + z_max))):
+            raise DomainError(
+                f"slice at x={self.x}: span and center of [{z_min}, {z_max}] must be finite"
+            )
 
 
 @dataclass(frozen=True)
 class DataclassPalateGeometry:
     slices: tuple[DomeSlice, ...]
-    shape: DomeShape
 
     def __post_init__(self) -> None:
         if len(self.slices) < 2:
@@ -318,8 +322,8 @@ class DataclassPalateGeometry:
         xs = [s.x for s in self.slices]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("slice x positions must be strictly increasing")
-        if any(s.shape is not self.shape for s in self.slices):
-            raise DomainError("all slices must share the geometry's dome shape")
+        if any(s.shape is not self.slices[0].shape for s in self.slices):
+            raise DomainError("all slices of a palate must share one dome shape")
 
 
 @dataclass(frozen=True)

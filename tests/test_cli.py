@@ -267,3 +267,26 @@ def test_grid_sizes_are_bounded(tmp_path, capsys, monkeypatch):
     ):
         assert run(argv) == 2, argv
         assert_one_error_line(capsys, "domain")
+
+
+@pytest.mark.parametrize(
+    "z_min, z_max",
+    [(-1e308, 1e308), (1.7e308, 1.75e308)],
+    ids=["span-overflow", "center-overflow"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["slice", "--sound", "t", "--x", "0", "--format", "svg"], ["mesh", "--sound", "t"]],
+    ids=["slice", "mesh"],
+)
+def test_palate_whose_span_overflows_is_one_config_error(tmp_path, capsys, z_min, z_max, argv):
+    # each number is finite, but z_max - z_min or z_min + z_max is not
+    palate = tmp_path / "p.json"
+    palate.write_text(json.dumps({"shape": "cosine", "slices": [
+        {"x": 0, "z_min": z_min, "z_max": z_max, "h": 1},
+        {"x": 40, "z_min": -1, "z_max": 1, "h": 1},
+    ]}), encoding="utf-8")
+    assert run([*argv, "--palate", str(palate)]) == 2
+    out = capsys.readouterr()
+    assert "nan" not in out.out and "nan" not in out.err
+    assert out.err.startswith("error: config:") and out.err.count("\n") == 1, out.err

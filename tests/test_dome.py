@@ -102,17 +102,30 @@ def test_slice_validation():
         DomeSlice(x=0.0, z_min=1.0, z_max=-1.0, h=5.0)
     with pytest.raises(DomainError):
         DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=0.0)
+    # finite ends whose span or center overflows a float
+    for z_min, z_max in ((-1e308, 1e308), (1.7e308, 1.75e308), (-(10**308), 10**308)):
+        with pytest.raises(DomainError, match="span and center"):
+            DomeSlice(x=0.0, z_min=z_min, z_max=z_max, h=1.0)
 
 
 def test_geometry_validation(s0_cosine):
     with pytest.raises(DomainError):
-        PalateGeometry(slices=(s0_cosine,), shape=DomeShape.COSINE)
+        PalateGeometry(slices=(s0_cosine,))
     other = DomeSlice(x=0.0, z_min=-2.0, z_max=2.0, h=4.0)
     with pytest.raises(DomainError):
-        PalateGeometry(slices=(s0_cosine, other), shape=DomeShape.COSINE)
+        PalateGeometry(slices=(s0_cosine, other))
     ellipse = DomeSlice(x=5.0, z_min=-1.0, z_max=1.0, h=4.0, shape=DomeShape.HALF_ELLIPSE)
-    with pytest.raises(DomainError):
-        PalateGeometry(slices=(s0_cosine, ellipse), shape=DomeShape.COSINE)
+    with pytest.raises(DomainError, match="one dome shape"):
+        PalateGeometry(slices=(s0_cosine, ellipse))
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_geometry_shape_is_its_slices_shape(shape):
+    geometry = s0_geometry(shape)
+    assert geometry.shape is shape
+    assert slice_at(geometry, 2.5).shape is shape  # an interpolated slice
+    with pytest.raises(AttributeError):
+        geometry.shape = shape
 
 
 def test_slice_at_interpolation(two_slice_geometry):
@@ -251,14 +264,14 @@ def test_slice_built_with_a_shape_name_has_the_shape(shape):
     assert dome_elevation(by_name, -9.0) == dome_elevation(by_member, -9.0)
     assert dome_elevation(by_name, -9.0) == pytest.approx(expected, abs=5e-4)
     later = DomeSlice(x=1.0, z_min=-10.0, z_max=10.0, h=5.0, shape=shape)
-    assert PalateGeometry(slices=(by_name, later), shape=shape.value).shape is shape
+    assert PalateGeometry(slices=(by_name, later)).shape is shape
 
 
 def test_slice_with_unknown_shape_name_is_rejected():
     with pytest.raises(DomainError, match="bogus"):
         DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=1.0, shape="bogus")
     with pytest.raises(DomainError, match="cosine"):
-        PalateGeometry(slices=s0_geometry(DomeShape.COSINE).slices, shape="dome")
+        DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=1.0, shape="dome")
 
 
 def test_surface_grid_is_bounded(two_slice_geometry):

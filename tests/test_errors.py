@@ -34,6 +34,21 @@ def test_finite_float_rejects(value, message):
     assert str(info.value) == message
 
 
+def test_finite_float_formats_its_label_only_on_failure():
+    class Name:
+        calls = 0
+
+        def __repr__(self) -> str:
+            Name.calls += 1
+            return "'k'"
+
+    assert finite_float(2, "key %r #%d", Name(), 3) == 2.0
+    assert Name.calls == 0
+    with pytest.raises(ConfigError) as info:
+        finite_float(math.nan, "key %r #%d", Name(), 3)
+    assert str(info.value) == "key 'k' #3 must be a finite number"
+
+
 def test_parse_json_decodes_text_and_bytes():
     doc = {"a": [1, 2.5, None, True], "b": "θ"}
     assert parse_json('{"a": [1, 2.5, null, true], "b": "θ"}', "doc") == doc

@@ -32,7 +32,6 @@ from palatogram import (
     dome_elevation,
     midsagittal_height,
     slice_at,
-    tongue_height_field,
 )
 from palatogram.dome import dome_elevations
 from palatogram.shaping import shaped_heights
@@ -72,7 +71,7 @@ def palates(draw) -> PalateGeometry:
             )
         )
         x += draw(st.floats(1, 25))
-    return PalateGeometry(slices=tuple(stack), shape=shape)
+    return PalateGeometry(slices=tuple(stack))
 
 
 heights = st.floats(-5, 25) | st.sampled_from((0.0, -0.0))
@@ -173,24 +172,16 @@ def test_kernel_heights_match_per_term_sum(sl, params, behind_onset, u_mid, frac
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), params=shaping(), g=st.floats(0, 1), f=st.floats(-0.25, 1.25))
 def test_field_matches_per_term_sum(data, params, g, f):
+    # one point of the height field, u_t(x, z), on a drawn palate and contour
     geometry = data.draw(palates())
     contour = data.draw(contours(geometry))
     lo = max(geometry.x_min, contour.x_min)
     x = lo + g * (min(geometry.x_max, contour.x_max) - lo)
     sl = slice_at(geometry, x)
     z = sl.z_min + f * sl.span
-    got = tongue_height_field(contour, params, geometry)(x, z)
-    want = shaped_height(params, sl, x, midsagittal_height(contour, x), z)
-    assert got.hex() == want.hex()
-
-
-@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
-def test_field_rejects_non_finite_z(z):
-    field = tongue_height_field(
-        TongueContour(points=((0.0, 5.0), (40.0, 5.0))), ShapingParams(), default_palate()
-    )
-    with pytest.raises(DomainError):
-        field(10.0, z)
+    u_mid = midsagittal_height(contour, x)
+    got = shaped_heights(params, sl, x, u_mid, (z,))[0]
+    assert got.hex() == shaped_height(params, sl, x, u_mid, z).hex()
 
 
 @settings(max_examples=200, deadline=None)

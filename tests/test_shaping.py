@@ -1,28 +1,31 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+from importlib import resources
 
 import pytest
 
 from palatogram import (
     ConfigError,
     DomainError,
-    DomeShape,
     DomeSlice,
     DorsumManner,
     PalateGeometry,
     ShapingParams,
     TipManner,
     TongueContour,
+    compute_epg,
     default_library,
     edge_elevation_delta,
     groove_delta,
     lateral_lowering_delta,
     midsagittal_height,
-    tongue_height_field,
+    slice_at,
 )
-from palatogram.sounds import params_from_dict, params_to_dict
+from palatogram.shaping import shaped_heights
+from palatogram.sounds import params_from_dict
 
 
 @pytest.fixture
@@ -85,7 +88,9 @@ def test_params_reject_non_finite(name, value):
 
 def test_preset_params_reject_nan_groove_width():
     # a NaN width used to pass the < 0 check and close the s channel
-    doc = params_to_dict(default_library().get("s").params)
+    preset = resources.files("palatogram").joinpath("presets/s.json").read_bytes()
+    doc = json.loads(preset)["params"]
+    assert params_from_dict(doc) == default_library().get("s").params
     with pytest.raises(ConfigError, match="groove_width"):
         params_from_dict({**doc, "groove_width": math.nan})
 
@@ -158,51 +163,53 @@ def geometry_for_field() -> PalateGeometry:
         DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=10.0),
         DomeSlice(x=10.0, z_min=-1.0, z_max=1.0, h=10.0),
     )
-    return PalateGeometry(slices=slices, shape=DomeShape.COSINE)
+    return PalateGeometry(slices=slices)
+
+
+def field(contour: TongueContour, params: ShapingParams, x: float, z: float) -> float:
+    """u_t(x, z) over geometry_for_field(), as compute_epg composes it."""
+    sl = slice_at(geometry_for_field(), x)
+    return shaped_heights(params, sl, x, midsagittal_height(contour, x), (z,))[0]
 
 
 def test_field_reduces_to_flat_line():
-    field = tongue_height_field(flat_contour(5.0), ShapingParams(), geometry_for_field())
     for z in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        assert field(5.0, z) == 5.0
+        assert field(flat_contour(5.0), ShapingParams(), 5.0, z) == 5.0
 
 
 def test_field_with_groove():
     params = ShapingParams(groove_enabled=True, groove_width=0.5, groove_depth=10.0)
-    field = tongue_height_field(flat_contour(5.0), params, geometry_for_field())
-    assert field(5.0, 0.0) == pytest.approx(-5.0)
-    assert field(5.0, 0.9) == pytest.approx(5.0)
+    assert field(flat_contour(5.0), params, 5.0, 0.0) == pytest.approx(-5.0)
+    assert field(flat_contour(5.0), params, 5.0, 0.9) == pytest.approx(5.0)
 
 
 def test_field_with_saturated_edge_elevation():
     params = ShapingParams(
         tt_manner=TipManner.FULL, tth=1.0, edge_elev_max=8.0, posterior_onset_x=-10.0
     )
-    field = tongue_height_field(flat_contour(5.0), params, geometry_for_field())
-    assert field(5.0, 1.0) == pytest.approx(13.0)
+    assert field(flat_contour(5.0), params, 5.0, 1.0) == pytest.approx(13.0)
 
 
 def test_field_requires_overlap():
-    with pytest.raises(DomainError):
-        tongue_height_field(flat_contour(5.0, 20.0, 30.0), ShapingParams(), geometry_for_field())
+    contour = flat_contour(5.0, 20.0, 30.0)
+    with pytest.raises(DomainError, match="do not overlap"):
+        compute_epg(geometry_for_field(), contour, ShapingParams())
 
 
 def test_field_propagates_domain_errors():
-    field = tongue_height_field(flat_contour(5.0, 0.0, 5.0), ShapingParams(), geometry_for_field())
     with pytest.raises(DomainError):
-        field(7.0, 0.0)  # inside palate, outside contour
+        field(flat_contour(5.0, 0.0, 5.0), ShapingParams(), 7.0, 0.0)  # outside the contour
 
 
 def test_neutrality_is_z_independent():
     params = ShapingParams(tt_manner=TipManner.NEAR)
     contour = TongueContour(points=((0.0, 1.0), (4.0, 6.0), (10.0, 3.0)))
-    field = tongue_height_field(contour, params, geometry_for_field())
     rng = random.Random(7)
     for x in (0.5, 3.0, 6.5, 9.5):
-        reference = field(x, 0.0)
+        reference = field(contour, params, x, 0.0)
         for _ in range(100):
             z = rng.uniform(-1.0, 1.0)
-            assert field(x, z) == reference
+            assert field(contour, params, x, z) == reference
 
 
 def test_deltas_bounded(molar_slice):

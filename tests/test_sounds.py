@@ -30,8 +30,8 @@ from palatogram.sounds import (
     MAX_FRAMES,
     animation_spec_from_dict,
     target_from_dict,
-    target_to_dict,
 )
+from palatogram.shaping import shaped_heights
 from patterns import PATTERN_CHECKS
 
 EXPECTED_NAMES = ["a:", "i:", "j", "k", "l", "s", "t", "u:", "x", "ç", "ʃ", "θ"]
@@ -88,15 +88,16 @@ def test_l_preset_fields():
 
 @pytest.mark.parametrize("shape", list(DomeShape))
 def test_s_groove_channel_stays_open(shape):
-    from palatogram import dome_elevation, tongue_height_field
+    from palatogram import dome_elevation
 
     geometry = default_palate(shape)
     target = get_target("s")
-    field = tongue_height_field(target.contour, target.params, geometry)
     for k in range(41):
         x = geometry.x_min + 20.0 * k / 40  # anterior half of the palate
         sl = slice_at(geometry, x)
-        assert field(x, sl.z_center) < dome_elevation(sl, sl.z_center)
+        u_mid = midsagittal_height(target.contour, x)
+        (midline,) = shaped_heights(target.params, sl, x, u_mid, (sl.z_center,))
+        assert midline < dome_elevation(sl, sl.z_center)
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))
@@ -110,8 +111,12 @@ def test_pattern_classes_both_models(shape):
     assert not failures, "\n".join(failures)
 
 
+def flat_target_doc(name: str, u: float) -> dict:
+    return {"name": name, "contour": [[0.0, u], [40.0, u]], "params": {}}
+
+
 def test_duplicate_names_rejected(tmp_path):
-    doc = target_to_dict(flat_target("dup", 1.0))
+    doc = flat_target_doc("dup", 1.0)
     (tmp_path / "one.json").write_text(json.dumps(doc), encoding="utf-8")
     (tmp_path / "two.json").write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError, match="duplicate"):
@@ -119,7 +124,7 @@ def test_duplicate_names_rejected(tmp_path):
 
 
 def test_custom_library_dir(tmp_path):
-    doc = target_to_dict(flat_target("hum", 2.0))
+    doc = flat_target_doc("hum", 2.0)
     (tmp_path / "hum.json").write_text(json.dumps(doc), encoding="utf-8")
     lib = SoundLibrary.from_dir(tmp_path)
     assert lib.names() == ["hum"]
@@ -144,6 +149,30 @@ def test_target_file_validation():
         target_from_dict(
             {"name": "z", "contour": [[0, 1], [1, 2]], "params": {"tt_manner": "open"}}
         )
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"name": "z", "contour": [[0, 1], [1, "2"]]},
+            "sound target 'z': contour entry #1 u must be a number, got str",
+        ),
+        (
+            {"name": "z", "contour": [[0, 1], [1]]},
+            "sound target 'z': contour entry #1 must be [x, u]",
+        ),
+        (
+            {"name": "z", "contour": [[0, 1], [1, 2]], "params": {"tth": None}},
+            "params key 'tth' must be a number, got NoneType",
+        ),
+    ],
+    ids=["contour-number", "contour-pair", "params-number"],
+)
+def test_target_error_messages(doc, message):
+    with pytest.raises(ConfigError) as info:
+        target_from_dict(doc)
+    assert str(info.value) == message
 
 
 def test_interpolate_endpoints():

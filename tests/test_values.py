@@ -38,6 +38,7 @@ from palatogram import (
     SoundTarget,
     TipManner,
     TongueContour,
+    get_target,
 )
 from palatogram._frozen import Frozen
 from palatogram.epg import column_fractions
@@ -86,10 +87,7 @@ ARGS = {
         draw(numbers),
         draw(st.sampled_from(DomeShape)),
     ),
-    PalateGeometry: lambda draw: (
-        tuple(draw(st.lists(slices, max_size=3))),
-        draw(st.sampled_from(DomeShape)),
-    ),
+    PalateGeometry: lambda draw: (tuple(draw(st.lists(slices, max_size=3))),),
     NoContact: lambda draw: (),
     Intersection: lambda draw: (draw(numbers), draw(numbers)),
     FullContact: lambda draw: (draw(numbers),),
@@ -224,6 +222,24 @@ def test_value_class_matches_the_dataclass(cls, data):
         twin = twin_of(new)
         assert type(twin) is cls and repr(twin) == repr(new)
         assert (twin == new) == (twin_of(old) == old)
+
+
+HUGE = 10**400  # an int too large for a float
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: DomeSlice(x=HUGE, z_min=-1, z_max=1, h=1), palatogram.DomainError),
+        (lambda: TongueContour(points=((0, 1), (1, HUGE))), palatogram.DomainError),
+        (lambda: ShapingParams(groove_width=HUGE), palatogram.DomainError),
+        (lambda: AnimationSpec((get_target("t"),), (HUGE,), (), 25.0), palatogram.ConfigError),
+    ],
+    ids=["DomeSlice", "TongueContour", "ShapingParams", "AnimationSpec"],
+)
+def test_int_too_large_for_a_float_is_the_usual_error(make, error):
+    with pytest.raises(error, match="finite"):
+        make()
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
