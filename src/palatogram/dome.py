@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 from ._frozen import Frozen
-from .errors import ConfigError, DomainError, finite_float, parse_json
+from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float, parse_json
 
 __all__ = [
     "DomeShape",
@@ -55,13 +57,14 @@ class DomeSlice(Frozen):
 
     Attributes:
         x: anterior-to-posterior position of the slice.
-        z_min: lateral position of the left molar edge (z_min < z_max).
-        z_max: lateral position of the right molar edge.
+        z_min: lateral position of the left molar edge.
+        z_max: lateral position of the right molar edge; the half width
+            0.5 * (z_max - z_min) must be positive.
         h: dome height above the occlusal baseline (h > 0).
         shape: lateral profile family, a DomeShape or its value; any other
             name raises DomainError.
 
-    Every field and the derived span and z_center must be finite.
+    Every field is a finite length of at most MAX_MM in magnitude.
     """
 
     __slots__ = ("x", "z_min", "z_max", "h", "shape")
@@ -81,25 +84,18 @@ class DomeSlice(Frozen):
         object.__setattr__(self, "z_max", z_max)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "shape", shape)
-        try:
-            for name, value in (("x", x), ("z_min", z_min), ("z_max", z_max), ("h", h)):
-                if not math.isfinite(value):
-                    raise DomainError(f"slice field {name} must be finite")
-        except OverflowError:  # an int too large for a float
-            raise DomainError(f"slice field {name} must be finite") from None
-        if not z_min < z_max:
-            raise DomainError(f"slice at x={x}: z_min ({z_min}) must be < z_max ({z_max})")
+        # rejects NaN, the infinities and ints too large for a float as well
+        for name, value in (("x", x), ("z_min", z_min), ("z_max", z_max), ("h", h)):
+            if not abs(value) <= MAX_MM:
+                raise DomainError(
+                    f"slice field {name} must be finite and at most {MAX_MM:g} in magnitude"
+                )
+        if not 0.5 * (z_max - z_min) > 0:
+            raise DomainError(
+                f"slice at x={x}: half width of [{z_min}, {z_max}] must be positive"
+            )
         if not h > 0:
             raise DomainError(f"slice at x={x}: dome height must be positive, got {h}")
-        # finite ends can still overflow span and z_center, exactly when these overflow
-        try:
-            derived_finite = math.isfinite(z_max - z_min) and math.isfinite(z_min + z_max)
-        except OverflowError:
-            derived_finite = False
-        if not derived_finite:
-            raise DomainError(
-                f"slice at x={x}: span and center of [{z_min}, {z_max}] must be finite"
-            )
 
     @property
     def z_center(self) -> float:
@@ -184,7 +180,7 @@ def dome_elevations(slice_: DomeSlice, zs: Sequence[float]) -> list[float]:
         return [half_h * (1.0 + math.cos(TWO_PI * (abs(z - z_center) / span))) for z in zs]
     # half-ellipse, factored so the radicand hits an exact 0.0 at the edges:
     # half_width^2 - (z - z_center)^2 == (z - z_min) * (z_max - z), which the
-    # span check above keeps >= 0
+    # span check above keeps >= 0 and the MAX_MM bound keeps finite
     h, half_width = slice_.h, slice_.half_width
     return [h * math.sqrt((z - z_min) * (z_max - z)) / half_width for z in zs]
 
@@ -210,6 +206,9 @@ def invert_dome(slice_: DomeSlice, u: float) -> tuple[float, float]:
     return (slice_.z_center - off, slice_.z_center + off)
 
 
+_SLICE_X = attrgetter("x")
+
+
 def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
     """Slice at an arbitrary x, linearly interpolating between stored slices.
 
@@ -220,14 +219,9 @@ def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
         raise DomainError(
             f"x={x} outside palate range [{slices[0].x}, {slices[-1].x}]"
         )
-    lo, hi = 0, len(slices) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if slices[mid].x <= x:
-            lo = mid
-        else:
-            hi = mid
-    a, b = slices[lo], slices[hi]
+    # slices[i] is the first slice after slices[0] with x <= slices[i].x
+    i = bisect_left(slices, x, 1, key=_SLICE_X)
+    a, b = slices[i - 1], slices[i]
     if x == a.x:
         return a
     if x == b.x:
@@ -296,16 +290,12 @@ def with_shape(geometry: PalateGeometry, shape: DomeShape | str) -> PalateGeomet
     return PalateGeometry(slices=slices)
 
 
-_SLICE_KEYS = {"x", "z_min", "z_max", "h"}
+_SLICE_KEYS = ("x", "z_min", "z_max", "h")
 
 
 def palate_from_dict(doc: object) -> PalateGeometry:
     """Build a palate from a config mapping; rejects unknown keys."""
-    if not isinstance(doc, dict):
-        raise ConfigError("palate config must be a JSON object")
-    unknown = set(doc) - {"shape", "slices"}
-    if unknown:
-        raise ConfigError(f"palate config has unknown keys: {sorted(unknown)}")
+    check_keys(doc, "palate config", ("shape", "slices"))
     try:
         shape = _as_shape(doc.get("shape"))
     except DomainError as exc:
@@ -315,14 +305,7 @@ def palate_from_dict(doc: object) -> PalateGeometry:
         raise ConfigError("palate config needs a non-empty 'slices' list")
     slices = []
     for i, item in enumerate(raw_slices):
-        if not isinstance(item, dict):
-            raise ConfigError(f"slice #{i} must be a JSON object")
-        unknown = set(item) - _SLICE_KEYS
-        if unknown:
-            raise ConfigError(f"slice #{i} has unknown keys: {sorted(unknown)}")
-        missing = _SLICE_KEYS - set(item)
-        if missing:
-            raise ConfigError(f"slice #{i} is missing keys: {sorted(missing)}")
+        check_keys(item, f"slice #{i}", _SLICE_KEYS, _SLICE_KEYS)
         values = {key: finite_float(item[key], "slice #%d key %r", i, key) for key in _SLICE_KEYS}
         try:
             slices.append(DomeSlice(shape=shape, **values))

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Iterable
+
+# largest magnitude of any model length, in mm; a human palate is tens of mm
+MAX_MM = 1e6
 
 
 class PalatogramError(Exception):
@@ -42,6 +46,24 @@ def finite_float(value: object, what: str, *args: object) -> float:
         what = what % args if args else what
         raise ConfigError(f"{what} must be a finite number")
     return number
+
+
+def check_keys(
+    doc: object, what: str, allowed: Iterable[str], required: Iterable[str] = ()
+) -> None:
+    """Reject a config document that is not a JSON object with the expected keys.
+
+    Raises ConfigError naming `what` when doc is not a dict, when it has a
+    key outside `allowed`, or when it lacks one of `required`.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"{what} is missing keys: {sorted(missing)}")
 
 
 def _reject_constant(name: str) -> None:

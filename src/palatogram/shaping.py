@@ -17,12 +17,14 @@ The groove and lateral lowering are mutually exclusive.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
+from operator import itemgetter
 from typing import Sequence
 
 from ._frozen import Frozen
 from .dome import DomeSlice
-from .errors import DomainError
+from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float
 
 __all__ = [
     "TipManner",
@@ -35,6 +37,7 @@ __all__ = [
     "groove_delta",
     "lateral_lowering_delta",
     "shaped_heights",
+    "params_from_dict",
 ]
 
 # anterior-posterior distance over which the edge-elevation ramp saturates
@@ -56,7 +59,8 @@ class TongueContour(Frozen):
     """Midsagittal tongue heights as (x, u) pairs, x strictly increasing.
 
     Heights are elevations above the occlusal baseline and may be negative
-    (tongue below the tooth row).
+    (tongue below the tooth row). Every coordinate is a finite length of at
+    most MAX_MM in magnitude.
     """
 
     __slots__ = ("points",)
@@ -65,14 +69,17 @@ class TongueContour(Frozen):
         object.__setattr__(self, "points", points)
         if len(points) < 2:
             raise DomainError("a tongue contour needs at least two points")
-        try:
-            for x, u in points:
-                if not (math.isfinite(x) and math.isfinite(u)):
-                    raise DomainError("contour coordinates must be finite")
-        except OverflowError:  # an int too large for a float
-            raise DomainError("contour coordinates must be finite") from None
-        xs = [p[0] for p in points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        # every bound before the order, so a bad coordinate is what gets reported
+        increasing, x_prev = True, -math.inf
+        for x, u in points:
+            if not (abs(x) <= MAX_MM and abs(u) <= MAX_MM):
+                raise DomainError(
+                    f"contour coordinates must be finite and at most {MAX_MM:g} in magnitude"
+                )
+            if x <= x_prev:
+                increasing = False
+            x_prev = x
+        if not increasing:
             raise DomainError("contour x positions must be strictly increasing")
 
     @property
@@ -93,13 +100,16 @@ _FLOAT_FIELDS = (
     "lateral_lower_width",
     "lateral_lower_depth",
 )
+_ENUM_FIELDS = {"tt_manner": TipManner, "td_manner": DorsumManner}
+_FLAG_FIELDS = ("groove_enabled", "lateral_lower_enabled")
 
 
 class ShapingParams(Frozen):
     """Manner settings and coronal shaping magnitudes for one speech sound.
 
     tth is the normalized tongue tip height control in [0, 1]; it scales the
-    posterior edge elevation. Widths and depths are in millimeters.
+    posterior edge elevation. Widths and depths are in millimeters. Every
+    float field is finite and at most MAX_MM in magnitude.
     """
 
     __slots__ = (
@@ -141,12 +151,9 @@ class ShapingParams(Frozen):
         object.__setattr__(self, "lateral_lower_enabled", lateral_lower_enabled)
         object.__setattr__(self, "lateral_lower_width", lateral_lower_width)
         object.__setattr__(self, "lateral_lower_depth", lateral_lower_depth)
-        try:
-            for name in _FLOAT_FIELDS:
-                if not math.isfinite(getattr(self, name)):
-                    raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        except OverflowError:
-            raise DomainError(f"{name} must be finite, got an int too large for a float") from None
+        for name in _FLOAT_FIELDS:
+            if not abs(getattr(self, name)) <= MAX_MM:
+                raise DomainError(f"{name} must be finite and at most {MAX_MM:g} in magnitude")
         if not 0.0 <= tth <= 1.0:
             raise DomainError(f"tth must lie in [0, 1], got {tth}")
         for name in (
@@ -162,6 +169,9 @@ class ShapingParams(Frozen):
             raise DomainError("groove and lateral lowering are mutually exclusive")
 
 
+_POINT_X = itemgetter(0)
+
+
 def midsagittal_height(contour: TongueContour, x: float) -> float:
     """Piecewise-linear tongue height at the midline."""
     pts = contour.points
@@ -169,14 +179,9 @@ def midsagittal_height(contour: TongueContour, x: float) -> float:
         raise DomainError(
             f"x={x} outside tongue contour range [{pts[0][0]}, {pts[-1][0]}]"
         )
-    lo, hi = 0, len(pts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pts[mid][0] <= x:
-            lo = mid
-        else:
-            hi = mid
-    (x0, u0), (x1, u1) = pts[lo], pts[hi]
+    # pts[i] is the first point after pts[0] with x <= pts[i][0]
+    i = bisect_left(pts, x, 1, key=_POINT_X)
+    (x0, u0), (x1, u1) = pts[i - 1], pts[i]
     if x == x0:
         return u0
     if x == x1:
@@ -257,3 +262,26 @@ def shaped_heights(
         drop = -params.lateral_lower_depth
         return [u + drop if z <= left or z >= right else u for u, z in zip(us, zs)]
     return us
+
+
+def params_from_dict(doc: object) -> ShapingParams:
+    """Strict ShapingParams parser for preset files."""
+    check_keys(doc, "params", ShapingParams.__slots__)
+    kwargs = {}
+    for key, value in doc.items():
+        if key in _ENUM_FIELDS:
+            try:
+                kwargs[key] = _ENUM_FIELDS[key](value)
+            except ValueError:
+                choices = [m.value for m in _ENUM_FIELDS[key]]
+                raise ConfigError(f"params key {key!r} must be one of {choices}") from None
+        elif key in _FLAG_FIELDS:
+            if not isinstance(value, bool):
+                raise ConfigError(f"params key {key!r} must be a boolean")
+            kwargs[key] = value
+        else:
+            kwargs[key] = finite_float(value, "params key %r", key)
+    try:
+        return ShapingParams(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None

@@ -10,12 +10,17 @@ from __future__ import annotations
 import functools
 import math
 from importlib import resources
-from pathlib import Path
 from typing import Callable
 
 from ._frozen import Frozen
-from .errors import ConfigError, DomainError, finite_float, parse_json
-from .shaping import DorsumManner, ShapingParams, TipManner, TongueContour, midsagittal_height
+from .errors import ConfigError, DomainError, check_keys, finite_float, parse_json
+from .shaping import (
+    _FLOAT_FIELDS,
+    ShapingParams,
+    TongueContour,
+    midsagittal_height,
+    params_from_dict,
+)
 
 __all__ = [
     "SoundTarget",
@@ -32,10 +37,6 @@ __all__ = [
 
 BLEND_GRID_POINTS = 64
 MAX_FRAMES = 100_000  # frames one animation may have; bounds what animate allocates
-
-_ENUM_FIELDS = {"tt_manner": TipManner, "td_manner": DorsumManner}
-_FLAG_FIELDS = {"groove_enabled", "lateral_lower_enabled"}
-_PARAM_FIELDS = frozenset(ShapingParams.__slots__)
 
 
 class SoundTarget(Frozen):
@@ -122,39 +123,8 @@ def _timeline(spec: AnimationSpec) -> tuple[list[tuple], float]:
     return segments, clock
 
 
-def params_from_dict(doc: object) -> ShapingParams:
-    """Strict ShapingParams parser for preset files."""
-    if not isinstance(doc, dict):
-        raise ConfigError("params must be a JSON object")
-    unknown = set(doc) - _PARAM_FIELDS
-    if unknown:
-        raise ConfigError(f"params has unknown keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key in _ENUM_FIELDS:
-            try:
-                kwargs[key] = _ENUM_FIELDS[key](value)
-            except ValueError:
-                choices = [m.value for m in _ENUM_FIELDS[key]]
-                raise ConfigError(f"params key {key!r} must be one of {choices}") from None
-        elif key in _FLAG_FIELDS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"params key {key!r} must be a boolean")
-            kwargs[key] = value
-        else:
-            kwargs[key] = finite_float(value, "params key %r", key)
-    try:
-        return ShapingParams(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def target_from_dict(doc: object) -> SoundTarget:
-    if not isinstance(doc, dict):
-        raise ConfigError("sound target must be a JSON object")
-    unknown = set(doc) - {"name", "contour", "params"}
-    if unknown:
-        raise ConfigError(f"sound target has unknown keys: {sorted(unknown)}")
+    check_keys(doc, "sound target", ("name", "contour", "params"))
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("sound target needs a non-empty string 'name'")
@@ -181,11 +151,7 @@ def animation_spec_from_dict(doc: object) -> AnimationSpec:
     hold_ms and transition_ms are each one number for every entry or a list
     with one number per entry; they default to 120 and 400 ms, fps to 25.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("animation spec must be a JSON object")
-    unknown = set(doc) - {"targets", "hold_ms", "transition_ms", "fps"}
-    if unknown:
-        raise ConfigError(f"animation spec has unknown keys: {sorted(unknown)}")
+    check_keys(doc, "animation spec", ("targets", "hold_ms", "transition_ms", "fps"))
     names = doc.get("targets")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names) or not names:
         raise ConfigError("animation spec needs a non-empty 'targets' list of sound names")
@@ -218,15 +184,6 @@ class SoundLibrary:
                 raise ConfigError(f"duplicate sound name {t.name!r}")
             self._targets[t.name] = t
         self._aliases = dict(aliases or {})
-
-    @classmethod
-    def from_dir(cls, path: str | Path) -> "SoundLibrary":
-        """Load every *.json target in a directory; file stems become aliases."""
-        directory = Path(path)
-        entries = [(f.name, f.read_bytes()) for f in sorted(directory.glob("*.json"))]
-        if not any(name != "palate.json" for name, _ in entries):
-            raise ConfigError(f"no sound target files found in {directory}")
-        return cls(*_parse_target_files(entries))
 
     def names(self) -> list[str]:
         return sorted(self._targets)
@@ -314,12 +271,8 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
         x = (1.0 - f) * x_lo + f * x_hi
         heights.append((x, midsagittal_height(a.contour, x), midsagittal_height(b.contour, x)))
     name = f"{a.name}~{b.name}"
-    numeric, discrete = [], []
-    for n in ShapingParams.__slots__:
-        if n in _ENUM_FIELDS or n in _FLAG_FIELDS:
-            discrete.append(n)
-        else:
-            numeric.append((n, getattr(a.params, n), getattr(b.params, n)))
+    numeric = [(n, getattr(a.params, n), getattr(b.params, n)) for n in _FLOAT_FIELDS]
+    discrete = [n for n in ShapingParams.__slots__ if n not in _FLOAT_FIELDS]
 
     def at(lam: float) -> SoundTarget:
         points = tuple((x, (1.0 - lam) * u0 + lam * u1) for x, u0, u1 in heights)

@@ -30,9 +30,10 @@ from palatogram import (
     slice_at,
 )
 from palatogram.epg import column_fractions
+from palatogram.errors import MAX_MM
 from palatogram.render import _HEX_COLOR, _horseshoe_path, _palatal_layout, _svg_open
-from palatogram.shaping import _FLOAT_FIELDS
-from palatogram.sounds import _ENUM_FIELDS, _FLAG_FIELDS, BLEND_GRID_POINTS, MAX_FRAMES
+from palatogram.shaping import _ENUM_FIELDS, _FLAG_FIELDS, _FLOAT_FIELDS
+from palatogram.sounds import BLEND_GRID_POINTS, MAX_FRAMES
 
 
 def bisect_crossings(slice_: DomeSlice, u: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -297,19 +298,16 @@ class DataclassDomeSlice:
 
     def __post_init__(self) -> None:
         for name in ("x", "z_min", "z_max", "h"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"slice field {name} must be finite")
-        if not self.z_min < self.z_max:
+            if not -MAX_MM <= getattr(self, name) <= MAX_MM:
+                raise DomainError(
+                    f"slice field {name} must be finite and at most 1e+06 in magnitude"
+                )
+        if not (self.z_max - self.z_min) / 2 > 0:
             raise DomainError(
-                f"slice at x={self.x}: z_min ({self.z_min}) must be < z_max ({self.z_max})"
+                f"slice at x={self.x}: half width of [{self.z_min}, {self.z_max}] must be positive"
             )
         if not self.h > 0:
             raise DomainError(f"slice at x={self.x}: dome height must be positive, got {self.h}")
-        z_min, z_max = self.z_min, self.z_max
-        if not (math.isfinite(z_max - z_min) and math.isfinite(0.5 * (z_min + z_max))):
-            raise DomainError(
-                f"slice at x={self.x}: span and center of [{z_min}, {z_max}] must be finite"
-            )
 
 
 @dataclass(frozen=True)
@@ -396,8 +394,10 @@ class DataclassTongueContour:
         if len(self.points) < 2:
             raise DomainError("a tongue contour needs at least two points")
         for x, u in self.points:
-            if not (math.isfinite(x) and math.isfinite(u)):
-                raise DomainError("contour coordinates must be finite")
+            if not (-MAX_MM <= x <= MAX_MM and -MAX_MM <= u <= MAX_MM):
+                raise DomainError(
+                    "contour coordinates must be finite and at most 1e+06 in magnitude"
+                )
         xs = [p[0] for p in self.points]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("contour x positions must be strictly increasing")
@@ -419,8 +419,8 @@ class DataclassShapingParams:
 
     def __post_init__(self) -> None:
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            if not -MAX_MM <= getattr(self, name) <= MAX_MM:
+                raise DomainError(f"{name} must be finite and at most 1e+06 in magnitude")
         if not 0.0 <= self.tth <= 1.0:
             raise DomainError(f"tth must lie in [0, 1], got {self.tth}")
         for name in (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -289,4 +290,38 @@ def test_palate_whose_span_overflows_is_one_config_error(tmp_path, capsys, z_min
     assert run([*argv, "--palate", str(palate)]) == 2
     out = capsys.readouterr()
     assert "nan" not in out.out and "nan" not in out.err
+    assert out.err.startswith("error: config:") and out.err.count("\n") == 1, out.err
+
+
+def palate_doc(shape: str, *slices: dict) -> str:
+    return json.dumps({"shape": shape, "slices": [{"x": 20.0 * i, **item}
+                                                  for i, item in enumerate(slices)]})
+
+
+WIDE = {"z_min": -10, "z_max": 10, "h": 5}
+SUBNORMAL_WIDTH = {"z_min": 0, "z_max": 5e-324, "h": 1}
+
+
+@pytest.mark.parametrize(
+    "palate, argv",
+    [
+        (palate_doc("half_ellipse", SUBNORMAL_WIDTH, WIDE),
+         ["slice", "--x", "0", "--format", "svg"]),
+        (palate_doc("half_ellipse", SUBNORMAL_WIDTH, WIDE), ["mesh"]),
+        (palate_doc("cosine", WIDE, SUBNORMAL_WIDTH, WIDE), ["epg", "--rows", "1"]),
+        (palate_doc("half_ellipse", {**WIDE, "h": 1e308}, WIDE), ["mesh"]),
+    ],
+    ids=["subnormal-width-slice", "subnormal-width-mesh", "subnormal-width-epg",
+         "huge-height-mesh"],
+)
+def test_palate_past_the_length_bounds_is_one_config_error(tmp_path, capsys, palate, argv):
+    # each of these used to raise ZeroDivisionError or print a 300-digit vertex
+    palate_file, contour_file = tmp_path / "p.json", tmp_path / "c.json"
+    palate_file.write_text(palate, encoding="utf-8")
+    contour_file.write_text(json.dumps({"contour": [[0, 3], [40, 3]], "params": {
+        "tt_manner": "full", "tth": 1, "posterior_onset_x": 0}}), encoding="utf-8")
+    assert run([*argv, "--palate", str(palate_file), "--contour", str(contour_file)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert not re.search(r"\b(nan|inf)\b", out.err)
     assert out.err.startswith("error: config:") and out.err.count("\n") == 1, out.err

@@ -6,7 +6,10 @@ import math
 
 import pytest
 
+from palatogram.dome import palate_from_dict
 from palatogram.errors import ConfigError, finite_float, parse_json
+from palatogram.shaping import params_from_dict
+from palatogram.sounds import animation_spec_from_dict, target_from_dict
 
 
 @pytest.mark.parametrize("value", [0, -3, 2.5, 10**300, -1e308])
@@ -63,3 +66,38 @@ def test_parse_json_decodes_text_and_bytes():
 def test_parse_json_rejects(data):
     with pytest.raises(ConfigError, match="invalid JSON in doc.json"):
         parse_json(data, "doc.json")
+
+
+def palate_with_slice(item: object) -> dict:
+    return {"shape": "cosine", "slices": [item, {"x": 1, "z_min": -1, "z_max": 1, "h": 1}]}
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (palate_from_dict, [], "palate config must be a JSON object"),
+        (palate_from_dict, {"slices": [], "color": 1}, "palate config has unknown keys: ['color']"),
+        (palate_from_dict, palate_with_slice(5), "slice #0 must be a JSON object"),
+        (palate_from_dict, palate_with_slice({"x": 0, "z_min": -1, "z_max": 1, "h": 1, "w": 2}),
+         "slice #0 has unknown keys: ['w']"),
+        (palate_from_dict, palate_with_slice({"x": 0, "z_min": -1}),
+         "slice #0 is missing keys: ['h', 'z_max']"),
+        (params_from_dict, "full", "params must be a JSON object"),
+        (params_from_dict, {"tth": 1, "tilt": 2, "bend": 3},
+         "params has unknown keys: ['bend', 'tilt']"),
+        (target_from_dict, [[0, 1], [1, 1]], "sound target must be a JSON object"),
+        (target_from_dict, {"name": "z", "colour": 1}, "sound target has unknown keys: ['colour']"),
+        (animation_spec_from_dict, None, "animation spec must be a JSON object"),
+        (animation_spec_from_dict, {"targets": ["t"], "loop": True},
+         "animation spec has unknown keys: ['loop']"),
+    ],
+    ids=[
+        "palate-object", "palate-unknown", "slice-object", "slice-unknown", "slice-missing",
+        "params-object", "params-unknown", "target-object", "target-unknown", "spec-object",
+        "spec-unknown",
+    ],
+)
+def test_key_check_messages(read, doc, message):
+    with pytest.raises(ConfigError) as info:
+        read(doc)
+    assert str(info.value) == message

@@ -24,8 +24,7 @@ from palatogram import (
     midsagittal_height,
     slice_at,
 )
-from palatogram.shaping import shaped_heights
-from palatogram.sounds import params_from_dict
+from palatogram.shaping import params_from_dict, shaped_heights
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 import pytest
@@ -28,6 +27,7 @@ from palatogram import (
 )
 from palatogram.sounds import (
     MAX_FRAMES,
+    _parse_target_files,
     animation_spec_from_dict,
     target_from_dict,
 )
@@ -111,33 +111,19 @@ def test_pattern_classes_both_models(shape):
     assert not failures, "\n".join(failures)
 
 
-def flat_target_doc(name: str, u: float) -> dict:
-    return {"name": name, "contour": [[0.0, u], [40.0, u]], "params": {}}
-
-
-def test_duplicate_names_rejected(tmp_path):
-    doc = flat_target_doc("dup", 1.0)
-    (tmp_path / "one.json").write_text(json.dumps(doc), encoding="utf-8")
-    (tmp_path / "two.json").write_text(json.dumps(doc), encoding="utf-8")
+def test_duplicate_names_rejected():
+    target = flat_target("dup", 1.0)
     with pytest.raises(ConfigError, match="duplicate"):
-        SoundLibrary.from_dir(tmp_path)
+        SoundLibrary([target, target])
 
 
-def test_custom_library_dir(tmp_path):
-    doc = flat_target_doc("hum", 2.0)
-    (tmp_path / "hum.json").write_text(json.dumps(doc), encoding="utf-8")
-    lib = SoundLibrary.from_dir(tmp_path)
-    assert lib.names() == ["hum"]
-    assert lib.get("hum").contour.points[0] == (0.0, 2.0)
-
-
-def test_library_dir_with_a_bad_file_is_a_config_error(tmp_path):
-    (tmp_path / "hum.json").write_bytes(b'{"name": "hum", "contour": [[0, 1], [40, 1]]}\xff')
-    with pytest.raises(ConfigError, match="hum.json"):
-        SoundLibrary.from_dir(tmp_path)
-    (tmp_path / "hum.json").write_text('{"name": "hum", "contour": [[0, NaN], [40, 1]]}')
-    with pytest.raises(ConfigError, match="hum.json"):
-        SoundLibrary.from_dir(tmp_path)
+def test_bad_target_file_is_named_in_the_error():
+    for data in (
+        b'{"name": "hum", "contour": [[0, 1], [40, 1]]}\xff',
+        b'{"name": "hum", "contour": [[0, NaN], [40, 1]]}',
+    ):
+        with pytest.raises(ConfigError, match="hum.json"):
+            _parse_target_files([("hum.json", data)])
 
 
 def test_target_file_validation():
