@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:  # subparsers are _Parsers too
+        super().__init__(*args, **kwargs)
+        # argparse alone takes -12 and -1.5, but not -1e-3 or -inf, as a value
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message: str):  # exit 1 instead of argparse's default 2
         raise UsageError(message)
 

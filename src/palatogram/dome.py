@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._frozen import Frozen
-from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float, parse_json
+from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float, member, parse_json
 
 __all__ = [
     "DomeShape",
@@ -77,8 +77,8 @@ class DomeSlice(Frozen):
         h: float,
         shape: DomeShape = DomeShape.COSINE,
     ) -> None:
-        if shape is not DomeShape.COSINE and shape is not DomeShape.HALF_ELLIPSE:
-            shape = _as_shape(shape)
+        if shape.__class__ is not DomeShape:
+            shape = member(DomeShape, shape, "dome shape")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z_min", z_min)
         object.__setattr__(self, "z_max", z_max)
@@ -143,15 +143,6 @@ class PalateGeometry(Frozen):
         return self.slices[-1].x
 
 
-def _as_shape(shape: DomeShape | str) -> DomeShape:
-    try:
-        return DomeShape(shape)
-    except ValueError:
-        raise DomainError(
-            f"dome shape must be one of {[s.value for s in DomeShape]}, got {shape!r}"
-        ) from None
-
-
 def dome_elevation(slice_: DomeSlice, z: float) -> float:
     """Height of the dome surface above the baseline at lateral position z.
 
@@ -180,9 +171,13 @@ def dome_elevations(slice_: DomeSlice, zs: Sequence[float]) -> list[float]:
         return [half_h * (1.0 + math.cos(TWO_PI * (abs(z - z_center) / span))) for z in zs]
     # half-ellipse, factored so the radicand hits an exact 0.0 at the edges:
     # half_width^2 - (z - z_center)^2 == (z - z_min) * (z_max - z), which the
-    # span check above keeps >= 0 and the MAX_MM bound keeps finite
+    # span check above keeps >= 0 and the MAX_MM bound keeps finite; the apex
+    # can round one ulp above h, so clamp to h (min() would double the cost)
     h, half_width = slice_.h, slice_.half_width
-    return [h * math.sqrt((z - z_min) * (z_max - z)) / half_width for z in zs]
+    return [
+        e if (e := h * math.sqrt((z - z_min) * (z_max - z)) / half_width) <= h else h
+        for z in zs
+    ]
 
 
 def invert_dome(slice_: DomeSlice, u: float) -> tuple[float, float]:
@@ -280,7 +275,7 @@ def with_shape(geometry: PalateGeometry, shape: DomeShape | str) -> PalateGeomet
 
     shape is a DomeShape or its value; any other name raises DomainError.
     """
-    shape = _as_shape(shape)
+    shape = member(DomeShape, shape, "dome shape")
     if shape is geometry.shape:
         return geometry
     slices = tuple(
@@ -297,7 +292,7 @@ def palate_from_dict(doc: object) -> PalateGeometry:
     """Build a palate from a config mapping; rejects unknown keys."""
     check_keys(doc, "palate config", ("shape", "slices"))
     try:
-        shape = _as_shape(doc.get("shape"))
+        shape = member(DomeShape, doc.get("shape"), "dome shape")
     except DomainError as exc:
         raise ConfigError(f"palate {exc}") from None
     raw_slices = doc.get("slices")

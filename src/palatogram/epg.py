@@ -22,39 +22,42 @@ MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg
 
 
 class EPGFrame(Frozen):
-    """Boolean contact grid; rows run anterior to posterior, columns left to right."""
+    """Boolean contact grid; rows run anterior to posterior, columns left to right.
 
-    __slots__ = ("rows", "cols", "cells", "x_of_row", "z_frac_of_col")
+    cells is a non-empty rectangle of booleans, and x_of_row each row's
+    position, strictly increasing. Column j sits at column_fractions(cols)[j]
+    of its row's lateral span.
+    """
+
+    __slots__ = ("cells", "x_of_row")
 
     def __init__(
-        self,
-        rows: int,
-        cols: int,
-        cells: tuple[tuple[bool, ...], ...],
-        x_of_row: tuple[float, ...],
-        z_frac_of_col: tuple[float, ...],
+        self, cells: tuple[tuple[bool, ...], ...], x_of_row: tuple[float, ...]
     ) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "x_of_row", x_of_row)
-        object.__setattr__(self, "z_frac_of_col", z_frac_of_col)
-        if len(cells) != rows or any(len(r) != cols for r in cells):
-            raise DomainError("cell matrix does not match rows x cols")
-        if len(x_of_row) != rows:
-            raise DomainError("x_of_row length must equal rows")
-        if len(z_frac_of_col) != cols:
-            raise DomainError("z_frac_of_col length must equal cols")
+        if not cells or not cells[0]:
+            raise DomainError("an EPG frame needs at least one row and one column")
+        cols = len(cells[0])
+        if any(len(row) != cols for row in cells):
+            raise DomainError("every row of cells must have the same length")
+        if len(x_of_row) != len(cells):
+            raise DomainError("x_of_row needs one position per row")
         if any(b <= a for a, b in zip(x_of_row, x_of_row[1:])):
             raise DomainError("x_of_row must be strictly increasing")
-        fr = z_frac_of_col
-        if any(b <= a for a, b in zip(fr, fr[1:])):
-            raise DomainError("z_frac_of_col must be strictly increasing")
-        if any(not 0.0 < f < 1.0 for f in fr):
-            raise DomainError("z_frac_of_col values must lie in (0, 1)")
-        for j in range(len(fr) // 2 + 1):
-            if abs(fr[j] + fr[len(fr) - 1 - j] - 1.0) > 1e-9:
-                raise DomainError("z_frac_of_col must be symmetric about 0.5")
+
+    @property
+    def rows(self) -> int:
+        return len(self.cells)
+
+    @property
+    def cols(self) -> int:
+        return len(self.cells[0])
+
+    @property
+    def z_frac_of_col(self) -> tuple[float, ...]:
+        """Each column's center as a fraction of the row's lateral span."""
+        return column_fractions(self.cols)
 
     @property
     def contact_count(self) -> int:
@@ -63,13 +66,11 @@ class EPGFrame(Frozen):
 
 def column_fractions(cols: int) -> tuple[float, ...]:
     """Column-center fractions across the span, exactly mirror-symmetric."""
-    fracs = [0.0] * cols
+    fracs = [0.5] * cols  # an odd middle column stays at 0.5
     for j in range(cols // 2):
         d = 0.5 - (j + 0.5) / cols
         fracs[j] = 0.5 - d
         fracs[cols - 1 - j] = 0.5 + d
-    if cols % 2 == 1:
-        fracs[cols // 2] = 0.5
     return tuple(fracs)
 
 
@@ -97,8 +98,7 @@ def compute_epg(
         raise DomainError(
             "tongue contour and palate do not overlap along the anterior-posterior axis"
         )
-    fracs = column_fractions(cols)
-    offsets = [f - 0.5 for f in fracs]
+    offsets = [f - 0.5 for f in column_fractions(cols)]
     x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
     cells = []
     for x in x_of_row:
@@ -113,13 +113,7 @@ def compute_epg(
         zs = [z_center + o * span for o in offsets]
         heights = shaped_heights(params, sl, x, u_mid, zs)
         cells.append(tuple(map(operator.ge, heights, dome_elevations(sl, zs))))
-    return EPGFrame(
-        rows=rows,
-        cols=cols,
-        cells=tuple(cells),
-        x_of_row=x_of_row,
-        z_frac_of_col=fracs,
-    )
+    return EPGFrame(cells=tuple(cells), x_of_row=x_of_row)
 
 
 def epg_text(frame: EPGFrame) -> str:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-import math
+import sys
+from enum import Enum
 from typing import Iterable
 
 # largest magnitude of any model length, in mm; a human palate is tens of mm
@@ -38,14 +39,19 @@ def finite_float(value: object, what: str, *args: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         what = what % args if args else what
         raise ConfigError(f"{what} must be a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int past any float
         what = what % args if args else what
         raise ConfigError(f"{what} must be a finite number")
-    return number
+    return float(value)
+
+
+def member(enum: type[Enum], value: object, what: str) -> Enum:
+    """The member of enum that value is or has as its value; else DomainError naming `what`."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = [m.value for m in enum]
+        raise DomainError(f"{what} must be one of {choices}, got {value!r}") from None
 
 
 def check_keys(

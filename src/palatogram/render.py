@@ -21,7 +21,7 @@ from .dome import (
     sample_surface,
     slice_at,
 )
-from .epg import EPGFrame
+from .epg import EPGFrame, column_fractions
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -79,8 +79,8 @@ def _svg_open(style: RenderStyle) -> list[str]:
     ]
 
 
-def _palatal_layout(rows: int, fracs: tuple[float, ...], style: RenderStyle):
-    """Dot centers and radius for a rows x len(fracs) palatal lattice, anterior at the top."""
+def _palatal_layout(rows: int, cols: int, style: RenderStyle):
+    """Dot centers and radius for a rows x cols palatal lattice, anterior at the top."""
     w, h = float(style.width), float(style.height)
     margin = 0.08 * min(w, h)
     arch_top = margin
@@ -88,7 +88,8 @@ def _palatal_layout(rows: int, fracs: tuple[float, ...], style: RenderStyle):
     usable_h = arch_bottom - arch_top
     y0 = arch_top + 0.22 * usable_h
     y1 = arch_bottom - 0.08 * usable_h
-    radius = min((y1 - y0) / rows, (w - 2 * margin) / len(fracs)) * 0.30
+    radius = min((y1 - y0) / rows, (w - 2 * margin) / cols) * 0.30
+    fracs = column_fractions(cols)
     centers = []
     for i in range(rows):
         cy = y0 + (i + 0.5) * (y1 - y0) / rows
@@ -125,12 +126,10 @@ def _horseshoe_path(style: RenderStyle, margin: float) -> str:
 # The frames of one animation share a canvas and a lattice; a few entries
 # cover the lattices one process renders at a time.
 @functools.lru_cache(maxsize=16)
-def _palatal_svg_layout(
-    style: RenderStyle, rows: int, fracs: tuple[float, ...]
-) -> tuple[str, tuple[str, ...]]:
+def _palatal_svg_layout(style: RenderStyle, rows: int, cols: int) -> tuple[str, tuple[str, ...]]:
     """The palatal SVG up to its first dot, and each dot's text up to its fill color."""
     parts = _svg_open(style)
-    centers, radius, margin = _palatal_layout(rows, fracs, style)
+    centers, radius, margin = _palatal_layout(rows, cols, style)
     parts.append(
         f'<path d="{_horseshoe_path(style, margin)}" fill="none" '
         f'stroke="{style.outline_color}" stroke-width="2"/>'
@@ -150,7 +149,7 @@ def render_palatal_svg(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> b
     The layout is computed once per canvas, style and lattice; a frame only
     adds its fill colors.
     """
-    head, dots = _palatal_svg_layout(style, frame.rows, tuple(frame.z_frac_of_col))
+    head, dots = _palatal_svg_layout(style, frame.rows, frame.cols)
     on, off = style.contact_color + '"/>', style.no_contact_color + '"/>'
     cells = itertools.chain.from_iterable(frame.cells)
     parts = [head]
@@ -336,7 +335,7 @@ def render_palatal_ppm(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> b
             start = origin + 3 * (py * w + a)
             raster[start : start + 3 * (b - a + 1)] = rgb * (b - a + 1)
 
-    centers, radius, margin = _palatal_layout(frame.rows, frame.z_frac_of_col, style)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.cols, style)
     outline = _hex_rgb(style.outline_color)
     # trace the horseshoe outline with small discs along its three segments
     rx, ry, shoulder_y = _horseshoe(style, margin)

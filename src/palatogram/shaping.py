@@ -24,7 +24,7 @@ from typing import Sequence
 
 from ._frozen import Frozen
 from .dome import DomeSlice
-from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float
+from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float, member
 
 __all__ = [
     "TipManner",
@@ -100,13 +100,12 @@ _FLOAT_FIELDS = (
     "lateral_lower_width",
     "lateral_lower_depth",
 )
-_ENUM_FIELDS = {"tt_manner": TipManner, "td_manner": DorsumManner}
-_FLAG_FIELDS = ("groove_enabled", "lateral_lower_enabled")
 
 
 class ShapingParams(Frozen):
     """Manner settings and coronal shaping magnitudes for one speech sound.
 
+    The manners are members or their values, and the two flags are bools.
     tth is the normalized tongue tip height control in [0, 1]; it scales the
     posterior edge elevation. Widths and depths are in millimeters. Every
     float field is finite and at most MAX_MM in magnitude.
@@ -140,6 +139,10 @@ class ShapingParams(Frozen):
         lateral_lower_width: float = 6.4,
         lateral_lower_depth: float = 23.0,
     ) -> None:
+        if tt_manner.__class__ is not TipManner:
+            tt_manner = member(TipManner, tt_manner, "tt_manner")
+        if td_manner.__class__ is not DorsumManner:
+            td_manner = member(DorsumManner, td_manner, "td_manner")
         object.__setattr__(self, "tt_manner", tt_manner)
         object.__setattr__(self, "td_manner", td_manner)
         object.__setattr__(self, "tth", tth)
@@ -151,6 +154,11 @@ class ShapingParams(Frozen):
         object.__setattr__(self, "lateral_lower_enabled", lateral_lower_enabled)
         object.__setattr__(self, "lateral_lower_width", lateral_lower_width)
         object.__setattr__(self, "lateral_lower_depth", lateral_lower_depth)
+        # a truthy non-bool such as "no" would switch a strip on
+        if groove_enabled.__class__ is not bool:
+            raise DomainError("groove_enabled must be a boolean")
+        if lateral_lower_enabled.__class__ is not bool:
+            raise DomainError("lateral_lower_enabled must be a boolean")
         for name in _FLOAT_FIELDS:
             if not abs(getattr(self, name)) <= MAX_MM:
                 raise DomainError(f"{name} must be finite and at most {MAX_MM:g} in magnitude")
@@ -265,22 +273,12 @@ def shaped_heights(
 
 
 def params_from_dict(doc: object) -> ShapingParams:
-    """Strict ShapingParams parser for preset files."""
+    """Strict ShapingParams parser for preset files; ShapingParams checks all but the floats."""
     check_keys(doc, "params", ShapingParams.__slots__)
-    kwargs = {}
-    for key, value in doc.items():
-        if key in _ENUM_FIELDS:
-            try:
-                kwargs[key] = _ENUM_FIELDS[key](value)
-            except ValueError:
-                choices = [m.value for m in _ENUM_FIELDS[key]]
-                raise ConfigError(f"params key {key!r} must be one of {choices}") from None
-        elif key in _FLAG_FIELDS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"params key {key!r} must be a boolean")
-            kwargs[key] = value
-        else:
-            kwargs[key] = finite_float(value, "params key %r", key)
+    kwargs = {
+        key: finite_float(value, "params key %r", key) if key in _FLOAT_FIELDS else value
+        for key, value in doc.items()
+    }
     try:
         return ShapingParams(**kwargs)
     except DomainError as exc:

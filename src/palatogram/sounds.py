@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from importlib import resources
 from typing import Callable
 
@@ -80,11 +81,8 @@ class AnimationSpec(Frozen):
             raise ConfigError("hold_ms needs one duration per target")
         if len(transition_ms) != len(targets) - 1:
             raise ConfigError("transition_ms needs one duration per target gap")
-        try:
-            finite = all(math.isfinite(v) for v in (*hold_ms, *transition_ms, fps))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
+        # False for NaN, the infinities and ints too large for a float
+        if not all(abs(v) <= sys.float_info.max for v in (*hold_ms, *transition_ms, fps)):
             raise ConfigError("fps and all durations must be finite")
         if any(d <= 0 for d in hold_ms) or any(d <= 0 for d in transition_ms):
             raise ConfigError("all durations must be positive")

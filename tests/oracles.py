@@ -32,7 +32,7 @@ from palatogram import (
 from palatogram.epg import column_fractions
 from palatogram.errors import MAX_MM
 from palatogram.render import _HEX_COLOR, _horseshoe_path, _palatal_layout, _svg_open
-from palatogram.shaping import _ENUM_FIELDS, _FLAG_FIELDS, _FLOAT_FIELDS
+from palatogram.shaping import _FLOAT_FIELDS
 from palatogram.sounds import BLEND_GRID_POINTS, MAX_FRAMES
 
 
@@ -93,7 +93,8 @@ def dome_height(slice_: DomeSlice, z: float) -> float:
         q = abs(z - slice_.z_center) / slice_.span
         return 0.5 * slice_.h * (1.0 + math.cos(2.0 * math.pi * q))
     rad = (z - slice_.z_min) * (slice_.z_max - z)
-    return slice_.h * math.sqrt(max(rad, 0.0)) / slice_.half_width
+    e = slice_.h * math.sqrt(max(rad, 0.0)) / slice_.half_width
+    return e if e <= slice_.h else slice_.h
 
 
 def shaped_height(
@@ -169,7 +170,7 @@ def palatal_ppm(frame: EPGFrame, style: RenderStyle) -> bytes:
         for px, py in disc_pixels(cx, cy, r, w, h):
             pixels[py][px] = rgb
 
-    centers, radius, margin = _palatal_layout(frame.rows, frame.z_frac_of_col, style)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.cols, style)
     outline = hex_rgb(style.outline_color)
     rx = 0.5 * w - margin
     ry = 0.42 * (h - 2 * margin)
@@ -221,7 +222,7 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     discrete_src = a.params if lam < 0.5 else b.params
     blended = {}
     for name in ShapingParams.__slots__:
-        if name in _ENUM_FIELDS or name in _FLAG_FIELDS:
+        if name not in _FLOAT_FIELDS:
             blended[name] = getattr(discrete_src, name)
         else:
             va = getattr(a.params, name)
@@ -267,7 +268,7 @@ def palatal_svg(frame: EPGFrame, style: RenderStyle) -> bytes:
     per canvas; both must give the same bytes.
     """
     parts = _svg_open(style)
-    centers, radius, margin = _palatal_layout(frame.rows, frame.z_frac_of_col, style)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.cols, style)
     parts.append(
         f'<path d="{_horseshoe_path(style, margin)}" fill="none" '
         f'stroke="{style.outline_color}" stroke-width="2"/>'
@@ -342,30 +343,31 @@ class DataclassFullContact:
 
 @dataclass(frozen=True)
 class DataclassEPGFrame:
-    rows: int
-    cols: int
     cells: tuple[tuple[bool, ...], ...]
     x_of_row: tuple[float, ...]
-    z_frac_of_col: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.cells) != self.rows or any(len(r) != self.cols for r in self.cells):
-            raise DomainError("cell matrix does not match rows x cols")
-        if len(self.x_of_row) != self.rows:
-            raise DomainError("x_of_row length must equal rows")
-        if len(self.z_frac_of_col) != self.cols:
-            raise DomainError("z_frac_of_col length must equal cols")
+        if len(self.cells) == 0 or len(self.cells[0]) == 0:
+            raise DomainError("an EPG frame needs at least one row and one column")
+        if len({len(r) for r in self.cells}) != 1:
+            raise DomainError("every row of cells must have the same length")
+        if len(self.x_of_row) != len(self.cells):
+            raise DomainError("x_of_row needs one position per row")
         xs = self.x_of_row
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("x_of_row must be strictly increasing")
-        fr = self.z_frac_of_col
-        if any(b <= a for a, b in zip(fr, fr[1:])):
-            raise DomainError("z_frac_of_col must be strictly increasing")
-        if any(not 0.0 < f < 1.0 for f in fr):
-            raise DomainError("z_frac_of_col values must lie in (0, 1)")
-        for j in range(len(fr) // 2 + 1):
-            if abs(fr[j] + fr[len(fr) - 1 - j] - 1.0) > 1e-9:
-                raise DomainError("z_frac_of_col must be symmetric about 0.5")
+
+    @property
+    def rows(self) -> int:
+        return len(self.cells)
+
+    @property
+    def cols(self) -> int:
+        return len(self.cells[0])
+
+    @property
+    def z_frac_of_col(self) -> tuple[float, ...]:
+        return column_fractions(self.cols)
 
 
 @dataclass(frozen=True)
@@ -418,6 +420,15 @@ class DataclassShapingParams:
     lateral_lower_depth: float = 23.0
 
     def __post_init__(self) -> None:
+        for name, enum in (("tt_manner", TipManner), ("td_manner", DorsumManner)):
+            value, choices = getattr(self, name), [m.value for m in enum]
+            if value not in choices:
+                raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+            object.__setattr__(self, name, enum(value))
+        for name in ("groove_enabled", "lateral_lower_enabled"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise DomainError(f"{name} must be a boolean")
         for name in _FLOAT_FIELDS:
             if not -MAX_MM <= getattr(self, name) <= MAX_MM:
                 raise DomainError(f"{name} must be finite and at most 1e+06 in magnitude")

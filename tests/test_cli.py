@@ -325,3 +325,39 @@ def test_palate_past_the_length_bounds_is_one_config_error(tmp_path, capsys, pal
     assert out.out == ""
     assert not re.search(r"\b(nan|inf)\b", out.err)
     assert out.err.startswith("error: config:") and out.err.count("\n") == 1, out.err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"groove_enabled": "no"}, "groove_enabled must be a boolean"),
+        ({"tt_manner": "bogus"},
+         "tt_manner must be one of ['full', 'near', 'lateral'], got 'bogus'"),
+    ],
+    ids=["groove-str", "tip-name"],
+)
+def test_contour_params_of_the_wrong_type_are_one_config_error(tmp_path, capsys, params, message):
+    # "no" used to switch the groove on, and an unknown manner name passed as
+    # neither manner
+    contour = tmp_path / "c.json"
+    doc = {"contour": [[0, 3], [40, 3]], "params": params}
+    contour.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["epg", "--contour", str(contour)]) == 2
+    assert assert_one_error_line(capsys, "config") == f"error: config: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "x, code",
+    [("-1e-3", 2), ("-inf", 2), ("-Infinity", 2), ("-nan", 2), ("-1E+2", 2), ("-.5", 2),
+     ("-0e0", 0), ("-1e", 1)],
+)
+def test_negative_x_in_any_float_form_is_a_value(capsys, x, code):
+    # argparse alone reads only -12 and -1.5 as negative numbers, so these
+    # used to fail with "argument --x: expected one argument"
+    assert run(["slice", "--sound", "t", "--x", x, "--format", "json"]) == code
+    if code == 0:
+        assert json.loads(capsys.readouterr().out)["case"] in ("none", "intersection", "full")
+    elif code == 2:
+        assert "outside palate range" in assert_one_error_line(capsys, "domain")
+    else:
+        assert "expected one argument" in assert_one_error_line(capsys, "usage")

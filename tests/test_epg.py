@@ -132,21 +132,11 @@ def test_requires_overlap_and_counts():
 
 
 def test_epg_text_direct():
-    frame = EPGFrame(
-        rows=1,
-        cols=4,
-        cells=((True, False, False, True),),
-        x_of_row=(1.0,),
-        z_frac_of_col=(0.125, 0.375, 0.625, 0.875),
-    )
+    frame = EPGFrame(cells=((True, False, False, True),), x_of_row=(1.0,))
     assert epg_text(frame) == "#..#\n"
-    empty = EPGFrame(
-        rows=2,
-        cols=2,
-        cells=((False, False), (False, False)),
-        x_of_row=(1.0, 2.0),
-        z_frac_of_col=(0.25, 0.75),
-    )
+    assert (frame.rows, frame.cols) == (1, 4)
+    assert frame.z_frac_of_col == (0.125, 0.375, 0.625, 0.875)
+    empty = EPGFrame(cells=((False, False), (False, False)), x_of_row=(1.0, 2.0))
     assert epg_text(empty) == "..\n..\n"
     assert len(epg_text(empty)) == 2 * (2 + 1)
 
@@ -159,16 +149,22 @@ def test_epg_text_t_preset_anterior_closure():
 
 
 def test_frame_validation():
-    with pytest.raises(DomainError):
-        EPGFrame(rows=1, cols=2, cells=((True,),), x_of_row=(0.0,), z_frac_of_col=(0.25, 0.75))
-    with pytest.raises(DomainError):
-        EPGFrame(
-            rows=1,
-            cols=2,
-            cells=((True, False),),
-            x_of_row=(0.0,),
-            z_frac_of_col=(0.3, 0.9),  # not symmetric about 0.5
-        )
+    with pytest.raises(DomainError, match="same length"):
+        EPGFrame(cells=((True, False), (True,)), x_of_row=(0.0, 1.0))
+    with pytest.raises(DomainError, match="one position per row"):
+        EPGFrame(cells=((True, False),), x_of_row=(0.0, 1.0))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        EPGFrame(cells=((True,), (False,)), x_of_row=(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "cells, x_of_row", [((), ()), (((),), (0.0,)), (((), ()), (0.0, 1.0))],
+    ids=["no-rows", "no-columns", "rows-without-columns"],
+)
+def test_frame_without_rows_or_columns_is_rejected(cells, x_of_row):
+    # an empty grid used to build, then divide by zero in the palatal renderers
+    with pytest.raises(DomainError, match="at least one row and one column"):
+        EPGFrame(cells=cells, x_of_row=x_of_row)
 
 
 def test_epg_to_dict():

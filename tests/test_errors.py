@@ -101,3 +101,25 @@ def test_key_check_messages(read, doc, message):
     with pytest.raises(ConfigError) as info:
         read(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"tt_manner": "bogus"},
+         "tt_manner must be one of ['full', 'near', 'lateral'], got 'bogus'"),
+        ({"td_manner": ["full"]}, "td_manner must be one of ['full', 'near'], got ['full']"),
+        ({"groove_enabled": "no"}, "groove_enabled must be a boolean"),
+        ({"lateral_lower_enabled": 1}, "lateral_lower_enabled must be a boolean"),
+        ({"tth": "1"}, "params key 'tth' must be a number, got str"),
+        ({"tth": True}, "params key 'tth' must be a number, got bool"),
+        ({"groove_width": -1}, "groove_width must be >= 0"),
+    ],
+    ids=["tip-name", "dorsum-list", "groove-str", "lateral-int", "tth-str", "tth-bool",
+         "negative-width"],
+)
+def test_params_reader_messages(doc, message):
+    # the reader checks the float fields; ShapingParams checks manners and flags
+    with pytest.raises(ConfigError) as info:
+        params_from_dict(doc)
+    assert str(info.value) == message

@@ -29,7 +29,6 @@ from palatogram import (
     interpolate,
     render_palatal_svg,
 )
-from palatogram.epg import column_fractions
 import oracles
 
 PRESETS = sorted(default_library(), key=lambda t: t.name)
@@ -167,17 +166,6 @@ STYLES = (
 
 
 @st.composite
-def fractions(draw, cols: int) -> tuple[float, ...]:
-    """Either the raster's column fractions or another symmetric set."""
-    if draw(st.booleans()):
-        return column_fractions(cols)
-    half = sorted(draw(st.sets(st.integers(1, 999), min_size=cols // 2, max_size=cols // 2)))
-    left = [k / 2000.0 for k in half]
-    middle = [0.5] if cols % 2 else []
-    return tuple(left + middle + [1.0 - f for f in reversed(left)])
-
-
-@st.composite
 def frames(draw) -> EPGFrame:
     rows = draw(st.sampled_from((1, 2, 5, 8, 11)))
     cols = draw(st.sampled_from((1, 2, 3, 8, 12)))
@@ -185,11 +173,8 @@ def frames(draw) -> EPGFrame:
         st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     )
     return EPGFrame(
-        rows=rows,
-        cols=cols,
         cells=tuple(tuple(row) for row in cells),
         x_of_row=tuple(float(i) for i in range(rows)),
-        z_frac_of_col=draw(fractions(cols)),
     )
 
 
@@ -218,11 +203,8 @@ def test_palatal_svg_matches_per_cell_emitter(jobs):
 def test_palatal_svg_alternating_styles_and_lattices():
     lattices = [
         EPGFrame(
-            rows=rows,
-            cols=cols,
             cells=tuple(tuple((i + j) % 3 == 0 for j in range(cols)) for i in range(rows)),
             x_of_row=tuple(float(i) for i in range(rows)),
-            z_frac_of_col=column_fractions(cols),
         )
         for rows, cols in ((8, 8), (8, 12), (5, 8), (62, 62))
     ]

@@ -25,7 +25,6 @@ from palatogram import (
     default_palate,
     render_palatal_ppm,
 )
-from palatogram.epg import column_fractions
 from palatogram.render import _disc_runs
 from oracles import disc_pixels, palatal_ppm
 
@@ -38,11 +37,8 @@ def frames(draw) -> EPGFrame:
         st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     )
     return EPGFrame(
-        rows=rows,
-        cols=cols,
         cells=tuple(tuple(row) for row in cells),
         x_of_row=tuple(float(i) for i in range(rows)),
-        z_frac_of_col=column_fractions(cols),
     )
 
 
@@ -58,11 +54,8 @@ styles = st.builds(
 )
 
 CHECKER = EPGFrame(
-    rows=3,
-    cols=4,
     cells=((True, False, True, False), (False, True, False, True), (True, True, False, False)),
     x_of_row=(0.0, 1.0, 2.0),
-    z_frac_of_col=column_fractions(4),
 )
 
 

@@ -204,12 +204,21 @@ def test_dome_row_rejects_out_of_span(s0_cosine, bad):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sl=slices, u=st.floats(-5, 30), cols=st.integers(2, 41))
-def test_flat_rows_match_classify_slice(sl, u, cols):
+@given(sl=slices, u=st.floats(-5, 30), at_apex=st.booleans(), cols=st.integers(2, 41))
+@example(  # the half-ellipse apex used to round one ulp above h, opening the middle cell
+    sl=DomeSlice(x=0.0, z_min=0.0, z_max=5.4, h=13.25, shape=DomeShape.HALF_ELLIPSE),
+    u=13.25,
+    at_apex=True,
+    cols=3,
+)
+def test_flat_rows_match_classify_slice(sl, u, at_apex, cols):
     # a flat tongue's row is the analytic three-case classification, cell for
-    # cell, away from the rounding of the two crossings and of the apex: the
-    # half-ellipse's apex can round to one ulp above h
-    assume(abs(u - sl.h) > 1e-9 * sl.h)
+    # cell, away from the rounding of the two crossings; a tongue within
+    # 1e-9 * h below the apex is skipped, as its crossings meet there, but a
+    # tongue exactly at the apex is checked
+    if at_apex:
+        u = sl.h
+    assume(u == sl.h or abs(u - sl.h) > 1e-9 * sl.h)
     zs = [sl.z_min + (k + 0.5) / cols * sl.span for k in range(cols)]
     us = shaped_heights(ShapingParams(), sl, sl.x, u, zs)
     assert us == [u] * cols

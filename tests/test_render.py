@@ -26,7 +26,6 @@ from palatogram import (
     render_palatal_ppm,
     render_palatal_svg,
 )
-from palatogram.epg import column_fractions
 from conftest import s0_geometry
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,11 +34,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 def uniform_frame(value: bool, rows: int = 8, cols: int = 8) -> EPGFrame:
     return EPGFrame(
-        rows=rows,
-        cols=cols,
         cells=tuple(tuple([value] * cols) for _ in range(rows)),
         x_of_row=tuple(float(i) for i in range(rows)),
-        z_frac_of_col=column_fractions(cols),
     )
 
 

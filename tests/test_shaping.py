@@ -18,6 +18,8 @@ from palatogram import (
     TongueContour,
     compute_epg,
     default_library,
+    default_palate,
+    epg_text,
     edge_elevation_delta,
     groove_delta,
     lateral_lowering_delta,
@@ -65,6 +67,38 @@ def test_params_validation():
         ShapingParams(groove_width=-1.0)
     with pytest.raises(DomainError):
         ShapingParams(groove_enabled=True, lateral_lower_enabled=True)
+
+
+def test_manner_names_are_decoded_once():
+    # "full" used to equal TipManner.FULL and hash like it, yet the kernels
+    # test manners by identity, so t lost its lateral seal
+    t = default_library().get("t")
+    fields = {name: getattr(t.params, name) for name in ShapingParams.__slots__}
+    named = ShapingParams(**{**fields, "tt_manner": "full", "td_manner": "near"})
+    assert named.tt_manner is TipManner.FULL and named.td_manner is DorsumManner.NEAR
+    assert named == t.params
+    grid = epg_text(compute_epg(default_palate(), t.contour, named))
+    assert grid == epg_text(compute_epg(default_palate(), t.contour, t.params))
+    assert all(row[0] == row[-1] == "#" for row in grid.splitlines())  # sealed laterally
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tt_manner": "bogus"},
+         "tt_manner must be one of ['full', 'near', 'lateral'], got 'bogus'"),
+        ({"td_manner": TipManner.LATERAL}, "td_manner must be one of ['full', 'near'], got"),
+        ({"tt_manner": None}, "tt_manner must be one of ['full', 'near', 'lateral'], got None"),
+        ({"groove_enabled": "no"}, "groove_enabled must be a boolean"),
+        ({"lateral_lower_enabled": 1}, "lateral_lower_enabled must be a boolean"),
+    ],
+    ids=["tip-name", "dorsum-member-of-another-enum", "tip-none", "groove-str", "lateral-int"],
+)
+def test_manners_and_flags_outside_their_types_are_rejected(kwargs, message):
+    # groove_enabled="no" used to open the s groove
+    with pytest.raises(DomainError) as info:
+        ShapingParams(**kwargs)
+    assert str(info.value).startswith(message)
 
 
 FLOAT_FIELDS = (

@@ -41,7 +41,6 @@ from palatogram import (
     get_target,
 )
 from palatogram._frozen import Frozen
-from palatogram.epg import column_fractions
 import oracles
 
 # small values, so that equal draws and ordering failures both come up often
@@ -51,6 +50,8 @@ numbers = st.one_of(
 )
 # widths, depths and the like: mostly valid, so that later checks are reached
 magnitudes = st.sampled_from([0.0, 1.0, 6.4, 8.0, 12.0, 23.0, -1.0, float("nan")])
+# mostly bools, so that later checks are reached
+flags = st.one_of(st.booleans(), st.sampled_from([0, 1, "no", None]))
 ascending = st.lists(st.floats(-20.0, 20.0), max_size=4).map(lambda xs: tuple(sorted(xs)))
 
 slices = st.builds(
@@ -71,11 +72,11 @@ targets = st.builds(SoundTarget, name=st.sampled_from(["a", "t"]), contour=conto
 
 def epg_args(draw) -> tuple:
     rows = draw(st.integers(0, 3))
-    cols = draw(st.integers(1, 4))
-    n_cells = draw(st.sampled_from([rows, rows + 1]))
-    cells = tuple(tuple(draw(st.booleans()) for _ in range(cols)) for _ in range(n_cells))
-    fracs = draw(st.sampled_from([column_fractions(cols), (0.5,) * cols, (0.25, 0.75)]))
-    return rows, cols, cells, draw(ascending), fracs
+    cols = draw(st.integers(0, 4))
+    cells = [tuple(draw(st.booleans()) for _ in range(cols)) for _ in range(rows)]
+    if rows and draw(st.booleans()):  # one row of another length
+        cells[draw(st.integers(0, rows - 1))] = (True,) * draw(st.integers(0, 5))
+    return tuple(cells), draw(ascending)
 
 
 # one strategy per class: its fields in constructor order, as a tuple
@@ -103,15 +104,15 @@ ARGS = {
         tuple(draw(st.lists(st.tuples(numbers, numbers), max_size=4))),
     ),
     ShapingParams: lambda draw: (
-        draw(st.sampled_from(TipManner)),
-        draw(st.sampled_from(DorsumManner)),
+        draw(st.sampled_from([*TipManner, "full", "lateral", "bogus", None])),
+        draw(st.sampled_from([*DorsumManner, "near", "Full", 0])),
         draw(st.sampled_from([0.0, 0.3, 1.0, 1.5, float("nan")])),
         draw(magnitudes),
         draw(numbers),
-        draw(st.booleans()),
+        draw(flags),
         draw(magnitudes),
         draw(magnitudes),
-        draw(st.booleans()),
+        draw(flags),
         draw(magnitudes),
         draw(magnitudes),
     ),
