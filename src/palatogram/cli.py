@@ -32,7 +32,6 @@ from .dome import (
 from .epg import compute_epg, epg_text, epg_to_dict
 from .errors import PalatogramError, parse_json
 from .render import (
-    RenderStyle,
     export_obj,
     render_coronal_svg,
     render_palatal_ppm,
@@ -144,21 +143,21 @@ def _write(out: str, data: bytes | str) -> None:
         Path(out).write_bytes(data)
 
 
-def _render_frame(frame, fmt: str, style: RenderStyle) -> bytes:
+def _render_frame(frame, fmt: str) -> bytes:
     if fmt == "txt":
         return epg_text(frame).encode("utf-8")
     if fmt == "json":
         return (json.dumps(epg_to_dict(frame), indent=2) + "\n").encode("utf-8")
     if fmt == "svg":
-        return render_palatal_svg(frame, style)
-    return render_palatal_ppm(frame, style)
+        return render_palatal_svg(frame)
+    return render_palatal_ppm(frame)
 
 
 def _cmd_epg(ns: argparse.Namespace) -> int:
     geometry = _load_geometry(ns)
     target = _load_target(ns)
     frame = compute_epg(geometry, target.contour, target.params, rows=ns.rows, cols=ns.cols)
-    _write(ns.out, _render_frame(frame, ns.format, RenderStyle()))
+    _write(ns.out, _render_frame(frame, ns.format))
     return 0
 
 
@@ -168,7 +167,7 @@ def _cmd_slice(ns: argparse.Namespace) -> int:
     sl = slice_at(geometry, ns.x)
     u = midsagittal_height(target.contour, ns.x)
     if ns.format == "svg":
-        _write(ns.out, render_coronal_svg(sl, u, RenderStyle()))
+        _write(ns.out, render_coronal_svg(sl, u))
     else:
         doc = contact_to_dict(classify_slice(sl, u))
         _write(ns.out, json.dumps(doc, indent=2) + "\n")
@@ -196,12 +195,11 @@ def _cmd_animate(ns: argparse.Namespace) -> int:
     spec = sounds.animation_spec_from_dict(parse_json(Path(ns.spec).read_bytes(), ns.spec))
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    style = RenderStyle()
     frames = sounds.animate(spec)
     for k, target in enumerate(frames):
         frame = compute_epg(geometry, target.contour, target.params, rows=ns.rows, cols=ns.cols)
         path = outdir / f"frame_{k:05d}.{ns.format}"
-        path.write_bytes(_render_frame(frame, ns.format, style))
+        path.write_bytes(_render_frame(frame, ns.format))
     print(f"wrote {len(frames)} frames to {outdir}", file=sys.stderr)
     return 0
 

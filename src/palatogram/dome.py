@@ -22,7 +22,9 @@ from pathlib import Path
 from typing import Sequence
 
 from ._frozen import Frozen
-from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float, member, parse_json
+from .errors import (
+    MAX_MM, MIN_HALF_WIDTH_MM, ConfigError, DomainError, check_keys, finite_float, member, parse_json
+)
 
 __all__ = [
     "DomeShape",
@@ -59,7 +61,7 @@ class DomeSlice(Frozen):
         x: anterior-to-posterior position of the slice.
         z_min: lateral position of the left molar edge.
         z_max: lateral position of the right molar edge; the half width
-            0.5 * (z_max - z_min) must be positive.
+            0.5 * (z_max - z_min) must be at least MIN_HALF_WIDTH_MM.
         h: dome height above the occlusal baseline (h > 0).
         shape: lateral profile family, a DomeShape or its value; any other
             name raises DomainError.
@@ -90,9 +92,10 @@ class DomeSlice(Frozen):
                 raise DomainError(
                     f"slice field {name} must be finite and at most {MAX_MM:g} in magnitude"
                 )
-        if not 0.5 * (z_max - z_min) > 0:
+        if not 0.5 * (z_max - z_min) >= MIN_HALF_WIDTH_MM:
             raise DomainError(
-                f"slice at x={x}: half width of [{z_min}, {z_max}] must be positive"
+                f"slice at x={x}: half width of [{z_min}, {z_max}] "
+                f"must be at least {MIN_HALF_WIDTH_MM:g}"
             )
         if not h > 0:
             raise DomainError(f"slice at x={x}: dome height must be positive, got {h}")

@@ -9,6 +9,8 @@ from typing import Iterable
 
 # largest magnitude of any model length, in mm; a human palate is tens of mm
 MAX_MM = 1e6
+# smallest half width of a dome slice, in mm; a narrower half-ellipse underflows
+MIN_HALF_WIDTH_MM = 1e-6
 
 
 class PalatogramError(Exception):
@@ -51,7 +53,11 @@ def member(enum: type[Enum], value: object, what: str) -> Enum:
         return enum(value)
     except ValueError:
         choices = [m.value for m in enum]
-        raise DomainError(f"{what} must be one of {choices}, got {value!r}") from None
+    try:
+        shown = repr(value)
+    except ValueError:  # an int past the int-to-str digit limit
+        shown = f"{type(value).__name__} too long to print"
+    raise DomainError(f"{what} must be one of {choices}, got {shown}") from None
 
 
 def check_keys(

@@ -9,9 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 
-from ._frozen import Frozen
 from .contact import ContactClass, FullContact, Intersection, NoContact, classify_slice
 from .dome import (
     DomeSlice,
@@ -22,66 +20,39 @@ from .dome import (
     slice_at,
 )
 from .epg import EPGFrame, column_fractions
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "RenderStyle",
     "render_palatal_svg",
     "render_coronal_svg",
     "render_palatal_ppm",
     "export_obj",
 ]
 
-_HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
+# the one canvas, in pixels, and palette every palatal and coronal view uses
+WIDTH = 420
+HEIGHT = 480
+CONTACT_COLOR = "#cc2222"
+NO_CONTACT_COLOR = "#eecc44"
+OUTLINE_COLOR = "#445566"
+
+_SVG_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+    f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+    f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>'
+)
 
 
-class RenderStyle(Frozen):
-    """Canvas size and marker colors for documents."""
-
-    __slots__ = ("width", "height", "contact_color", "no_contact_color", "outline_color")
-
-    def __init__(
-        self,
-        width: int = 420,
-        height: int = 480,
-        contact_color: str = "#cc2222",
-        no_contact_color: str = "#eecc44",
-        outline_color: str = "#445566",
-    ) -> None:
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "contact_color", contact_color)
-        object.__setattr__(self, "no_contact_color", no_contact_color)
-        object.__setattr__(self, "outline_color", outline_color)
-        # whole pixels only: 420.0 would print as "420.0" yet equal 420, and
-        # equal styles share one cached palatal layout
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (width, height)):
-            raise ConfigError("canvas dimensions must be integers")
-        if width <= 0 or height <= 0:
-            raise ConfigError("canvas dimensions must be positive")
-        for name in ("contact_color", "no_contact_color", "outline_color"):
-            if not _HEX_COLOR.match(getattr(self, name)):
-                raise ConfigError(f"{name} must be a 6-digit hex color like #rrggbb")
-
-    @staticmethod
-    def fmt(value: float) -> str:
-        """A document coordinate: fixed 3 decimals, never ``-0.000``."""
-        text = f"{value:.3f}"
-        return "0.000" if text == "-0.000" else text
+def fmt(value: float) -> str:
+    """A document coordinate: fixed 3 decimals, never ``-0.000``."""
+    text = f"{value:.3f}"
+    return "0.000" if text == "-0.000" else text
 
 
-def _svg_open(style: RenderStyle) -> list[str]:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
-        f'<rect x="0" y="0" width="{style.width}" height="{style.height}" fill="#ffffff"/>',
-    ]
-
-
-def _palatal_layout(rows: int, cols: int, style: RenderStyle):
+def _palatal_layout(rows: int, cols: int):
     """Dot centers and radius for a rows x cols palatal lattice, anterior at the top."""
-    w, h = float(style.width), float(style.height)
+    w, h = float(WIDTH), float(HEIGHT)
     margin = 0.08 * min(w, h)
     arch_top = margin
     arch_bottom = h - margin
@@ -103,18 +74,18 @@ def _palatal_layout(rows: int, cols: int, style: RenderStyle):
     return centers, radius, margin
 
 
-def _horseshoe(style: RenderStyle, margin: float) -> tuple[float, float, float]:
+def _horseshoe(margin: float) -> tuple[float, float, float]:
     """Radii rx, ry of the palatal outline's arch and the y of its shoulders."""
-    w, h = float(style.width), float(style.height)
+    w, h = float(WIDTH), float(HEIGHT)
     rx = 0.5 * w - margin
     ry = 0.42 * (h - 2 * margin)
     return rx, ry, margin + ry
 
 
-def _horseshoe_path(style: RenderStyle, margin: float) -> str:
-    w, h = float(style.width), float(style.height)
-    rx, ry, shoulder_y = _horseshoe(style, margin)
-    f = style.fmt
+def _horseshoe_path(margin: float) -> str:
+    w, h = float(WIDTH), float(HEIGHT)
+    rx, ry, shoulder_y = _horseshoe(margin)
+    f = fmt
     return (
         f"M {f(margin)} {f(h - margin)} "
         f"L {f(margin)} {f(shoulder_y)} "
@@ -123,37 +94,38 @@ def _horseshoe_path(style: RenderStyle, margin: float) -> str:
     )
 
 
-# The frames of one animation share a canvas and a lattice; a few entries
-# cover the lattices one process renders at a time.
+# The frames of one animation share a lattice; a few entries cover the
+# lattices one process renders at a time.
 @functools.lru_cache(maxsize=16)
-def _palatal_svg_layout(style: RenderStyle, rows: int, cols: int) -> tuple[str, tuple[str, ...]]:
+def _palatal_svg_layout(rows: int, cols: int) -> tuple[str, tuple[str, ...]]:
     """The palatal SVG up to its first dot, and each dot's text up to its fill color."""
-    parts = _svg_open(style)
-    centers, radius, margin = _palatal_layout(rows, cols, style)
-    parts.append(
-        f'<path d="{_horseshoe_path(style, margin)}" fill="none" '
-        f'stroke="{style.outline_color}" stroke-width="2"/>'
+    centers, radius, margin = _palatal_layout(rows, cols)
+    head = (
+        f'{_SVG_HEAD}\n<path d="{_horseshoe_path(margin)}" fill="none" '
+        f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
     )
-    f = style.fmt
+    f = fmt
     r = f(radius)
     dots = []
     for row in centers:
         cy = f(row[0][1])
         dots.extend(f'<circle cx="{f(cx)}" cy="{cy}" r="{r}" fill="' for cx, _cy in row)
-    return "\n".join(parts), tuple(dots)
+    return head, tuple(dots)
 
 
-def render_palatal_svg(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> bytes:
+_ON, _OFF = CONTACT_COLOR + '"/>', NO_CONTACT_COLOR + '"/>'
+
+
+def render_palatal_svg(frame: EPGFrame) -> bytes:
     """Palatal view: one dot per grid cell inside a horseshoe outline.
 
-    The layout is computed once per canvas, style and lattice; a frame only
-    adds its fill colors.
+    The layout is computed once per lattice; a frame only adds its fill
+    colors.
     """
-    head, dots = _palatal_svg_layout(style, frame.rows, frame.cols)
-    on, off = style.contact_color + '"/>', style.no_contact_color + '"/>'
+    head, dots = _palatal_svg_layout(frame.rows, frame.cols)
     cells = itertools.chain.from_iterable(frame.cells)
     parts = [head]
-    parts += [dot + (on if contacted else off) for dot, contacted in zip(dots, cells)]
+    parts += [dot + (_ON if contacted else _OFF) for dot, contacted in zip(dots, cells)]
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -161,11 +133,9 @@ def render_palatal_svg(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> b
 CORONAL_CURVE_SAMPLES = 256
 
 
-def render_coronal_svg(
-    slice_: DomeSlice, u: float, style: RenderStyle = RenderStyle()
-) -> bytes:
+def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     """Coronal view: dome profile, flat tongue line at u, contact markers."""
-    w, h = float(style.width), float(style.height)
+    w, h = float(WIDTH), float(HEIGHT)
     margin = 0.10 * min(w, h)
     u_lo = min(0.0, u) - 0.15 * slice_.h
     u_hi = slice_.h + 0.15 * slice_.h
@@ -178,8 +148,8 @@ def render_coronal_svg(
     def sy(elev: float) -> float:
         return h - margin - (elev - u_lo) / (u_hi - u_lo) * (h - 2 * margin)
 
-    f = style.fmt
-    parts = _svg_open(style)
+    f = fmt
+    parts = [_SVG_HEAD]
     # occlusal baseline
     parts.append(
         f'<line x1="{f(sx(slice_.z_min))}" y1="{f(sy(0.0))}" '
@@ -191,7 +161,7 @@ def render_coronal_svg(
     pts = [f"{f(sx(z))},{f(sy(y))}" for z, y in zip(zs, dome_elevations(slice_, zs))]
     parts.append(
         f'<polyline points="{" ".join(pts)}" fill="none" '
-        f'stroke="{style.outline_color}" stroke-width="2"/>'
+        f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
     )
     # flat coronal tongue line
     parts.append(
@@ -205,7 +175,7 @@ def render_coronal_svg(
         for z in (slice_.z_min, slice_.z_max):
             parts.append(
                 f'<circle cx="{f(sx(z))}" cy="{f(sy(0.0))}" r="{f(marker)}" '
-                f'fill="{style.no_contact_color}"/>'
+                f'fill="{NO_CONTACT_COLOR}"/>'
             )
     elif isinstance(contact, Intersection):
         for z in (contact.z_left, contact.z_right):
@@ -217,12 +187,12 @@ def render_coronal_svg(
                 parts.append(
                     f'<line x1="{f(cx + dx0)}" y1="{f(cy + dy0)}" '
                     f'x2="{f(cx + dx1)}" y2="{f(cy + dy1)}" '
-                    f'stroke="{style.contact_color}" stroke-width="2"/>'
+                    f'stroke="{CONTACT_COLOR}" stroke-width="2"/>'
                 )
     else:
         parts.append(
             f'<circle cx="{f(sx(contact.z_apex))}" cy="{f(sy(slice_.h))}" '
-            f'r="{f(marker)}" fill="{style.contact_color}"/>'
+            f'r="{f(marker)}" fill="{CONTACT_COLOR}"/>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
@@ -284,10 +254,6 @@ def export_obj(
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _hex_rgb(color: str) -> bytes:
-    return bytes((int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)))
-
-
 def _disc_runs(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int, int, int]]:
     """The pixels of a w x h canvas inside a disc, as (row, first, last) runs.
 
@@ -318,13 +284,13 @@ def _disc_runs(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int
     return runs
 
 
-def render_palatal_ppm(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> bytes:
+def render_palatal_ppm(frame: EPGFrame) -> bytes:
     """Raster fallback of the palatal view (binary PPM, P6).
 
     Discs are painted in order, later ones over earlier ones, each as one
     slice assignment per pixel row.
     """
-    w, h = style.width, style.height
+    w, h = WIDTH, HEIGHT
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     raster = bytearray(header)
     raster += b"\xff" * (3 * w * h)
@@ -335,10 +301,10 @@ def render_palatal_ppm(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> b
             start = origin + 3 * (py * w + a)
             raster[start : start + 3 * (b - a + 1)] = rgb * (b - a + 1)
 
-    centers, radius, margin = _palatal_layout(frame.rows, frame.cols, style)
-    outline = _hex_rgb(style.outline_color)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.cols)
+    outline = bytes.fromhex(OUTLINE_COLOR[1:])
     # trace the horseshoe outline with small discs along its three segments
-    rx, ry, shoulder_y = _horseshoe(style, margin)
+    rx, ry, shoulder_y = _horseshoe(margin)
     steps = 160
     for k in range(steps + 1):
         t = k / steps
@@ -346,8 +312,8 @@ def render_palatal_ppm(frame: EPGFrame, style: RenderStyle = RenderStyle()) -> b
         put_disc(w - margin, h - margin + t * (shoulder_y - (h - margin)), 1.2, outline)
         angle = math.pi * (1.0 - t)
         put_disc(0.5 * w + rx * math.cos(angle), shoulder_y - ry * math.sin(angle), 1.2, outline)
-    contact_rgb = _hex_rgb(style.contact_color)
-    open_rgb = _hex_rgb(style.no_contact_color)
+    contact_rgb = bytes.fromhex(CONTACT_COLOR[1:])
+    open_rgb = bytes.fromhex(NO_CONTACT_COLOR[1:])
     for i, row in enumerate(frame.cells):
         for j, contacted in enumerate(row):
             cx, cy = centers[i][j]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ from palatogram import (
     Intersection,
     NoContact,
     PalateGeometry,
-    RenderStyle,
     ShapingParams,
     SoundTarget,
     TipManner,
@@ -30,8 +30,18 @@ from palatogram import (
     slice_at,
 )
 from palatogram.epg import column_fractions
-from palatogram.errors import MAX_MM
-from palatogram.render import _HEX_COLOR, _horseshoe_path, _palatal_layout, _svg_open
+from palatogram.errors import MAX_MM, MIN_HALF_WIDTH_MM
+from palatogram.render import (
+    CONTACT_COLOR,
+    HEIGHT,
+    NO_CONTACT_COLOR,
+    OUTLINE_COLOR,
+    WIDTH,
+    _SVG_HEAD,
+    _horseshoe_path,
+    _palatal_layout,
+    fmt,
+)
 from palatogram.shaping import _FLOAT_FIELDS
 from palatogram.sounds import BLEND_GRID_POINTS, MAX_FRAMES
 
@@ -153,13 +163,13 @@ def disc_pixels(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[in
     ]
 
 
-def palatal_ppm(frame: EPGFrame, style: RenderStyle) -> bytes:
+def palatal_ppm(frame: EPGFrame) -> bytes:
     """The palatal PPM painted pixel by pixel into a grid of RGB tuples.
 
     This is the painter render_palatal_ppm used before it wrote scanline
     runs; both must give the same bytes.
     """
-    w, h = style.width, style.height
+    w, h = WIDTH, HEIGHT
     white = (255, 255, 255)
     pixels = [[white] * w for _ in range(h)]
 
@@ -170,8 +180,8 @@ def palatal_ppm(frame: EPGFrame, style: RenderStyle) -> bytes:
         for px, py in disc_pixels(cx, cy, r, w, h):
             pixels[py][px] = rgb
 
-    centers, radius, margin = _palatal_layout(frame.rows, frame.cols, style)
-    outline = hex_rgb(style.outline_color)
+    centers, radius, margin = _palatal_layout(frame.rows, frame.cols)
+    outline = hex_rgb(OUTLINE_COLOR)
     rx = 0.5 * w - margin
     ry = 0.42 * (h - 2 * margin)
     shoulder_y = margin + ry
@@ -182,17 +192,14 @@ def palatal_ppm(frame: EPGFrame, style: RenderStyle) -> bytes:
         put_disc(w - margin, h - margin + t * (shoulder_y - (h - margin)), 1.2, outline)
         angle = math.pi * (1.0 - t)
         put_disc(0.5 * w + rx * math.cos(angle), shoulder_y - ry * math.sin(angle), 1.2, outline)
-    contact_rgb = hex_rgb(style.contact_color)
-    open_rgb = hex_rgb(style.no_contact_color)
+    contact_rgb = hex_rgb(CONTACT_COLOR)
+    open_rgb = hex_rgb(NO_CONTACT_COLOR)
     for i, row in enumerate(frame.cells):
         for j, contacted in enumerate(row):
             cx, cy = centers[i][j]
             put_disc(cx, cy, radius, contact_rgb if contacted else open_rgb)
-    raster = bytearray(f"P6\n{w} {h}\n255\n".encode("ascii"))
-    for prow in pixels:
-        for rgb in prow:
-            raster.extend(rgb)
-    return bytes(raster)
+    channels = itertools.chain.from_iterable(itertools.chain.from_iterable(pixels))
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + bytes(channels)
 
 
 def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
@@ -261,23 +268,23 @@ def animate(spec: AnimationSpec) -> list[SoundTarget]:
     return frames
 
 
-def palatal_svg(frame: EPGFrame, style: RenderStyle) -> bytes:
+def palatal_svg(frame: EPGFrame) -> bytes:
     """The palatal SVG laid out and formatted afresh, cell by cell.
 
     This is the emitter render_palatal_svg used before it kept one layout
-    per canvas; both must give the same bytes.
+    per lattice; both must give the same bytes.
     """
-    parts = _svg_open(style)
-    centers, radius, margin = _palatal_layout(frame.rows, frame.cols, style)
+    parts = [_SVG_HEAD]
+    centers, radius, margin = _palatal_layout(frame.rows, frame.cols)
     parts.append(
-        f'<path d="{_horseshoe_path(style, margin)}" fill="none" '
-        f'stroke="{style.outline_color}" stroke-width="2"/>'
+        f'<path d="{_horseshoe_path(margin)}" fill="none" '
+        f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
     )
-    f = style.fmt
+    f = fmt
     for i, row in enumerate(frame.cells):
         for j, contacted in enumerate(row):
             cx, cy = centers[i][j]
-            fill = style.contact_color if contacted else style.no_contact_color
+            fill = CONTACT_COLOR if contacted else NO_CONTACT_COLOR
             parts.append(
                 f'<circle cx="{f(cx)}" cy="{f(cy)}" r="{f(radius)}" fill="{fill}"/>'
             )
@@ -303,9 +310,10 @@ class DataclassDomeSlice:
                 raise DomainError(
                     f"slice field {name} must be finite and at most 1e+06 in magnitude"
                 )
-        if not (self.z_max - self.z_min) / 2 > 0:
+        if not (self.z_max - self.z_min) / 2 >= MIN_HALF_WIDTH_MM:
             raise DomainError(
-                f"slice at x={self.x}: half width of [{self.z_min}, {self.z_max}] must be positive"
+                f"slice at x={self.x}: half width of [{self.z_min}, {self.z_max}] "
+                "must be at least 1e-06"
             )
         if not self.h > 0:
             raise DomainError(f"slice at x={self.x}: dome height must be positive, got {self.h}")
@@ -368,24 +376,6 @@ class DataclassEPGFrame:
     @property
     def z_frac_of_col(self) -> tuple[float, ...]:
         return column_fractions(self.cols)
-
-
-@dataclass(frozen=True)
-class DataclassRenderStyle:
-    width: int = 420
-    height: int = 480
-    contact_color: str = "#cc2222"
-    no_contact_color: str = "#eecc44"
-    outline_color: str = "#445566"
-
-    def __post_init__(self) -> None:
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.width, self.height)):
-            raise ConfigError("canvas dimensions must be integers")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("canvas dimensions must be positive")
-        for name in ("contact_color", "no_contact_color", "outline_color"):
-            if not _HEX_COLOR.match(getattr(self, name)):
-                raise ConfigError(f"{name} must be a 6-digit hex color like #rrggbb")
 
 
 @dataclass(frozen=True)
@@ -501,7 +491,6 @@ DATACLASS_OF = {
     Intersection: DataclassIntersection,
     FullContact: DataclassFullContact,
     EPGFrame: DataclassEPGFrame,
-    RenderStyle: DataclassRenderStyle,
     TongueContour: DataclassTongueContour,
     ShapingParams: DataclassShapingParams,
     SoundTarget: DataclassSoundTarget,

@@ -18,7 +18,6 @@ from palatogram import (
     FullContact,
     Intersection,
     NoContact,
-    RenderStyle,
     ShapingParams,
     TongueContour,
     classify_slice,
@@ -188,17 +187,16 @@ def test_criterion_6_edge_seal():
 def test_criterion_7_determinism_and_formats():
     geometry = default_palate(DomeShape.COSINE)
     library = default_library()
-    style = RenderStyle()
     for name in ("t", "s", "i:"):
         target = library.get(name)
         frame = compute_epg(geometry, target.contour, target.params)
-        svg_a, svg_b = render_palatal_svg(frame, style), render_palatal_svg(frame, style)
+        svg_a, svg_b = render_palatal_svg(frame), render_palatal_svg(frame)
         assert hashlib.sha256(svg_a).digest() == hashlib.sha256(svg_b).digest()
         ET.fromstring(svg_a.decode("utf-8"))
         assert epg_text(frame) == epg_text(frame)
     sl = slice_at(geometry, 12.0)
-    assert render_coronal_svg(sl, 3.0, style) == render_coronal_svg(sl, 3.0, style)
-    ET.fromstring(render_coronal_svg(sl, 3.0, style).decode("utf-8"))
+    assert render_coronal_svg(sl, 3.0) == render_coronal_svg(sl, 3.0)
+    ET.fromstring(render_coronal_svg(sl, 3.0).decode("utf-8"))
     cases = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 5), (4, 8), (5, 3), (8, 8), (10, 6), (12, 4)]
     for nx, nz in cases:
         data = export_obj(geometry, nx, nz)

@@ -310,12 +310,14 @@ SUBNORMAL_WIDTH = {"z_min": 0, "z_max": 5e-324, "h": 1}
         (palate_doc("half_ellipse", SUBNORMAL_WIDTH, WIDE), ["mesh"]),
         (palate_doc("cosine", WIDE, SUBNORMAL_WIDTH, WIDE), ["epg", "--rows", "1"]),
         (palate_doc("half_ellipse", {**WIDE, "h": 1e308}, WIDE), ["mesh"]),
+        (palate_doc("half_ellipse", {"z_min": 0, "z_max": 1e-200, "h": 5}, WIDE), ["epg"]),
     ],
     ids=["subnormal-width-slice", "subnormal-width-mesh", "subnormal-width-epg",
-         "huge-height-mesh"],
+         "huge-height-mesh", "underflow-width-epg"],
 )
 def test_palate_past_the_length_bounds_is_one_config_error(tmp_path, capsys, palate, argv):
-    # each of these used to raise ZeroDivisionError or print a 300-digit vertex
+    # each of these used to raise ZeroDivisionError, print a 300-digit vertex,
+    # or raster a half-ellipse whose midline elevation underflowed to 0.0
     palate_file, contour_file = tmp_path / "p.json", tmp_path / "c.json"
     palate_file.write_text(palate, encoding="utf-8")
     contour_file.write_text(json.dumps({"contour": [[0, 3], [40, 3]], "params": {

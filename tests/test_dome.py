@@ -20,6 +20,7 @@ from palatogram import (
     with_shape,
 )
 from palatogram.dome import MAX_SURFACE_STEPS, surface_xs
+from palatogram.errors import MIN_HALF_WIDTH_MM
 from conftest import s0_geometry
 from oracles import bisect_ellipse_elevation
 
@@ -106,6 +107,17 @@ def test_slice_validation():
     for z_min, z_max in ((-1e308, 1e308), (1.7e308, 1.75e308), (-(10**308), 10**308)):
         with pytest.raises(DomainError, match=r"must be finite and at most 1e\+06 in magnitude"):
             DomeSlice(x=0.0, z_min=z_min, z_max=z_max, h=1.0)
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_slice_half_width_has_a_floor(shape):
+    # a half-ellipse 1e-200 wide used to read 0.0 at its midline, where
+    # classify_slice found an intersection
+    narrowest = DomeSlice(x=0.0, z_min=0.0, z_max=2 * MIN_HALF_WIDTH_MM, h=5.0, shape=shape)
+    assert dome_elevation(narrowest, MIN_HALF_WIDTH_MM) == 5.0
+    for z_max in (1e-200, 5e-324, 1.999e-6):
+        with pytest.raises(DomainError, match=r"half width of \[0\.0, .*\] must be at least 1e-06"):
+            DomeSlice(x=0.0, z_min=0.0, z_max=z_max, h=5.0, shape=shape)
 
 
 def test_geometry_validation(s0_cosine):

@@ -6,8 +6,9 @@ import math
 
 import pytest
 
+from palatogram import DomeSlice, ShapingParams
 from palatogram.dome import palate_from_dict
-from palatogram.errors import ConfigError, finite_float, parse_json
+from palatogram.errors import ConfigError, DomainError, finite_float, parse_json
 from palatogram.shaping import params_from_dict
 from palatogram.sounds import animation_spec_from_dict, target_from_dict
 
@@ -122,4 +123,26 @@ def test_params_reader_messages(doc, message):
     # the reader checks the float fields; ShapingParams checks manners and flags
     with pytest.raises(ConfigError) as info:
         params_from_dict(doc)
+    assert str(info.value) == message
+
+
+HUGE = 10**5000  # an int past the int-to-str digit limit
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ShapingParams(tt_manner=HUGE),
+         "tt_manner must be one of ['full', 'near', 'lateral'], got int too long to print"),
+        (lambda: DomeSlice(0, -1, 1, 1, shape=HUGE),
+         "dome shape must be one of ['cosine', 'half_ellipse'], got int too long to print"),
+        (lambda: DomeSlice(0, -1, 1, 1, shape=7),
+         "dome shape must be one of ['cosine', 'half_ellipse'], got 7"),
+    ],
+    ids=["tip-huge-int", "shape-huge-int", "shape-int"],
+)
+def test_enum_messages_name_a_value_too_long_to_print(make, message):
+    # the huge ints used to raise a plain ValueError from repr
+    with pytest.raises(DomainError) as info:
+        make()
     assert str(info.value) == message

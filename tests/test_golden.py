@@ -1,8 +1,7 @@
 """Golden-bytes corpus: sha256 digests of the package's output documents.
 
-Nearly every case is one ``palatogram`` command line; the rest render on a
-canvas size the CLI does not offer. Each case's bytes must hash to the digest
-stored in ``golden/manifest.json``. Speed work on the emitters,
+Every case is one ``palatogram`` command line. Each case's bytes must hash
+to the digest stored in ``golden/manifest.json``. Speed work on the emitters,
 the raster or the dome must leave every digest as it is. Regenerate the
 manifest only for a change that means to alter output bytes:
 
@@ -20,16 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from palatogram import (
-    DomeShape,
-    RenderStyle,
-    compute_epg,
-    default_palate,
-    get_target,
-    render_palatal_ppm,
-    render_palatal_svg,
-    sound_names,
-)
+from palatogram import sound_names
 from palatogram.cli import run
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
@@ -39,7 +29,6 @@ EPG_FORMATS = ("txt", "json", "svg", "ppm")
 EPG_GRIDS = ((8, 8), (5, 11))
 CORONAL_SLICES = (("t", 1.0), ("t", 8.0), ("t", 20.0), ("s", 20.0), ("s", 34.0))
 MESHES = ((40, 32), (96, 128))
-CANVASES = ((97, 61), (640, 360))
 ANIMATION_SPEC = {"targets": ["t", "a:", "s"], "hold_ms": [80, 40, 60], "transition_ms": [120, 90]}
 
 
@@ -54,12 +43,6 @@ def golden_cases() -> dict:
                         "epg", "--sound", sound, "--model", model,
                         "--rows", str(rows), "--cols", str(cols), "--format", fmt,
                     ])
-        for sound in ("t", "s"):
-            for width, height in CANVASES:
-                for fmt in ("svg", "ppm"):
-                    cases[f"canvas/{sound}/{model}/{width}x{height}.{fmt}"] = partial(
-                        canvas_bytes, sound, model, width, height, fmt
-                    )
         for sound, x in CORONAL_SLICES:
             for fmt in ("svg", "json"):
                 cases[f"slice/{sound}/{model}/x{x}.{fmt}"] = partial(cli_bytes, [
@@ -71,13 +54,6 @@ def golden_cases() -> dict:
             cases[f"mesh/t/{model}/{nx}x{nz}.obj"] = partial(cli_bytes, base + ["--sound", "t"])
         cases[f"animate/{model}/8x8.svg"] = partial(cli_bytes, ["animate", "--model", model])
     return cases
-
-
-def canvas_bytes(sound: str, model: str, width: int, height: int, fmt: str, _workdir: Path) -> bytes:
-    target = get_target(sound)
-    frame = compute_epg(default_palate(DomeShape(model)), target.contour, target.params)
-    render = render_palatal_svg if fmt == "svg" else render_palatal_ppm
-    return render(frame, RenderStyle(width=width, height=height))
 
 
 def cli_bytes(argv: list[str], workdir: Path) -> bytes:

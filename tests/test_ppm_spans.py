@@ -1,11 +1,10 @@
 """The scanline-run PPM painter against the per-pixel painter in oracles.py.
 
 render_palatal_ppm writes each disc row as one run; the bytes must equal
-those of the painter that tests every pixel of the disc's bounding box,
-on any frame and any canvas, including canvases so small that the discs
-are clipped at the border. The runs of single discs are checked on their
-own too, with centers and radii that put pixel centers on or within an ulp
-of the circle.
+those of the painter that tests every pixel of the disc's bounding box, on
+any frame. The runs of single discs are checked on their own too, with
+centers and radii that put pixel centers on or within an ulp of the circle,
+and on canvases so small that the discs are clipped at the border.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 from palatogram import (
     DomeShape,
     EPGFrame,
-    RenderStyle,
     compute_epg,
     default_library,
     default_palate,
@@ -42,17 +40,6 @@ def frames(draw) -> EPGFrame:
     )
 
 
-colors = st.integers(0, 0xFFFFFF).map(lambda v: f"#{v:06x}")
-
-styles = st.builds(
-    RenderStyle,
-    width=st.one_of(st.integers(1, 8), st.integers(1, 160)),
-    height=st.one_of(st.integers(1, 8), st.integers(1, 160)),
-    contact_color=colors,
-    no_contact_color=colors,
-    outline_color=colors,
-)
-
 CHECKER = EPGFrame(
     cells=((True, False, True, False), (False, True, False, True), (True, True, False, False)),
     x_of_row=(0.0, 1.0, 2.0),
@@ -60,22 +47,22 @@ CHECKER = EPGFrame(
 
 
 @settings(max_examples=200, deadline=None)
-@given(frame=frames(), style=styles)
-@example(frame=CHECKER, style=RenderStyle(width=1, height=1))
-@example(frame=CHECKER, style=RenderStyle(width=1, height=57))
-@example(frame=CHECKER, style=RenderStyle(width=83, height=1))
-@example(frame=CHECKER, style=RenderStyle(width=2, height=3))
-@example(frame=CHECKER, style=RenderStyle(width=160, height=7))
-@example(frame=CHECKER, style=RenderStyle())
-def test_ppm_matches_per_pixel_painter(frame, style):
-    assert render_palatal_ppm(frame, style) == palatal_ppm(frame, style)
+@given(frame=frames())
+@example(frame=CHECKER)
+def test_ppm_matches_per_pixel_painter(frame):
+    assert render_palatal_ppm(frame) == palatal_ppm(frame)
 
 
 @pytest.mark.parametrize("width", range(1, 13))
 def test_ppm_tiny_canvases_match(width):
+    # discs of the outline's and the dots' sizes, centered on, inside and
+    # just outside every canvas up to 12 x 12, clipped at its border
     for height in range(1, 13):
-        style = RenderStyle(width=width, height=height)
-        assert render_palatal_ppm(CHECKER, style) == palatal_ppm(CHECKER, style)
+        for cx in (-1.5, -0.2, 0.0, 0.5, width / 2, width - 0.5, width + 0.7):
+            for cy in (-0.6, 0.5, height / 2, height + 1.1):
+                for r in (0.4, 1.2, 3.0, 7.5):
+                    got = run_pixels(_disc_runs(cx, cy, r, width, height))
+                    assert got == disc_pixels(cx, cy, r, width, height)
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))
@@ -83,7 +70,7 @@ def test_ppm_tiny_canvases_match(width):
 def test_ppm_preset_frames_match(shape, sound):
     target = default_library().get(sound)
     frame = compute_epg(default_palate(shape), target.contour, target.params, rows=6, cols=9)
-    assert render_palatal_ppm(frame) == palatal_ppm(frame, RenderStyle())
+    assert render_palatal_ppm(frame) == palatal_ppm(frame)
 
 
 # pixel-center-aligned coordinates and radii whose squares are (close to)
@@ -109,6 +96,11 @@ def run_pixels(runs) -> list[tuple[int, int]]:
 @example(cx=10.5, cy=10.5, r=5.0, w=40, h=40)
 @example(cx=10.5, cy=10.5, r=math.sqrt(2.0), w=40, h=40)
 @example(cx=-3.0, cy=5.0, r=4.0, w=3, h=9)
+@example(cx=0.5, cy=0.5, r=1.2, w=1, h=1)
+@example(cx=0.5, cy=28.5, r=1.2, w=1, h=57)
+@example(cx=41.5, cy=0.5, r=1.2, w=83, h=1)
+@example(cx=1.0, cy=1.5, r=1.2, w=2, h=3)
+@example(cx=80.0, cy=3.5, r=2.0, w=160, h=7)
 def test_disc_runs_match_per_pixel_test(cx, cy, r, w, h):
     runs = _disc_runs(cx, cy, r, w, h)
     assert [py for py, _a, _b in runs] == sorted({py for py, _a, _b in runs})

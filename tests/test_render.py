@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from palatogram import (
-    ConfigError,
     DomainError,
     DomeShape,
     DomeSlice,
@@ -16,7 +15,6 @@ from palatogram import (
     FullContact,
     Intersection,
     NoContact,
-    RenderStyle,
     classify_slice,
     compute_epg,
     default_library,
@@ -26,6 +24,7 @@ from palatogram import (
     render_palatal_ppm,
     render_palatal_svg,
 )
+from palatogram.render import CONTACT_COLOR, NO_CONTACT_COLOR, WIDTH, fmt
 from conftest import s0_geometry
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,34 +42,21 @@ def circles(svg: bytes):
     return ET.fromstring(svg.decode("utf-8")).iter(f"{SVG_NS}circle")
 
 
-def test_style_validation():
-    with pytest.raises(ConfigError):
-        RenderStyle(contact_color="red")
-    with pytest.raises(ConfigError):
-        RenderStyle(width=0)
-    # 420.0 == 420, but its document would read width="420.0"
-    for bad in ({"width": 420.0}, {"height": 480.0}, {"width": True}):
-        with pytest.raises(ConfigError, match="integers"):
-            RenderStyle(**bad)
-
-
 @pytest.mark.parametrize(
     "value, text",
     [(1.0, "1.000"), (2.71828, "2.718"), (-3.14159, "-3.142"), (-0.0, "0.000"),
      (-0.0004, "0.000"), (-0.0005, "-0.001"), (0.0004, "0.000"), (12345.6789, "12345.679")],
 )
 def test_fmt_three_decimals_without_negative_zero(value, text):
-    assert RenderStyle.fmt(value) == text
-    assert RenderStyle(width=10, height=10).fmt(value) == text
+    assert fmt(value) == text
 
 
 @pytest.mark.parametrize("value, expected_contact", [(False, 0), (True, 64)])
 def test_palatal_dot_counts(value, expected_contact):
-    style = RenderStyle()
-    svg = render_palatal_svg(uniform_frame(value), style)
+    svg = render_palatal_svg(uniform_frame(value))
     dots = list(circles(svg))
     assert len(dots) == 64
-    contact = [c for c in dots if c.get("fill") == style.contact_color]
+    contact = [c for c in dots if c.get("fill") == CONTACT_COLOR]
     assert len(contact) == expected_contact
 
 
@@ -98,11 +84,10 @@ def test_palatal_golden_t_preset():
 
 def test_palatal_dot_fills_match_frame():
     target = default_library().get("t")
-    style = RenderStyle()
     frame = compute_epg(default_palate(DomeShape.COSINE), target.contour, target.params)
-    fills = [c.get("fill") for c in circles(render_palatal_svg(frame, style))]
+    fills = [c.get("fill") for c in circles(render_palatal_svg(frame))]
     expected = [
-        style.contact_color if cell else style.no_contact_color
+        CONTACT_COLOR if cell else NO_CONTACT_COLOR
         for row in frame.cells
         for cell in row
     ]
@@ -115,44 +100,35 @@ def slice_s0() -> DomeSlice:
 
 
 def test_coronal_intersection_markers(slice_s0):
-    style = RenderStyle()
-    svg = render_coronal_svg(slice_s0, 5.0, style)
+    svg = render_coronal_svg(slice_s0, 5.0)
     root = ET.fromstring(svg.decode("utf-8"))
-    crosses = [
-        e for e in root.iter(f"{SVG_NS}line") if e.get("stroke") == style.contact_color
-    ]
+    crosses = [e for e in root.iter(f"{SVG_NS}line") if e.get("stroke") == CONTACT_COLOR]
     assert len(crosses) == 4  # two X markers, two strokes each
     # the two crosses sit symmetrically about the canvas midline
     mids = sorted(
         0.5 * (float(e.get("x1")) + float(e.get("x2"))) for e in crosses
     )
-    assert mids[0] == pytest.approx(style.width - mids[-1], abs=0.01)
+    assert mids[0] == pytest.approx(WIDTH - mids[-1], abs=0.01)
     polylines = list(root.iter(f"{SVG_NS}polyline"))
     assert len(polylines) == 1
     assert len(polylines[0].get("points").split()) == 256
 
 
 def test_coronal_no_contact_markers(slice_s0):
-    style = RenderStyle()
-    svg = render_coronal_svg(slice_s0, -2.0, style)
+    svg = render_coronal_svg(slice_s0, -2.0)
     root = ET.fromstring(svg.decode("utf-8"))
-    yellow = [
-        e for e in root.iter(f"{SVG_NS}circle") if e.get("fill") == style.no_contact_color
-    ]
+    yellow = [e for e in root.iter(f"{SVG_NS}circle") if e.get("fill") == NO_CONTACT_COLOR]
     assert len(yellow) == 2
-    red_lines = [
-        e for e in root.iter(f"{SVG_NS}line") if e.get("stroke") == style.contact_color
-    ]
+    red_lines = [e for e in root.iter(f"{SVG_NS}line") if e.get("stroke") == CONTACT_COLOR]
     assert not red_lines
 
 
 def test_coronal_full_contact_marker(slice_s0):
-    style = RenderStyle()
-    svg = render_coronal_svg(slice_s0, 10.0, style)
+    svg = render_coronal_svg(slice_s0, 10.0)
     root = ET.fromstring(svg.decode("utf-8"))
-    apex = [e for e in root.iter(f"{SVG_NS}circle") if e.get("fill") == style.contact_color]
+    apex = [e for e in root.iter(f"{SVG_NS}circle") if e.get("fill") == CONTACT_COLOR]
     assert len(apex) == 1
-    assert float(apex[0].get("cx")) == pytest.approx(style.width / 2, abs=0.01)
+    assert float(apex[0].get("cx")) == pytest.approx(WIDTH / 2, abs=0.01)
 
 
 def test_coronal_determinism(slice_s0):
@@ -242,17 +218,15 @@ def test_obj_determinism(two_slice_geometry):
 
 def test_ppm_header_and_determinism():
     frame = uniform_frame(True, rows=4, cols=4)
-    style = RenderStyle(width=80, height=90)
-    data = render_palatal_ppm(frame, style)
-    assert data.startswith(b"P6\n80 90\n255\n")
-    header_len = len(b"P6\n80 90\n255\n")
-    assert len(data) == header_len + 80 * 90 * 3
-    assert data == render_palatal_ppm(frame, style)
+    data = render_palatal_ppm(frame)
+    assert data.startswith(b"P6\n420 480\n255\n")
+    header_len = len(b"P6\n420 480\n255\n")
+    assert len(data) == header_len + 420 * 480 * 3
+    assert data == render_palatal_ppm(frame)
 
 
 def test_ppm_contains_contact_color():
-    style = RenderStyle(width=60, height=70)
-    data = render_palatal_ppm(uniform_frame(True, 2, 2), style)
+    data = render_palatal_ppm(uniform_frame(True, 2, 2))
     assert bytes((0xCC, 0x22, 0x22)) in data
 
 

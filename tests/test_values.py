@@ -33,7 +33,6 @@ from palatogram import (
     Intersection,
     NoContact,
     PalateGeometry,
-    RenderStyle,
     ShapingParams,
     SoundTarget,
     TipManner,
@@ -93,13 +92,6 @@ ARGS = {
     Intersection: lambda draw: (draw(numbers), draw(numbers)),
     FullContact: lambda draw: (draw(numbers),),
     EPGFrame: epg_args,
-    RenderStyle: lambda draw: (
-        draw(st.one_of(st.integers(-2, 600), st.sampled_from([True, 420.0]))),
-        draw(st.integers(-2, 600)),
-        draw(st.sampled_from(["#cc2222", "#ABCDEF", "red"])),
-        draw(st.sampled_from(["#eecc44", "#00000"])),
-        draw(st.sampled_from(["#445566", "#123456"])),
-    ),
     TongueContour: lambda draw: (
         tuple(draw(st.lists(st.tuples(numbers, numbers), max_size=4))),
     ),
