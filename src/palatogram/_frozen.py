@@ -32,6 +32,18 @@ class Frozen:
             values = lambda value: ()
         cls._values = staticmethod(values)
 
+    @classmethod
+    def _unchecked(cls, *values: object):
+        """An instance of values, in ``__slots__`` order, that skips ``__init__``'s checks.
+
+        Only for values derived from checked ones, which a check could fail by
+        rounding alone; copying or unpickling it runs the checks after all.
+        """
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        return self
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._values(self) == other._values(other)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from ._frozen import Frozen
 from .errors import (
-    MAX_MM, MIN_HALF_WIDTH_MM, ConfigError, DomainError, check_keys, finite_float, member, parse_json
+    MAX_MM, MIN_MM, ConfigError, DomainError, check_keys, finite_float, member, parse_json
 )
 
 __all__ = [
@@ -61,8 +61,8 @@ class DomeSlice(Frozen):
         x: anterior-to-posterior position of the slice.
         z_min: lateral position of the left molar edge.
         z_max: lateral position of the right molar edge; the half width
-            0.5 * (z_max - z_min) must be at least MIN_HALF_WIDTH_MM.
-        h: dome height above the occlusal baseline (h > 0).
+            0.5 * (z_max - z_min) must be at least MIN_MM.
+        h: dome height above the occlusal baseline, at least MIN_MM.
         shape: lateral profile family, a DomeShape or its value; any other
             name raises DomainError.
 
@@ -92,13 +92,12 @@ class DomeSlice(Frozen):
                 raise DomainError(
                     f"slice field {name} must be finite and at most {MAX_MM:g} in magnitude"
                 )
-        if not 0.5 * (z_max - z_min) >= MIN_HALF_WIDTH_MM:
+        if not 0.5 * (z_max - z_min) >= MIN_MM:
             raise DomainError(
-                f"slice at x={x}: half width of [{z_min}, {z_max}] "
-                f"must be at least {MIN_HALF_WIDTH_MM:g}"
+                f"slice at x={x}: half width of [{z_min}, {z_max}] must be at least {MIN_MM:g}"
             )
-        if not h > 0:
-            raise DomainError(f"slice at x={x}: dome height must be positive, got {h}")
+        if not h >= MIN_MM:
+            raise DomainError(f"slice at x={x}: dome height must be at least {MIN_MM:g}, got {h}")
 
     @property
     def z_center(self) -> float:
@@ -201,7 +200,8 @@ def invert_dome(slice_: DomeSlice, u: float) -> tuple[float, float]:
         return (slice_.z_min + t * slice_.span, slice_.z_max - t * slice_.span)
     r = u / slice_.h
     off = slice_.half_width * math.sqrt(max(1.0 - r * r, 0.0))
-    return (slice_.z_center - off, slice_.z_center + off)
+    # z_center -/+ half_width can round an ulp past the edges; keep to the slice
+    return (max(slice_.z_center - off, slice_.z_min), min(slice_.z_center + off, slice_.z_max))
 
 
 _SLICE_X = attrgetter("x")
@@ -210,7 +210,9 @@ _SLICE_X = attrgetter("x")
 def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
     """Slice at an arbitrary x, linearly interpolating between stored slices.
 
-    The interpolated slice has the shape of the stored slices.
+    The interpolated slice has the shape of the stored slices. It lies between
+    two that passed DomeSlice's checks, so rounding alone could fail them: it
+    is not checked again.
     """
     slices = geometry.slices
     if not slices[0].x <= x <= slices[-1].x:
@@ -226,12 +228,8 @@ def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
         return b
     t = (x - a.x) / (b.x - a.x)
     s = 1.0 - t
-    return DomeSlice(
-        x=x,
-        z_min=s * a.z_min + t * b.z_min,
-        z_max=s * a.z_max + t * b.z_max,
-        h=s * a.h + t * b.h,
-        shape=a.shape,
+    return DomeSlice._unchecked(
+        x, s * a.z_min + t * b.z_min, s * a.z_max + t * b.z_max, s * a.h + t * b.h, a.shape
     )
 
 

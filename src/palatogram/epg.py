@@ -84,9 +84,8 @@ def compute_epg(
     """Rasterize tongue-palate contact over the contour/palate overlap.
 
     Cell (i, j) is contacted iff the shaped tongue height at the cell center
-    reaches the dome surface there. Rows whose center falls outside the
-    tongue contour are all-false. rows must lie in [1, MAX_EPG_SIDE] and cols
-    in [2, MAX_EPG_SIDE].
+    reaches the dome surface there. rows must lie in [1, MAX_EPG_SIDE] and
+    cols in [2, MAX_EPG_SIDE].
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -103,11 +102,7 @@ def compute_epg(
     cells = []
     for x in x_of_row:
         sl = slice_at(geometry, x)
-        try:
-            u_mid = midsagittal_height(contour, x)
-        except DomainError:
-            cells.append((False,) * cols)
-            continue
+        u_mid = midsagittal_height(contour, x)
         # offsets mirror exactly, keeping symmetric shapes bit-symmetric
         z_center, span = sl.z_center, sl.span
         zs = [z_center + o * span for o in offsets]

@@ -9,8 +9,9 @@ from typing import Iterable
 
 # largest magnitude of any model length, in mm; a human palate is tens of mm
 MAX_MM = 1e6
-# smallest half width of a dome slice, in mm; a narrower half-ellipse underflows
-MIN_HALF_WIDTH_MM = 1e-6
+# smallest half width and dome height of a slice, in mm; a narrower
+# half-ellipse underflows, and a lower dome can interpolate to a height of 0
+MIN_MM = 1e-6
 
 
 class PalatogramError(Exception):

@@ -50,67 +50,55 @@ def fmt(value: float) -> str:
     return "0.000" if text == "-0.000" else text
 
 
-def _palatal_layout(rows: int, cols: int):
-    """Dot centers and radius for a rows x cols palatal lattice, anterior at the top."""
-    w, h = float(WIDTH), float(HEIGHT)
-    margin = 0.08 * min(w, h)
-    arch_top = margin
-    arch_bottom = h - margin
-    usable_h = arch_bottom - arch_top
-    y0 = arch_top + 0.22 * usable_h
+# The palatal view: a horseshoe outline inside a margin, its arch of radii
+# rx, ry meeting straight sides at the shoulders; the SVG up to its first dot.
+_MARGIN = 0.08 * min(WIDTH, HEIGHT)
+_ARCH_RX = 0.5 * WIDTH - _MARGIN
+_ARCH_RY = 0.42 * (HEIGHT - 2 * _MARGIN)
+_SHOULDER_Y = _MARGIN + _ARCH_RY
+_OUTLINE_PATH = (
+    f"M {fmt(_MARGIN)} {fmt(HEIGHT - _MARGIN)} L {fmt(_MARGIN)} {fmt(_SHOULDER_Y)} "
+    f"A {fmt(_ARCH_RX)} {fmt(_ARCH_RY)} 0 0 1 {fmt(WIDTH - _MARGIN)} {fmt(_SHOULDER_Y)} "
+    f"L {fmt(WIDTH - _MARGIN)} {fmt(HEIGHT - _MARGIN)}"
+)
+_PALATAL_SVG_HEAD = (
+    f'{_SVG_HEAD}\n<path d="{_OUTLINE_PATH}" fill="none" '
+    f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
+)
+
+
+# The frames of one animation share a lattice; a few entries cover the
+# lattices one process renders at a time.
+@functools.lru_cache(maxsize=16)
+def _palatal_layout(rows: int, cols: int) -> tuple[tuple, float]:
+    """The (cx, cy) of each dot, a tuple per row with the anterior row first, and their radius."""
+    arch_bottom = HEIGHT - _MARGIN
+    usable_h = arch_bottom - _MARGIN
+    y0 = _MARGIN + 0.22 * usable_h
     y1 = arch_bottom - 0.08 * usable_h
-    radius = min((y1 - y0) / rows, (w - 2 * margin) / cols) * 0.30
+    radius = min((y1 - y0) / rows, (WIDTH - 2 * _MARGIN) / cols) * 0.30
+    row_span = WIDTH - 2 * _MARGIN - 2 * radius
     fracs = column_fractions(cols)
     centers = []
     for i in range(rows):
         cy = y0 + (i + 0.5) * (y1 - y0) / rows
         # the palate narrows toward the incisors; shrink anterior rows
         narrow = 0.58 + 0.42 * (i + 0.5) / rows
-        row = []
-        for f in fracs:
-            cx = 0.5 * w + (f - 0.5) * (w - 2 * margin - 2 * radius) * narrow
-            row.append((cx, cy))
-        centers.append(row)
-    return centers, radius, margin
+        centers.append(tuple((0.5 * WIDTH + (f - 0.5) * row_span * narrow, cy) for f in fracs))
+    return tuple(centers), radius
 
 
-def _horseshoe(margin: float) -> tuple[float, float, float]:
-    """Radii rx, ry of the palatal outline's arch and the y of its shoulders."""
-    w, h = float(WIDTH), float(HEIGHT)
-    rx = 0.5 * w - margin
-    ry = 0.42 * (h - 2 * margin)
-    return rx, ry, margin + ry
-
-
-def _horseshoe_path(margin: float) -> str:
-    w, h = float(WIDTH), float(HEIGHT)
-    rx, ry, shoulder_y = _horseshoe(margin)
-    f = fmt
-    return (
-        f"M {f(margin)} {f(h - margin)} "
-        f"L {f(margin)} {f(shoulder_y)} "
-        f"A {f(rx)} {f(ry)} 0 0 1 {f(w - margin)} {f(shoulder_y)} "
-        f"L {f(w - margin)} {f(h - margin)}"
-    )
-
-
-# The frames of one animation share a lattice; a few entries cover the
-# lattices one process renders at a time.
 @functools.lru_cache(maxsize=16)
-def _palatal_svg_layout(rows: int, cols: int) -> tuple[str, tuple[str, ...]]:
-    """The palatal SVG up to its first dot, and each dot's text up to its fill color."""
-    centers, radius, margin = _palatal_layout(rows, cols)
-    head = (
-        f'{_SVG_HEAD}\n<path d="{_horseshoe_path(margin)}" fill="none" '
-        f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
-    )
+def _palatal_svg_dots(rows: int, cols: int) -> tuple[str, ...]:
+    """Each dot's SVG text up to its fill color."""
+    centers, radius = _palatal_layout(rows, cols)
     f = fmt
     r = f(radius)
     dots = []
     for row in centers:
         cy = f(row[0][1])
         dots.extend(f'<circle cx="{f(cx)}" cy="{cy}" r="{r}" fill="' for cx, _cy in row)
-    return head, tuple(dots)
+    return tuple(dots)
 
 
 _ON, _OFF = CONTACT_COLOR + '"/>', NO_CONTACT_COLOR + '"/>'
@@ -122,31 +110,32 @@ def render_palatal_svg(frame: EPGFrame) -> bytes:
     The layout is computed once per lattice; a frame only adds its fill
     colors.
     """
-    head, dots = _palatal_svg_layout(frame.rows, frame.cols)
+    dots = _palatal_svg_dots(frame.rows, frame.cols)
     cells = itertools.chain.from_iterable(frame.cells)
-    parts = [head]
+    parts = [_PALATAL_SVG_HEAD]
     parts += [dot + (_ON if contacted else _OFF) for dot, contacted in zip(dots, cells)]
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
 CORONAL_CURVE_SAMPLES = 256
+# the coronal plot's inset from the canvas edges, and its marker size
+_INSET = 0.10 * min(WIDTH, HEIGHT)
+_MARKER = min(WIDTH, HEIGHT) * 0.018
 
 
 def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     """Coronal view: dome profile, flat tongue line at u, contact markers."""
-    w, h = float(WIDTH), float(HEIGHT)
-    margin = 0.10 * min(w, h)
     u_lo = min(0.0, u) - 0.15 * slice_.h
     u_hi = slice_.h + 0.15 * slice_.h
     if u > slice_.h:
         u_hi = u + 0.15 * slice_.h
 
     def sx(z: float) -> float:
-        return margin + (z - slice_.z_min) / slice_.span * (w - 2 * margin)
+        return _INSET + (z - slice_.z_min) / slice_.span * (WIDTH - 2 * _INSET)
 
     def sy(elev: float) -> float:
-        return h - margin - (elev - u_lo) / (u_hi - u_lo) * (h - 2 * margin)
+        return HEIGHT - _INSET - (elev - u_lo) / (u_hi - u_lo) * (HEIGHT - 2 * _INSET)
 
     f = fmt
     parts = [_SVG_HEAD]
@@ -170,19 +159,18 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
         f'stroke="#227722" stroke-width="2"/>'
     )
     contact = classify_slice(slice_, u)
-    marker = min(w, h) * 0.018
     if isinstance(contact, NoContact):
         for z in (slice_.z_min, slice_.z_max):
             parts.append(
-                f'<circle cx="{f(sx(z))}" cy="{f(sy(0.0))}" r="{f(marker)}" '
+                f'<circle cx="{f(sx(z))}" cy="{f(sy(0.0))}" r="{f(_MARKER)}" '
                 f'fill="{NO_CONTACT_COLOR}"/>'
             )
     elif isinstance(contact, Intersection):
         for z in (contact.z_left, contact.z_right):
             cx, cy = sx(z), sy(u)
             for dx0, dy0, dx1, dy1 in (
-                (-marker, -marker, marker, marker),
-                (-marker, marker, marker, -marker),
+                (-_MARKER, -_MARKER, _MARKER, _MARKER),
+                (-_MARKER, _MARKER, _MARKER, -_MARKER),
             ):
                 parts.append(
                     f'<line x1="{f(cx + dx0)}" y1="{f(cy + dy0)}" '
@@ -192,7 +180,7 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     else:
         parts.append(
             f'<circle cx="{f(sx(contact.z_apex))}" cy="{f(sy(slice_.h))}" '
-            f'r="{f(marker)}" fill="{CONTACT_COLOR}"/>'
+            f'r="{f(_MARKER)}" fill="{CONTACT_COLOR}"/>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
@@ -284,38 +272,45 @@ def _disc_runs(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int
     return runs
 
 
-def render_palatal_ppm(frame: EPGFrame) -> bytes:
-    """Raster fallback of the palatal view (binary PPM, P6).
+_PPM_HEADER = f"P6\n{WIDTH} {HEIGHT}\n255\n".encode("ascii")
+_CONTACT_RGB = bytes.fromhex(CONTACT_COLOR[1:])
+_NO_CONTACT_RGB = bytes.fromhex(NO_CONTACT_COLOR[1:])
 
-    Discs are painted in order, later ones over earlier ones, each as one
-    slice assignment per pixel row.
-    """
-    w, h = WIDTH, HEIGHT
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    raster = bytearray(header)
-    raster += b"\xff" * (3 * w * h)
-    origin = len(header)
 
-    def put_disc(cx: float, cy: float, r: float, rgb: bytes) -> None:
-        for py, a, b in _disc_runs(cx, cy, r, w, h):
-            start = origin + 3 * (py * w + a)
-            raster[start : start + 3 * (b - a + 1)] = rgb * (b - a + 1)
+def _put_disc(raster: bytearray, cx: float, cy: float, r: float, rgb: bytes) -> None:
+    """Paint a disc into a PPM of the canvas, one slice assignment per pixel row."""
+    for py, a, b in _disc_runs(cx, cy, r, WIDTH, HEIGHT):
+        start = len(_PPM_HEADER) + 3 * (py * WIDTH + a)
+        raster[start : start + 3 * (b - a + 1)] = rgb * (b - a + 1)
 
-    centers, radius, margin = _palatal_layout(frame.rows, frame.cols)
-    outline = bytes.fromhex(OUTLINE_COLOR[1:])
-    # trace the horseshoe outline with small discs along its three segments
-    rx, ry, shoulder_y = _horseshoe(margin)
+
+@functools.cache
+def _outlined_canvas() -> bytes:
+    """The PPM of the white canvas with the outline traced on it, painted on first use."""
+    raster = bytearray(_PPM_HEADER) + b"\xff" * (3 * WIDTH * HEIGHT)
+    rgb = bytes.fromhex(OUTLINE_COLOR[1:])
+    # small discs along the outline's three segments
     steps = 160
     for k in range(steps + 1):
         t = k / steps
-        put_disc(margin, h - margin + t * (shoulder_y - (h - margin)), 1.2, outline)
-        put_disc(w - margin, h - margin + t * (shoulder_y - (h - margin)), 1.2, outline)
+        side_y = HEIGHT - _MARGIN + t * (_SHOULDER_Y - (HEIGHT - _MARGIN))
+        _put_disc(raster, _MARGIN, side_y, 1.2, rgb)
+        _put_disc(raster, WIDTH - _MARGIN, side_y, 1.2, rgb)
         angle = math.pi * (1.0 - t)
-        put_disc(0.5 * w + rx * math.cos(angle), shoulder_y - ry * math.sin(angle), 1.2, outline)
-    contact_rgb = bytes.fromhex(CONTACT_COLOR[1:])
-    open_rgb = bytes.fromhex(NO_CONTACT_COLOR[1:])
-    for i, row in enumerate(frame.cells):
-        for j, contacted in enumerate(row):
-            cx, cy = centers[i][j]
-            put_disc(cx, cy, radius, contact_rgb if contacted else open_rgb)
+        arch_x = 0.5 * WIDTH + _ARCH_RX * math.cos(angle)
+        _put_disc(raster, arch_x, _SHOULDER_Y - _ARCH_RY * math.sin(angle), 1.2, rgb)
+    return bytes(raster)
+
+
+def render_palatal_ppm(frame: EPGFrame) -> bytes:
+    """Raster fallback of the palatal view (binary PPM, P6).
+
+    A copy of the outlined canvas gets one disc per cell, painted in order,
+    later ones over earlier ones.
+    """
+    raster = bytearray(_outlined_canvas())
+    centers, radius = _palatal_layout(frame.rows, frame.cols)
+    for row_centers, row in zip(centers, frame.cells):
+        for (cx, cy), contacted in zip(row_centers, row):
+            _put_disc(raster, cx, cy, radius, _CONTACT_RGB if contacted else _NO_CONTACT_RGB)
     return bytes(raster)

@@ -104,19 +104,17 @@ class AnimationSpec(Frozen):
 def _timeline(spec: AnimationSpec) -> tuple[list[tuple], float]:
     """The segments of spec and the time they end at, in ms.
 
-    A segment is (start_ms, duration_ms, kind, payload): a "hold" of
-    (target,) or a "transition" of (target, next target). The clock sums
-    hold, transition, hold, ... in that order.
+    A segment is (start_ms, duration_ms, targets): a hold has one target, a
+    transition the two it blends. The clock sums hold, transition, hold, ...
+    in that order, so each segment ends exactly where the next starts.
     """
     segments = []
     clock = 0.0
     for i, target in enumerate(spec.targets):
-        segments.append((clock, spec.hold_ms[i], "hold", (target,)))
+        segments.append((clock, spec.hold_ms[i], (target,)))
         clock += spec.hold_ms[i]
         if i < len(spec.transition_ms):
-            segments.append(
-                (clock, spec.transition_ms[i], "transition", (target, spec.targets[i + 1]))
-            )
+            segments.append((clock, spec.transition_ms[i], (target, spec.targets[i + 1])))
             clock += spec.transition_ms[i]
     return segments, clock
 
@@ -296,21 +294,21 @@ def animate(spec: AnimationSpec) -> list[SoundTarget]:
     segments, total_ms = _timeline(spec)
     n_frames = math.ceil(total_ms * spec.fps / 1000.0)
     frames = []
-    blends: dict[int, Callable[[float], SoundTarget]] = {}
+    # a frame shows the first segment still running at its time, else the
+    # last; ends never decrease and times only grow, so one cursor walks them
+    i, last, blend = 0, len(segments) - 1, None
     for k in range(n_frames):
         t = k * 1000.0 / spec.fps
-        i = next((i for i, seg in enumerate(segments) if t < seg[0] + seg[1]), len(segments) - 1)
-        start, duration, kind, payload = segments[i]
-        if kind == "hold":
-            frames.append(payload[0])
-            continue
+        while i < last and not t < segments[i][0] + segments[i][1]:
+            i, blend = i + 1, None
+        start, duration, targets = segments[i]
         lam = min(max((t - start) / duration, 0.0), 1.0)
-        if lam == 0.0:
-            frames.append(payload[0])
+        if len(targets) == 1 or lam == 0.0:
+            frames.append(targets[0])
         elif lam == 1.0:
-            frames.append(payload[1])
+            frames.append(targets[1])
         else:
-            if i not in blends:
-                blends[i] = _blend(*payload)
-            frames.append(blends[i](lam))
+            if blend is None:
+                blend = _blend(*targets)
+            frames.append(blend(lam))
     return frames

@@ -30,7 +30,7 @@ from palatogram import (
     slice_at,
 )
 from palatogram.epg import column_fractions
-from palatogram.errors import MAX_MM, MIN_HALF_WIDTH_MM
+from palatogram.errors import MAX_MM, MIN_MM
 from palatogram.render import (
     CONTACT_COLOR,
     HEIGHT,
@@ -38,8 +38,6 @@ from palatogram.render import (
     OUTLINE_COLOR,
     WIDTH,
     _SVG_HEAD,
-    _horseshoe_path,
-    _palatal_layout,
     fmt,
 )
 from palatogram.shaping import _FLOAT_FIELDS
@@ -163,6 +161,33 @@ def disc_pixels(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[in
     ]
 
 
+def palatal_layout(rows: int, cols: int):
+    """Dot centers, margin and outline of the palatal view, from the canvas size.
+
+    These are the expressions the emitters used before the canvas geometry
+    became module constants and the layout a cached tuple.
+    """
+    w, h = float(WIDTH), float(HEIGHT)
+    margin = 0.08 * min(w, h)
+    arch_top = margin
+    arch_bottom = h - margin
+    usable_h = arch_bottom - arch_top
+    y0 = arch_top + 0.22 * usable_h
+    y1 = arch_bottom - 0.08 * usable_h
+    radius = min((y1 - y0) / rows, (w - 2 * margin) / cols) * 0.30
+    fracs = column_fractions(cols)
+    centers = []
+    for i in range(rows):
+        cy = y0 + (i + 0.5) * (y1 - y0) / rows
+        narrow = 0.58 + 0.42 * (i + 0.5) / rows
+        centers.append(
+            [(0.5 * w + (f - 0.5) * (w - 2 * margin - 2 * radius) * narrow, cy) for f in fracs]
+        )
+    rx = 0.5 * w - margin
+    ry = 0.42 * (h - 2 * margin)
+    return centers, radius, margin, (rx, ry, margin + ry)
+
+
 def palatal_ppm(frame: EPGFrame) -> bytes:
     """The palatal PPM painted pixel by pixel into a grid of RGB tuples.
 
@@ -180,11 +205,8 @@ def palatal_ppm(frame: EPGFrame) -> bytes:
         for px, py in disc_pixels(cx, cy, r, w, h):
             pixels[py][px] = rgb
 
-    centers, radius, margin = _palatal_layout(frame.rows, frame.cols)
+    centers, radius, margin, (rx, ry, shoulder_y) = palatal_layout(frame.rows, frame.cols)
     outline = hex_rgb(OUTLINE_COLOR)
-    rx = 0.5 * w - margin
-    ry = 0.42 * (h - 2 * margin)
-    shoulder_y = margin + ry
     steps = 160
     for k in range(steps + 1):
         t = k / steps
@@ -275,12 +297,14 @@ def palatal_svg(frame: EPGFrame) -> bytes:
     per lattice; both must give the same bytes.
     """
     parts = [_SVG_HEAD]
-    centers, radius, margin = _palatal_layout(frame.rows, frame.cols)
-    parts.append(
-        f'<path d="{_horseshoe_path(margin)}" fill="none" '
-        f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
-    )
+    centers, radius, margin, (rx, ry, shoulder_y) = palatal_layout(frame.rows, frame.cols)
     f = fmt
+    w, h = float(WIDTH), float(HEIGHT)
+    path = (
+        f"M {f(margin)} {f(h - margin)} L {f(margin)} {f(shoulder_y)} "
+        f"A {f(rx)} {f(ry)} 0 0 1 {f(w - margin)} {f(shoulder_y)} L {f(w - margin)} {f(h - margin)}"
+    )
+    parts.append(f'<path d="{path}" fill="none" stroke="{OUTLINE_COLOR}" stroke-width="2"/>')
     for i, row in enumerate(frame.cells):
         for j, contacted in enumerate(row):
             cx, cy = centers[i][j]
@@ -310,13 +334,15 @@ class DataclassDomeSlice:
                 raise DomainError(
                     f"slice field {name} must be finite and at most 1e+06 in magnitude"
                 )
-        if not (self.z_max - self.z_min) / 2 >= MIN_HALF_WIDTH_MM:
+        if not (self.z_max - self.z_min) / 2 >= MIN_MM:
             raise DomainError(
                 f"slice at x={self.x}: half width of [{self.z_min}, {self.z_max}] "
                 "must be at least 1e-06"
             )
-        if not self.h > 0:
-            raise DomainError(f"slice at x={self.x}: dome height must be positive, got {self.h}")
+        if not self.h >= MIN_MM:
+            raise DomainError(
+                f"slice at x={self.x}: dome height must be at least 1e-06, got {self.h}"
+            )
 
 
 @dataclass(frozen=True)

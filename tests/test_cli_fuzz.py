@@ -5,7 +5,10 @@ contours and animation specs drawn around the edges of the input domain:
 lengths at and just past MAX_MM, subnormals, -0.0, integers too large for a
 float, values of the wrong type, and non-finite ``--x`` values. Each run must
 return 0, 1 or 2 without an exception escaping; a failing run prints exactly
-one ``error:`` line; a run that succeeds writes no NaN or infinity.
+one ``error:`` line; a run that succeeds writes no NaN or infinity. An epg,
+slice or mesh run whose palate and tongue load and whose grid and ``--x`` lie
+in their domain must not fail with a domain error: a slice interpolated
+between two that loaded is a valid slice.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from palatogram.cli import run
-from palatogram.errors import MAX_MM
+from palatogram.cli import UsageError, _load_geometry, _load_target, build_parser, run
+from palatogram.dome import MAX_SURFACE_STEPS
+from palatogram.epg import MAX_EPG_SIDE
+from palatogram.errors import MAX_MM, MIN_MM, PalatogramError
 
 NON_FINITE_WORD = re.compile(rb"\b(nan|inf|infinity)\b", re.IGNORECASE)
 PAST_MM = math.nextafter(MAX_MM, math.inf)
@@ -41,7 +46,7 @@ values = st.one_of(edge_numbers, edge_numbers, edge_numbers, lengths, wrong_type
 ends = st.sampled_from(
     [(0, 5e-324), (0, 5e-324), (-5e-324, 5e-324), (0, 1e-300), (-MAX_MM, MAX_MM),
      (-PAST_MM, PAST_MM), (-1e200, 1e200), (-1e200, 1e200), (-1e308, 1e308), (1e5, 1e5 + 1e-9),
-     (10, -10)]
+     (10, -10), (0, 2 * MIN_MM), (0, 2 * MIN_MM)]
 )
 
 
@@ -159,13 +164,57 @@ def invocations(draw) -> tuple[list[str], dict[str, str]]:
     return argv, files
 
 
+def in_domain(argv: list[str]) -> bool:
+    """Whether an epg, slice or mesh run asks only for what its palate and tongue define.
+
+    That is: both load, the grid sizes are within their bounds, an epg tongue
+    overlaps the palate by at least MIN_MM and a slice's --x lies inside both.
+    """
+    if argv[:1] not in (["epg"], ["slice"], ["mesh"]):
+        return False
+    try:
+        ns = build_parser().parse_args(argv)
+        geometry = _load_geometry(ns)
+        target = _load_target(ns) if ns.command != "mesh" or ns.sound or ns.contour else None
+    except (UsageError, PalatogramError, OSError):
+        return False
+    if ns.command == "mesh":
+        return 1 <= ns.nx <= MAX_SURFACE_STEPS and 1 <= ns.nz <= MAX_SURFACE_STEPS
+    x_lo = max(geometry.x_min, target.contour.x_min)
+    x_hi = min(geometry.x_max, target.contour.x_max)
+    if ns.command == "epg":
+        grid_ok = 1 <= ns.rows <= MAX_EPG_SIDE and 2 <= ns.cols <= MAX_EPG_SIDE
+        return grid_ok and x_hi - x_lo >= MIN_MM
+    return x_lo <= ns.x <= x_hi
+
+
 def written_text(data: bytes, name: str) -> bytes:
     """What a NaN could be printed in: all of a text file, a PPM's header."""
     return b"\n".join(data.split(b"\n", 3)[:3]) if name.endswith(".ppm") else data
 
 
+def palate_file(shape: str, **fields: float) -> dict[str, str]:
+    """Two slices at x 0 and 15 of the same fields."""
+    return {"palate.json": json.dumps({"shape": shape, "slices": [
+        {"x": 0, **fields}, {"x": 15, **fields}]})}
+
+
+ON_PALATE = ["--palate", "{dir}/palate.json", "--out", "-"]
+
+
 @settings(max_examples=400, deadline=None)
 @given(invocation=invocations())
+# interpolated half widths, heights and ends that round past a slice's bounds
+@example(invocation=(["epg", "--sound", "t", "--rows", "62", *ON_PALATE],
+                     palate_file("half_ellipse", z_min=0, z_max=2e-6, h=10)))
+@example(invocation=(["mesh", *ON_PALATE], palate_file("cosine", z_min=-10, z_max=10, h=5e-324)))
+@example(invocation=(["epg", "--sound", "t", "--rows", "62", *ON_PALATE],
+                     palate_file("cosine", z_min=-1e6, z_max=1e6, h=5)))
+# a tongue just above the baseline crosses the half-ellipse where z_center -
+# half_width rounds below z_min
+@example(invocation=(["mesh", "--contour", "{dir}/contour.json", *ON_PALATE], {
+    **palate_file("half_ellipse", z_min=904.4889105823875, z_max=2757.502158301106, h=5),
+    "contour.json": "[[0, 1e-12], [45, 1e-12]]"}))
 def test_cli_run_exits_cleanly(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -181,6 +230,7 @@ def test_cli_run_exits_cleanly(invocation):
         event(f"{argv[:1]} exits {code}")
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not (err.startswith("error: domain:") and in_domain(argv)), (argv, err)
             return
         written = [(p.name, p.read_bytes()) for p in Path(tmp).rglob("*") if p.is_file()]
         for name, data in [("stdout", out), *written]:

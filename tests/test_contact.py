@@ -69,6 +69,20 @@ def test_invert_ellipse(s0_ellipse, u, expected):
     assert z_right == pytest.approx(oracle[1], abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "z_min, z_max",
+    [(904.4889105823875, 2757.502158301106), (1.3840774964442453, 1.3840794964442453)],
+)
+def test_ellipse_crossings_near_the_baseline_stay_on_the_slice(z_min, z_max):
+    # z_center - half_width rounds below z_min on these slices
+    sl = DomeSlice(x=0.0, z_min=z_min, z_max=z_max, h=5.0, shape=DomeShape.HALF_ELLIPSE)
+    assert sl.z_center - sl.half_width < z_min or sl.z_center + sl.half_width > z_max
+    for u in (5e-324, 1e-12, 1e-9):
+        z_left, z_right = invert_dome(sl, u)
+        assert (z_left, z_right) == (z_min, z_max)
+        assert dome_elevation(sl, z_left) == dome_elevation(sl, z_right) == 0.0
+
+
 def test_invert_rejects_boundary(s0_cosine):
     for u in (0.0, -1.0, 10.0, 11.0):
         with pytest.raises(DomainError):

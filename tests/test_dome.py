@@ -20,7 +20,7 @@ from palatogram import (
     with_shape,
 )
 from palatogram.dome import MAX_SURFACE_STEPS, surface_xs
-from palatogram.errors import MIN_HALF_WIDTH_MM
+from palatogram.errors import MIN_MM
 from conftest import s0_geometry
 from oracles import bisect_ellipse_elevation
 
@@ -113,11 +113,42 @@ def test_slice_validation():
 def test_slice_half_width_has_a_floor(shape):
     # a half-ellipse 1e-200 wide used to read 0.0 at its midline, where
     # classify_slice found an intersection
-    narrowest = DomeSlice(x=0.0, z_min=0.0, z_max=2 * MIN_HALF_WIDTH_MM, h=5.0, shape=shape)
-    assert dome_elevation(narrowest, MIN_HALF_WIDTH_MM) == 5.0
+    narrowest = DomeSlice(x=0.0, z_min=0.0, z_max=2 * MIN_MM, h=5.0, shape=shape)
+    assert dome_elevation(narrowest, MIN_MM) == 5.0
     for z_max in (1e-200, 5e-324, 1.999e-6):
         with pytest.raises(DomainError, match=r"half width of \[0\.0, .*\] must be at least 1e-06"):
             DomeSlice(x=0.0, z_min=0.0, z_max=z_max, h=5.0, shape=shape)
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_slice_height_has_a_floor(shape):
+    # a dome 5e-324 high interpolated to a height of 0.0 between two such slices
+    assert DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=MIN_MM, shape=shape).h == MIN_MM
+    for h in (0.0, 5e-324, 1e-300, math.nextafter(MIN_MM, 0.0), -1.0):
+        with pytest.raises(DomainError, match=r"dome height must be at least 1e-06, got "):
+            DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=h, shape=shape)
+
+
+@pytest.mark.parametrize(
+    "z_min, z_max, h",
+    [
+        (0.0, 2 * MIN_MM, 10.0),  # the half width rounds an ulp below the floor
+        (-10.0, 10.0, MIN_MM),  # the height rounds below the floor
+        (-1e6, 1e6, 5.0),  # the ends round an ulp past MAX_MM
+    ],
+)
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_slices_between_two_that_loaded_are_slices(shape, z_min, z_max, h):
+    geometry = PalateGeometry(
+        slices=tuple(DomeSlice(x=x, z_min=z_min, z_max=z_max, h=h, shape=shape) for x in (0, 15))
+    )
+    for k in range(1, 1000):
+        x = 15.0 * k / 1000
+        sl = slice_at(geometry, x)
+        assert (sl.x, sl.shape) == (x, shape)
+        assert (sl.z_min, sl.z_max) == pytest.approx((z_min, z_max), abs=1e-9)
+        assert sl.h == pytest.approx(h, rel=1e-15)
+        assert dome_elevation(sl, sl.z_min) == 0.0
 
 
 def test_geometry_validation(s0_cosine):

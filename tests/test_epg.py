@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palatogram import (
     DomainError,
     DomeShape,
+    DomeSlice,
     EPGFrame,
     Intersection,
     NoContact,
+    PalateGeometry,
     ShapingParams,
     TipManner,
     TongueContour,
@@ -19,6 +26,7 @@ from palatogram import (
     epg_to_dict,
     slice_at,
 )
+from palatogram import epg
 from conftest import s0_geometry
 
 
@@ -112,13 +120,63 @@ def test_grid_refinement_stability(shape):
             assert longest <= 2
 
 
-def test_row_outside_contour_is_all_false():
-    # contour covering only the posterior half still rasterizes
+def test_contour_over_the_posterior_half_rasterizes_the_overlap():
+    # the rows span only where contour and palate overlap, so every row is raised
     geometry = default_palate(DomeShape.COSINE)
     contour = flat(20.0, 20.0, 40.0)
     frame = compute_epg(geometry, contour, ShapingParams(), rows=8, cols=8)
     assert frame.contact_count == 64
     assert frame.x_of_row[0] > 20.0
+
+
+def narrow_overlap(x: float, n: int) -> tuple[float, float]:
+    """x and the float n steps above it, or n steps below where above passes 1e6."""
+    toward = math.inf if n <= 1e6 - x else -math.inf  # one float step is far below 1 mm
+    y = x
+    for _ in range(n):
+        y = math.nextafter(y, toward)
+    return (x, y) if x < y else (y, x)
+
+
+def wide_overlap(x: float, width: float) -> tuple[float, float]:
+    return (x, x + width) if x + width <= 1e6 else (x - width, x)
+
+
+overlaps = st.one_of(
+    st.tuples(
+        st.one_of(st.sampled_from([-1e6, -1.0, 0.0, 1e6]), st.floats(-1e6, 1e6)),
+        st.integers(1, 2000),
+    ).map(lambda args: narrow_overlap(*args)),
+    st.tuples(st.floats(-1e6, 1e6), st.floats(1e-6, 1e3)).map(lambda args: wide_overlap(*args)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overlap=overlaps,
+    rows=st.one_of(st.sampled_from([1, 2, 1023, 1024]), st.integers(1, 1024)),
+    layout=st.sampled_from(["palate inside", "contour inside", "staggered"]),
+)
+@example(overlap=(math.nextafter(1e6, 0.0), 1e6), rows=1024, layout="staggered")
+@example(overlap=(-1e6, math.nextafter(-1e6, 0.0)), rows=1024, layout="palate inside")
+def test_every_row_lies_inside_the_palate_and_the_contour(overlap, rows, layout):
+    lo, hi = overlap
+    wide_lo, wide_hi = max(lo - 5.0, -1e6), min(hi + 5.0, 1e6)
+    palate_range, contour_range = {
+        "palate inside": ((lo, hi), (wide_lo, wide_hi)),
+        "contour inside": ((wide_lo, wide_hi), (lo, hi)),
+        "staggered": ((wide_lo, hi), (lo, wide_hi)),
+    }[layout]
+    geometry = PalateGeometry(
+        slices=tuple(DomeSlice(x=x, z_min=-10.0, z_max=10.0, h=5.0) for x in palate_range)
+    )
+    contour = TongueContour(points=tuple((x, 1.0) for x in contour_range))
+    # an overlap of fewer floats than rows repeats positions, which the frame
+    # rejects; take the positions compute_epg hands to it
+    with mock.patch.object(epg, "EPGFrame", lambda cells, x_of_row: x_of_row):
+        x_of_row = compute_epg(geometry, contour, ShapingParams(), rows=rows, cols=2)
+    assert len(x_of_row) == rows
+    assert all(lo <= x <= hi for x in x_of_row)
 
 
 def test_requires_overlap_and_counts():

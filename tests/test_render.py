@@ -24,6 +24,7 @@ from palatogram import (
     render_palatal_ppm,
     render_palatal_svg,
 )
+from palatogram import render
 from palatogram.render import CONTACT_COLOR, NO_CONTACT_COLOR, WIDTH, fmt
 from conftest import s0_geometry
 
@@ -223,6 +224,19 @@ def test_ppm_header_and_determinism():
     header_len = len(b"P6\n420 480\n255\n")
     assert len(data) == header_len + 420 * 480 * 3
     assert data == render_palatal_ppm(frame)
+
+
+def test_ppm_outline_is_painted_once(monkeypatch):
+    # 3 x 161 outline discs on the first render only, then one disc per cell
+    calls = []
+    disc_runs = render._disc_runs
+    monkeypatch.setattr(render, "_disc_runs", lambda *args: calls.append(args) or disc_runs(*args))
+    render._outlined_canvas.cache_clear()
+    frame = uniform_frame(True, rows=3, cols=5)
+    first = render_palatal_ppm(frame)
+    assert len(calls) == 483 + 15
+    assert render_palatal_ppm(frame) == first
+    assert len(calls) == 483 + 2 * 15
 
 
 def test_ppm_contains_contact_color():

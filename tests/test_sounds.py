@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import pytest
 
@@ -271,6 +272,33 @@ def test_animate_transition_midpoint():
     assert frames[0] is a
     mid = frames[2]  # t = 200 ms, halfway through the 100..300 ms transition
     assert all(u == pytest.approx(5.0) for _, u in mid.contour.points)
+
+
+def test_animate_walks_a_long_timeline_once():
+    # 5,000 holds of one frame each, joined by transitions far shorter than a
+    # frame: frame k lands in hold k - 1 (frame 1 on transition 0's start)
+    contour, params = TongueContour(points=((0.0, 1.0), (40.0, 1.0))), ShapingParams()
+    targets = tuple(SoundTarget(name=f"t{i}", contour=contour, params=params) for i in range(5000))
+    spec = AnimationSpec(
+        targets=targets, hold_ms=(10.0,) * 5000, transition_ms=(0.001,) * 4999, fps=100.0
+    )
+    start = time.perf_counter()
+    frames = animate(spec)
+    elapsed = time.perf_counter() - start
+    assert len(frames) == 5001
+    assert all(frame is targets[max(k - 1, 0)] for k, frame in enumerate(frames))
+    assert elapsed < 0.5, f"animate took {elapsed:.2f} s"
+
+
+def test_animate_skips_a_sub_frame_transition_between_disjoint_contours():
+    # no frame falls strictly inside the transition, so the contours, which
+    # do not overlap, are never blended
+    a, b = flat_target("a", 2.0, 0.0, 10.0), flat_target("b", 8.0, 20.0, 40.0)
+    with pytest.raises(DomainError, match="do not overlap"):
+        interpolate(a, b, 0.5)
+    spec = AnimationSpec(targets=(a, b), hold_ms=(100.0, 100.0), transition_ms=(50.0,), fps=10.0)
+    frames = animate(spec)  # at 0 ms, at the transition's start and at 200 ms
+    assert len(frames) == 3 and frames[0] is frames[1] is a and frames[2] is b
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))
