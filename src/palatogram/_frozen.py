@@ -12,8 +12,9 @@ class Frozen:
     and then validates them. This base gives what ``@dataclass(frozen=True)``
     would: field-wise equality between instances of the same class, a hash
     and repr of the fields, ``__match_args__``, and ``AttributeError`` on
-    assignment or deletion. Pickling and copying rebuild the value through
-    the constructor, so a copy is validated like the original.
+    assignment or deletion. A copy, shallow or deep, is the value itself.
+    Unpickling rebuilds the value through the constructor, so it is
+    validated like the original.
     """
 
     __slots__ = ()
@@ -37,7 +38,7 @@ class Frozen:
         """An instance of values, in ``__slots__`` order, that skips ``__init__``'s checks.
 
         Only for values derived from checked ones, which a check could fail by
-        rounding alone; copying or unpickling it runs the checks after all.
+        rounding alone; unpickling it runs the checks after all.
         """
         self = object.__new__(cls)
         for name, value in zip(cls.__slots__, values, strict=True):
@@ -61,6 +62,12 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo: dict):
+        return self
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._values(self)

@@ -19,16 +19,8 @@ import sys
 from pathlib import Path
 
 from . import sounds
-from .contact import NoContact, classify_slice, contact_to_dict
-from .dome import (
-    DomeShape,
-    PalateGeometry,
-    default_palate,
-    load_palate,
-    slice_at,
-    surface_xs,
-    with_shape,
-)
+from .contact import classify_slice, contact_to_dict, surface_contacts
+from .dome import DomeShape, PalateGeometry, default_palate, load_palate, slice_at, with_shape
 from .epg import compute_epg, epg_text, epg_to_dict
 from .errors import PalatogramError, parse_json
 from .render import (
@@ -38,7 +30,7 @@ from .render import (
     render_palatal_svg,
 )
 from .shaping import midsagittal_height
-from .sounds import SoundTarget, target_from_dict
+from .sounds import SoundTarget
 
 __all__ = ["main", "run"]
 
@@ -124,13 +116,7 @@ def _load_target(ns: argparse.Namespace) -> SoundTarget:
         raise UsageError("exactly one of --sound or --contour is required")
     if sound_args:
         return sounds.get_target(sound_args[0])
-    path = Path(ns.contour)
-    doc = parse_json(path.read_bytes(), path)
-    if isinstance(doc, list):
-        doc = {"name": path.stem, "contour": doc, "params": {}}
-    elif isinstance(doc, dict) and "name" not in doc:
-        doc = {"name": path.stem, **doc}
-    return target_from_dict(doc)
+    return sounds.load_target(ns.contour)
 
 
 def _write(out: str, data: bytes | str) -> None:
@@ -178,14 +164,7 @@ def _cmd_mesh(ns: argparse.Namespace) -> int:
     geometry = _load_geometry(ns)
     contacts = None
     if ns.sound or ns.contour:
-        target = _load_target(ns)
-        contacts = []
-        for x in surface_xs(geometry, ns.nx):
-            if target.contour.x_min <= x <= target.contour.x_max:
-                contact = classify_slice(slice_at(geometry, x), midsagittal_height(target.contour, x))
-            else:
-                contact = NoContact()  # tongue absent at this slice
-            contacts.append(contact)
+        contacts = surface_contacts(geometry, _load_target(ns).contour, ns.nx)
     _write(ns.out, export_obj(geometry, ns.nx, ns.nz, contacts))
     return 0
 

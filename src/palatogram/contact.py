@@ -3,7 +3,8 @@
 A flat coronal tongue at elevation ``u`` meets a dome slice in one of three
 ways: it stays below the tooth row (no contact), it lies at or above the
 apex (full contact across the span), or it crosses the dome profile at two
-lateral points that ``dome.invert_dome`` computes in closed form.
+lateral points that ``dome.invert_dome`` computes in closed form. Where the
+tongue contour does not reach a slice, the tongue is absent there: no contact.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 from typing import Union
 
 from ._frozen import Frozen
-from .dome import DomeSlice, invert_dome
+from .dome import DomeSlice, PalateGeometry, invert_dome, slice_at, surface_xs
 from .errors import DomainError
+from .shaping import TongueContour, midsagittal_height
 
 __all__ = [
     "NoContact",
@@ -21,6 +23,7 @@ __all__ = [
     "FullContact",
     "ContactClass",
     "classify_slice",
+    "surface_contacts",
     "contact_to_dict",
 ]
 
@@ -62,6 +65,24 @@ def classify_slice(slice_: DomeSlice, u: float) -> ContactClass:
     if u >= slice_.h:
         return FullContact(z_apex=slice_.z_center)
     return Intersection(*invert_dome(slice_, u))
+
+
+def surface_contacts(
+    geometry: PalateGeometry, contour: TongueContour, nx: int
+) -> list[ContactClass]:
+    """The contact at each row x of surface_xs(geometry, nx), as export_obj marks them.
+
+    A row the contour covers is classified by classify_slice at the
+    contour's midline height there; any other row is NoContact. nx must lie
+    in [1, MAX_SURFACE_STEPS].
+    """
+    x_lo, x_hi = contour.x_min, contour.x_max
+    return [
+        classify_slice(slice_at(geometry, x), midsagittal_height(contour, x))
+        if x_lo <= x <= x_hi
+        else NoContact()
+        for x in surface_xs(geometry, nx)
+    ]
 
 
 def contact_to_dict(contact: ContactClass) -> dict:

@@ -25,8 +25,9 @@ class EPGFrame(Frozen):
     """Boolean contact grid; rows run anterior to posterior, columns left to right.
 
     cells is a non-empty rectangle of booleans, and x_of_row each row's
-    position, strictly increasing. Column j sits at column_fractions(cols)[j]
-    of its row's lateral span.
+    position, nondecreasing: rows over an overlap narrower than their count
+    of floats share positions. Column j sits at column_fractions(cols)[j] of
+    its row's lateral span.
     """
 
     __slots__ = ("cells", "x_of_row")
@@ -43,8 +44,8 @@ class EPGFrame(Frozen):
             raise DomainError("every row of cells must have the same length")
         if len(x_of_row) != len(cells):
             raise DomainError("x_of_row needs one position per row")
-        if any(b <= a for a, b in zip(x_of_row, x_of_row[1:])):
-            raise DomainError("x_of_row must be strictly increasing")
+        if any(b < a for a, b in zip(x_of_row, x_of_row[1:])):
+            raise DomainError("x_of_row must be nondecreasing")
 
     @property
     def rows(self) -> int:

@@ -11,6 +11,7 @@ import functools
 import math
 import sys
 from importlib import resources
+from pathlib import Path
 from typing import Callable
 
 from ._frozen import Frozen
@@ -33,6 +34,7 @@ __all__ = [
     "interpolate",
     "animate",
     "target_from_dict",
+    "load_target",
     "animation_spec_from_dict",
 ]
 
@@ -141,6 +143,22 @@ def target_from_dict(doc: object) -> SoundTarget:
     return SoundTarget(name=name, contour=contour, params=params_from_dict(doc.get("params", {})))
 
 
+def load_target(path: str | Path) -> SoundTarget:
+    """Load a sound target from a JSON file, as the --contour option reads it.
+
+    The file holds a target document, the same document without "name", or
+    a bare [[x, u], ...] contour array with default params; a missing name
+    is the file's stem. The document is read by target_from_dict.
+    """
+    path = Path(path)
+    doc = parse_json(path.read_bytes(), path)
+    if isinstance(doc, list):
+        doc = {"name": path.stem, "contour": doc, "params": {}}
+    elif isinstance(doc, dict) and "name" not in doc:
+        doc = {"name": path.stem, **doc}
+    return target_from_dict(doc)
+
+
 def animation_spec_from_dict(doc: object) -> AnimationSpec:
     """Strict AnimationSpec parser: preset names, durations in ms and fps.
 
@@ -239,8 +257,10 @@ def sound_names() -> list[str]:
 def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     """Blend two targets; numeric values lerp, discrete ones switch at 0.5.
 
-    Contours are resampled onto a common uniform grid over the overlap of
-    their x ranges before the pointwise blend.
+    Contours are resampled onto a common uniform grid of BLEND_GRID_POINTS
+    over the overlap of their x ranges before the pointwise blend. Raises
+    DomainError naming both targets when the contours do not overlap, or
+    overlap over too few floats for that grid to strictly increase.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"blend fraction must lie in [0, 1], got {lam}")
@@ -261,11 +281,15 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
     x_hi = min(a.contour.x_max, b.contour.x_max)
     if not x_lo < x_hi:
         raise DomainError(f"contours of {a.name!r} and {b.name!r} do not overlap in x")
-    heights = []  # (x, u of a, u of b) on the common grid
-    for k in range(BLEND_GRID_POINTS):
-        f = k / (BLEND_GRID_POINTS - 1)
-        x = (1.0 - f) * x_lo + f * x_hi
-        heights.append((x, midsagittal_height(a.contour, x), midsagittal_height(b.contour, x)))
+    fracs = [k / (BLEND_GRID_POINTS - 1) for k in range(BLEND_GRID_POINTS)]
+    xs = [(1.0 - f) * x_lo + f * x_hi for f in fracs]
+    if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
+        raise DomainError(
+            f"contours of {a.name!r} and {b.name!r} overlap over [{x_lo}, {x_hi}] in x, "
+            f"too few floats for a blend grid of {BLEND_GRID_POINTS} points"
+        )
+    # (x, u of a, u of b) on the common grid
+    heights = [(x, midsagittal_height(a.contour, x), midsagittal_height(b.contour, x)) for x in xs]
     name = f"{a.name}~{b.name}"
     numeric = [(n, getattr(a.params, n), getattr(b.params, n)) for n in _FLOAT_FIELDS]
     discrete = [n for n in ShapingParams.__slots__ if n not in _FLOAT_FIELDS]

@@ -22,6 +22,7 @@ from palatogram import (
     SoundTarget,
     TipManner,
     TongueContour,
+    classify_slice,
     dome_elevation,
     edge_elevation_delta,
     groove_delta,
@@ -29,6 +30,7 @@ from palatogram import (
     midsagittal_height,
     slice_at,
 )
+from palatogram.dome import surface_xs
 from palatogram.epg import column_fractions
 from palatogram.errors import MAX_MM, MIN_MM
 from palatogram.render import (
@@ -146,6 +148,24 @@ def epg_cells(
             row.append(shaped_height(params, sl, x, u_mid, z) >= dome_height(sl, z))
         cells.append(tuple(row))
     return tuple(cells)
+
+
+def mesh_contacts(
+    geometry: PalateGeometry, contour: TongueContour, nx: int
+) -> list[NoContact | Intersection | FullContact]:
+    """The contact of each mesh row, one row at a time.
+
+    This is the loop the mesh command ran before contact.surface_contacts;
+    both must give the same contacts, float for float.
+    """
+    contacts = []
+    for x in surface_xs(geometry, nx):
+        if contour.x_min <= x <= contour.x_max:
+            contact = classify_slice(slice_at(geometry, x), midsagittal_height(contour, x))
+        else:
+            contact = NoContact()  # tongue absent at this slice
+        contacts.append(contact)
+    return contacts
 
 
 def disc_pixels(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int, int]]:
@@ -388,8 +408,8 @@ class DataclassEPGFrame:
         if len(self.x_of_row) != len(self.cells):
             raise DomainError("x_of_row needs one position per row")
         xs = self.x_of_row
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError("x_of_row must be strictly increasing")
+        if any(b < a for a, b in zip(xs, xs[1:])):
+            raise DomainError("x_of_row must be nondecreasing")
 
     @property
     def rows(self) -> int:

@@ -79,6 +79,16 @@ def test_contour_file_bare_array(tmp_path, capsys):
     assert capsys.readouterr().out == ("#" * 8 + "\n") * 8
 
 
+def test_epg_over_an_overlap_of_fewer_floats_than_rows(tmp_path, capsys):
+    # 8 rows over [0, 5e-324] share the two positions there
+    palate = tmp_path / "p.json"
+    slices = [{"x": x, "z_min": -10, "z_max": 10, "h": 5} for x in (0, 5e-324)]
+    palate.write_text(json.dumps({"shape": "cosine", "slices": slices}), encoding="utf-8")
+    assert run(["epg", "--sound", "t", "--palate", str(palate), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(set(doc["x_of_row"])) == [0.0, 5e-324]
+
+
 def test_epg_svg_idempotent(tmp_path):
     out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
     assert run(["epg", "--sound", "s", "--format", "svg", "--out", str(out1)]) == 0

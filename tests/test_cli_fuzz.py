@@ -168,7 +168,7 @@ def in_domain(argv: list[str]) -> bool:
     """Whether an epg, slice or mesh run asks only for what its palate and tongue define.
 
     That is: both load, the grid sizes are within their bounds, an epg tongue
-    overlaps the palate by at least MIN_MM and a slice's --x lies inside both.
+    overlaps the palate and a slice's --x lies inside both.
     """
     if argv[:1] not in (["epg"], ["slice"], ["mesh"]):
         return False
@@ -184,7 +184,7 @@ def in_domain(argv: list[str]) -> bool:
     x_hi = min(geometry.x_max, target.contour.x_max)
     if ns.command == "epg":
         grid_ok = 1 <= ns.rows <= MAX_EPG_SIDE and 2 <= ns.cols <= MAX_EPG_SIDE
-        return grid_ok and x_hi - x_lo >= MIN_MM
+        return grid_ok and x_lo < x_hi
     return x_lo <= ns.x <= x_hi
 
 
@@ -210,6 +210,10 @@ ON_PALATE = ["--palate", "{dir}/palate.json", "--out", "-"]
 @example(invocation=(["mesh", *ON_PALATE], palate_file("cosine", z_min=-10, z_max=10, h=5e-324)))
 @example(invocation=(["epg", "--sound", "t", "--rows", "62", *ON_PALATE],
                      palate_file("cosine", z_min=-1e6, z_max=1e6, h=5)))
+# an overlap of fewer floats than rows: rows share x positions
+@example(invocation=(["epg", "--sound", "t", *ON_PALATE], {"palate.json": json.dumps({
+    "shape": "cosine", "slices": [{"x": x, "z_min": -10, "z_max": 10, "h": 5} for x in (0, 5e-324)]
+})}))
 # a tongue just above the baseline crosses the half-ellipse where z_center -
 # half_width rounds below z_min
 @example(invocation=(["mesh", "--contour", "{dir}/contour.json", *ON_PALATE], {

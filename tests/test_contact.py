@@ -14,14 +14,18 @@ from palatogram import (
     Intersection,
     NoContact,
     ShapingParams,
+    TongueContour,
     classify_slice,
     contact_to_dict,
+    default_library,
+    default_palate,
     dome_elevation,
     invert_dome,
+    surface_contacts,
 )
 from palatogram.dome import dome_elevations
 from palatogram.shaping import shaped_heights
-from oracles import bisect_crossings
+from oracles import bisect_crossings, mesh_contacts
 
 
 def _flat_row_contact_runs(sl: DomeSlice, u: float, n: int) -> list[tuple[float, float]]:
@@ -187,3 +191,19 @@ def test_contact_serialization(s0_cosine):
     assert doc["case"] == "intersection"
     assert doc["z_left"] == pytest.approx(-0.5)
     assert doc["z_right"] == pytest.approx(0.5)
+
+
+# the presets' contours, and one over the middle of the palate's x 0-40
+PARTIAL = TongueContour(points=((10.0, 4.0), (16.0, 9.5), (22.0, 12.0), (30.0, 6.0)))
+MESH_CONTOURS = [t.contour for t in default_library()] + [PARTIAL]
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+@pytest.mark.parametrize("nx", [1, 2, 40, 96])
+def test_surface_contacts_match_the_per_row_loop(shape, nx):
+    geometry = default_palate(shape)
+    for contour in MESH_CONTOURS:
+        got = surface_contacts(geometry, contour, nx)
+        # repr round-trips floats exactly and tells -0.0 from 0.0
+        assert list(map(repr, got)) == list(map(repr, mesh_contacts(geometry, contour, nx)))
+

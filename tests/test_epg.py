@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +25,6 @@ from palatogram import (
     epg_to_dict,
     slice_at,
 )
-from palatogram import epg
 from conftest import s0_geometry
 
 
@@ -171,10 +169,8 @@ def test_every_row_lies_inside_the_palate_and_the_contour(overlap, rows, layout)
         slices=tuple(DomeSlice(x=x, z_min=-10.0, z_max=10.0, h=5.0) for x in palate_range)
     )
     contour = TongueContour(points=tuple((x, 1.0) for x in contour_range))
-    # an overlap of fewer floats than rows repeats positions, which the frame
-    # rejects; take the positions compute_epg hands to it
-    with mock.patch.object(epg, "EPGFrame", lambda cells, x_of_row: x_of_row):
-        x_of_row = compute_epg(geometry, contour, ShapingParams(), rows=rows, cols=2)
+    # an overlap of fewer floats than rows repeats positions
+    x_of_row = compute_epg(geometry, contour, ShapingParams(), rows=rows, cols=2).x_of_row
     assert len(x_of_row) == rows
     assert all(lo <= x <= hi for x in x_of_row)
 
@@ -211,8 +207,11 @@ def test_frame_validation():
         EPGFrame(cells=((True, False), (True,)), x_of_row=(0.0, 1.0))
     with pytest.raises(DomainError, match="one position per row"):
         EPGFrame(cells=((True, False),), x_of_row=(0.0, 1.0))
-    with pytest.raises(DomainError, match="strictly increasing"):
-        EPGFrame(cells=((True,), (False,)), x_of_row=(1.0, 1.0))
+    with pytest.raises(DomainError, match="nondecreasing"):
+        EPGFrame(cells=((True,), (False,)), x_of_row=(1.0, math.nextafter(1.0, 0.0)))
+    # rows over an overlap of fewer floats than rows share positions
+    frame = EPGFrame(cells=((True,), (False,), (True,)), x_of_row=(0.0, 0.0, 5e-324))
+    assert frame.x_of_row == (0.0, 0.0, 5e-324)
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,14 @@ EPG_GRIDS = ((8, 8), (5, 11))
 CORONAL_SLICES = (("t", 1.0), ("t", 8.0), ("t", 20.0), ("s", 20.0), ("s", 34.0))
 MESHES = ((40, 32), (96, 128))
 ANIMATION_SPEC = {"targets": ["t", "a:", "s"], "hold_ms": [80, 40, 60], "transition_ms": [120, 90]}
+# a tongue over x 10-30 of the palate's 0-40, in each form a --contour file takes
+CONTOUR = [[10, 4.0], [16, 9.5], [22, 12.0], [30, 6.0]]
+CONTOUR_PARAMS = {"tt_manner": "full", "tth": 0.6, "posterior_onset_x": 14.0}
+CONTOUR_DOCS = {
+    "bare": CONTOUR,
+    "nameless": {"contour": CONTOUR, "params": CONTOUR_PARAMS},
+    "named": {"name": "ridge", "contour": CONTOUR, "params": CONTOUR_PARAMS},
+}
 
 
 def golden_cases() -> dict:
@@ -53,11 +61,30 @@ def golden_cases() -> dict:
             cases[f"mesh/{model}/{nx}x{nz}.obj"] = partial(cli_bytes, base)
             cases[f"mesh/t/{model}/{nx}x{nz}.obj"] = partial(cli_bytes, base + ["--sound", "t"])
         cases[f"animate/{model}/8x8.svg"] = partial(cli_bytes, ["animate", "--model", model])
+        cases[f"mesh/contour-bare/{model}/40x32.obj"] = partial(
+            cli_bytes, ["mesh", "--model", model], contour="bare"
+        )
+        for fmt in ("txt", "json"):
+            cases[f"epg/contour-nameless/{model}/8x8.{fmt}"] = partial(
+                cli_bytes, ["epg", "--model", model, "--format", fmt], contour="nameless"
+            )
+        for fmt in ("svg", "json"):
+            cases[f"slice/contour-named/{model}/x20.0.{fmt}"] = partial(
+                cli_bytes, ["slice", "--model", model, "--x", "20.0", "--format", fmt], contour="named"
+            )
     return cases
 
 
-def cli_bytes(argv: list[str], workdir: Path) -> bytes:
-    """The bytes a user gets from one command: the output file, or all frames in order."""
+def cli_bytes(argv: list[str], workdir: Path, contour: str | None = None) -> bytes:
+    """The bytes a user gets from one command: the output file, or all frames in order.
+
+    contour names a CONTOUR_DOCS entry, written to a file that the command
+    reads with --contour.
+    """
+    if contour is not None:
+        path = workdir / "tongue.json"
+        path.write_text(json.dumps(CONTOUR_DOCS[contour]), encoding="utf-8")
+        argv = argv + ["--contour", str(path)]
     if argv[0] == "animate":
         spec = workdir / "spec.json"
         spec.write_text(json.dumps(ANIMATION_SPEC), encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
 
@@ -22,6 +23,7 @@ from palatogram import (
     default_palate,
     get_target,
     interpolate,
+    load_target,
     midsagittal_height,
     slice_at,
     sound_names,
@@ -162,6 +164,79 @@ def test_target_error_messages(doc, message):
     assert str(info.value) == message
 
 
+CONTOUR = [[0, 8.0], [6, 8.0], [12, 0.0], [40, 0.0]]
+PARAMS = {"tt_manner": "full", "tth": 1.0}
+
+
+@pytest.mark.parametrize(
+    "doc, name, params",
+    [
+        (CONTOUR, "ridge", {}),
+        ({"contour": CONTOUR, "params": PARAMS}, "ridge", PARAMS),
+        ({"contour": CONTOUR}, "ridge", {}),
+        ({"name": "n", "contour": CONTOUR, "params": PARAMS}, "n", PARAMS),
+    ],
+    ids=["bare", "nameless", "nameless-without-params", "named"],
+)
+def test_load_target_reads_every_document_form(tmp_path, doc, name, params):
+    path = tmp_path / "ridge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    want = target_from_dict({"name": name, "contour": CONTOUR, "params": params})
+    assert load_target(path) == want
+    assert load_target(str(path)) == want
+
+
+REJECTED = [
+    {"name": "z", "contour": [[0, 1], [1, "2"]]},
+    {"name": "z", "contour": [[0, 1], [1]]},
+    {"name": "z", "contour": [[0, 1], [1, 2]], "params": {"tth": None}},
+    {"name": "z", "contour": [[0, 1], [1, 2]], "params": {}, "color": 1},
+    {"name": "z", "contour": [[0, 1]], "params": {}},
+    {"name": "z", "contour": [[1, 1], [0, 2]]},
+    {"name": "z", "contour": [[0, 1], [1, 2]], "params": {"tt_manner": "open"}},
+    {"name": "", "contour": [[0, 1], [1, 2]]},
+    {"name": 3, "contour": [[0, 1], [1, 2]]},
+    {"name": "z", "contour": {}},
+    {"name": "z"},
+    "z",
+    7,
+]
+
+
+@pytest.mark.parametrize("doc", REJECTED, ids=[f"doc{i}" for i in range(len(REJECTED))])
+def test_load_target_rejects_what_target_from_dict_rejects(tmp_path, doc):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as want:
+        target_from_dict(doc)
+    with pytest.raises(ConfigError) as got:
+        load_target(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[[0, 1], [1, "2"]], [[0, 1]], {"contour": [[0, 1], [1, 2]], "params": {"tth": 2.0}}],
+    ids=["bare-entry", "bare-one-point", "nameless-params"],
+)
+def test_load_target_names_a_nameless_document_by_its_stem(tmp_path, doc):
+    path = tmp_path / "hum.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    full = {"name": "hum", "contour": doc} if isinstance(doc, list) else {"name": "hum", **doc}
+    with pytest.raises(ConfigError) as want:
+        target_from_dict(full)
+    with pytest.raises(ConfigError) as got:
+        load_target(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_load_target_names_the_file_of_invalid_json(tmp_path):
+    path = tmp_path / "hum.json"
+    path.write_bytes(b"[[0, NaN], [1, 2]]")
+    with pytest.raises(ConfigError, match="invalid JSON in .*hum.json"):
+        load_target(path)
+
+
 def test_interpolate_endpoints():
     a, b = flat_target("a", 2.0), flat_target("b", 8.0)
     assert interpolate(a, b, 0.0) is a
@@ -192,6 +267,18 @@ def test_interpolate_rejects_disjoint():
     b = flat_target("b", 3.0, 20.0, 30.0)
     with pytest.raises(DomainError):
         interpolate(a, b, 0.5)
+
+
+def test_interpolate_names_both_targets_of_an_overlap_too_narrow_to_grid():
+    # the blend grid over [0, 5e-324] repeats x values, which a contour rejects
+    a = flat_target("a", 2.0, 0.0, 5e-324)
+    b = flat_target("b", 3.0, 0.0, 1.0)
+    with pytest.raises(DomainError) as info:
+        interpolate(a, b, 0.5)
+    assert str(info.value) == (
+        "contours of 'a' and 'b' overlap over [0.0, 5e-324] in x, "
+        "too few floats for a blend grid of 64 points"
+    )
 
 
 def test_animation_spec_validation():

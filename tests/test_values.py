@@ -217,6 +217,24 @@ def test_value_class_matches_the_dataclass(cls, data):
         assert (twin == new) == (twin_of(old) == old)
 
 
+def test_a_copy_is_the_value_itself():
+    # slice_at leaves interpolated slices unchecked; between two slices 2e-6
+    # wide, some round to a half width just under MIN_MM, which unpickling
+    # rejects but copying must not
+    ends = dict(z_min=0.0, z_max=2e-6, h=10.0, shape=DomeShape.HALF_ELLIPSE)
+    geometry = PalateGeometry(slices=(DomeSlice(x=0.0, **ends), DomeSlice(x=1.0, **ends)))
+    rejected = 0
+    for k in range(1, 1000):
+        sl = palatogram.slice_at(geometry, k / 1000)
+        assert copy.copy(sl) is sl and copy.deepcopy(sl) is sl
+        try:
+            pickle.loads(pickle.dumps(sl))
+        except palatogram.DomainError:
+            rejected += 1
+    assert rejected  # the repro still draws slices the checks reject
+    assert copy.deepcopy([geometry])[0] is geometry
+
+
 HUGE = 10**400  # an int too large for a float
 
 
