@@ -248,6 +248,25 @@ def surface_xs(geometry: PalateGeometry, nx: int) -> list[float]:
     return [(1.0 - i / nx) * x_lo + i / nx * x_hi for i in range(nx + 1)]
 
 
+def _surface_rows(
+    geometry: PalateGeometry, nx: int, nz: int
+) -> list[tuple[float, DomeSlice, list[float], list[float]]]:
+    """The (x, slice, zs, ys) of each row of sample_surface.
+
+    Every row is sampled up front, so a bad count or row raises before a
+    caller formats anything.
+    """
+    _check_steps("nz", nz)
+    weights = [(1.0 - j / nz, j / nz) for j in range(nz + 1)]
+    rows = []
+    for x in surface_xs(geometry, nx):
+        sl = slice_at(geometry, x)
+        z_min, z_max = sl.z_min, sl.z_max
+        zs = [g * z_min + f * z_max for g, f in weights]
+        rows.append((x, sl, zs, dome_elevations(sl, zs)))
+    return rows
+
+
 def sample_surface(
     geometry: PalateGeometry, nx: int, nz: int
 ) -> list[list[tuple[float, float, float]]]:
@@ -259,16 +278,9 @@ def sample_surface(
     dome edges (y = 0). Every coordinate is finite: the slices are. nx and
     nz must each lie in [1, MAX_SURFACE_STEPS].
     """
-    _check_steps("nz", nz)
-    xs = surface_xs(geometry, nx)
-    weights = [(1.0 - j / nz, j / nz) for j in range(nz + 1)]
-    grid = []
-    for x in xs:
-        sl = slice_at(geometry, x)
-        z_min, z_max = sl.z_min, sl.z_max
-        zs = [g * z_min + f * z_max for g, f in weights]
-        grid.append([(x, y, z) for z, y in zip(zs, dome_elevations(sl, zs))])
-    return grid
+    return [
+        [(x, y, z) for z, y in zip(zs, ys)] for x, _sl, zs, ys in _surface_rows(geometry, nx, nz)
+    ]
 
 
 def with_shape(geometry: PalateGeometry, shape: DomeShape | str) -> PalateGeometry:

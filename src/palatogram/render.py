@@ -16,8 +16,7 @@ from .dome import (
     PalateGeometry,
     dome_elevation,
     dome_elevations,
-    sample_surface,
-    slice_at,
+    _surface_rows,
 )
 from .epg import EPGFrame, column_fractions
 from .errors import DomainError
@@ -67,9 +66,29 @@ _PALATAL_SVG_HEAD = (
 )
 
 
-# The frames of one animation share a lattice; a few entries cover the
-# lattices one process renders at a time.
-@functools.lru_cache(maxsize=16)
+# The largest lattice, in cells, whose per-dot drawing is kept. The frames of
+# one animation share a lattice, and a few entries cover the lattices one
+# process renders at a time; at 0.7 MB for a 32 x 32 lattice's SVG and PPM
+# dots, the caches hold about 11 MB at most. A larger lattice is drawn afresh
+# for each frame.
+_CACHED_CELLS = 32 * 32
+
+
+def _per_lattice(dots):
+    """dots(rows, cols), kept as a tuple for the last 16 lattices of at most _CACHED_CELLS cells.
+
+    A larger lattice's dots are made afresh, one at a time as they are drawn.
+    """
+    kept = functools.lru_cache(maxsize=16)(lambda rows, cols: tuple(dots(rows, cols)))
+
+    @functools.wraps(dots)
+    def get(rows: int, cols: int):
+        return kept(rows, cols) if rows * cols <= _CACHED_CELLS else dots(rows, cols)
+
+    get.cache_clear = kept.cache_clear
+    return get
+
+
 def _palatal_layout(rows: int, cols: int) -> tuple[tuple, float]:
     """The (cx, cy) of each dot, a tuple per row with the anterior row first, and their radius."""
     arch_bottom = HEIGHT - _MARGIN
@@ -88,17 +107,15 @@ def _palatal_layout(rows: int, cols: int) -> tuple[tuple, float]:
     return tuple(centers), radius
 
 
-@functools.lru_cache(maxsize=16)
-def _palatal_svg_dots(rows: int, cols: int) -> tuple[str, ...]:
-    """Each dot's SVG text up to its fill color."""
+@_per_lattice
+def _palatal_svg_dots(rows: int, cols: int):
+    """Each dot's SVG text up to its fill color, anterior row first."""
     centers, radius = _palatal_layout(rows, cols)
     f = fmt
     r = f(radius)
-    dots = []
     for row in centers:
         cy = f(row[0][1])
-        dots.extend(f'<circle cx="{f(cx)}" cy="{cy}" r="{r}" fill="' for cx, _cy in row)
-    return tuple(dots)
+        yield from (f'<circle cx="{f(cx)}" cy="{cy}" r="{r}" fill="' for cx, _cy in row)
 
 
 _ON, _OFF = CONTACT_COLOR + '"/>', NO_CONTACT_COLOR + '"/>'
@@ -107,8 +124,8 @@ _ON, _OFF = CONTACT_COLOR + '"/>', NO_CONTACT_COLOR + '"/>'
 def render_palatal_svg(frame: EPGFrame) -> bytes:
     """Palatal view: one dot per grid cell inside a horseshoe outline.
 
-    The layout is computed once per lattice; a frame only adds its fill
-    colors.
+    The dots' text is kept per lattice (see _CACHED_CELLS); a frame only
+    adds its fill colors.
     """
     dots = _palatal_svg_dots(frame.rows, frame.cols)
     cells = itertools.chain.from_iterable(frame.cells)
@@ -192,7 +209,8 @@ _GROUP_OF_CLASS = {
     FullContact: "full_contact",
 }
 
-_OBJ_VERTEX = "v %.6f %.6f %.6f"
+_OBJ_VERTEX = "v %.6f %.6f %.6f\n"
+_OBJ_FACE_PAIR = "f %s %s %s\nf %s %s %s\n"
 
 
 def export_obj(
@@ -203,32 +221,43 @@ def export_obj(
 ) -> bytes:
     """Triangulated dome surface, plus optional per-slice contact markers.
 
-    Markers are emitted as extra vertices inside named groups (no_contact,
-    intersection, full_contact); they are not referenced by any face.
+    The text is one ``v x y z`` line per surface point, row by row, then two
+    ``f`` lines per quad; each row is formatted by one ``%`` over the row,
+    its x formatted once. Markers are emitted as extra vertices inside named
+    groups (no_contact, intersection, full_contact); they are not referenced
+    by any face.
     """
-    grid = sample_surface(geometry, nx, nz)
+    rows = _surface_rows(geometry, nx, nz)
     if contacts is not None and len(contacts) != nx + 1:
         raise DomainError(
             f"contacts list must have nx+1 = {nx + 1} entries, got {len(contacts)}"
         )
-    lines = [_OBJ_VERTEX % point for row in grid for point in row]
-    lines.append("g palate")
-    # two triangles per quad; v is the 1-based index of the quad's corner at
-    # (row i, column j), and base that of the row's first vertex
     stride = nz + 1
-    lines += [
-        f"f {v} {v + stride} {v + stride + 1}\nf {v} {v + stride + 1} {v + 1}"
-        for base in range(1, nx * stride + 1, stride)
-        for v in range(base, base + nz)
-    ]
+    out = []
+    yz = [0.0] * (2 * stride)
+    for x, _sl, zs, ys in rows:
+        yz[::2] = ys
+        yz[1::2] = zs
+        out.append(("v %.6f %%.6f %%.6f\n" % x) * stride % tuple(yz))
+    out.append("g palate\n")
+    # two triangles per quad (v, v+stride, v+stride+1) and (v, v+stride+1, v+1),
+    # v the 1-based number of the quad's corner at (row i, column j): each
+    # corner of a row of quads is a slice of the vertex numbers
+    numbers = list(map(str, range(1, (nx + 1) * stride + 1)))
+    faces = _OBJ_FACE_PAIR * nz
+    corners = [""] * (6 * nz)
+    for base in range(0, nx * stride, stride):
+        corners[0::6] = corners[3::6] = numbers[base : base + nz]
+        corners[1::6] = numbers[base + stride : base + stride + nz]
+        corners[2::6] = corners[4::6] = numbers[base + stride + 1 : base + 2 * stride]
+        corners[5::6] = numbers[base + 1 : base + stride]
+        out.append(faces % tuple(corners))
     if contacts is not None:
-        for i, contact in enumerate(contacts):
-            x = grid[i][0][0]
-            sl = slice_at(geometry, x)
+        for i, ((x, sl, _zs, _ys), contact) in enumerate(zip(rows, contacts)):
             group = _GROUP_OF_CLASS.get(type(contact))
             if group is None:
                 raise DomainError(f"contacts[{i}] is not a contact classification")
-            lines.append(f"g {group}")
+            out.append(f"g {group}\n")
             if isinstance(contact, NoContact):
                 markers = [(sl.z_min, 0.0), (sl.z_max, 0.0)]
             elif isinstance(contact, Intersection):
@@ -238,8 +267,8 @@ def export_obj(
                 ]
             else:
                 markers = [(contact.z_apex, sl.h)]
-            lines.extend(_OBJ_VERTEX % (x, y, z) for z, y in markers)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+            out.extend(_OBJ_VERTEX % (x, y, z) for z, y in markers)
+    return "".join(out).encode("utf-8")
 
 
 def _disc_runs(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int, int, int]]:
@@ -277,11 +306,19 @@ _CONTACT_RGB = bytes.fromhex(CONTACT_COLOR[1:])
 _NO_CONTACT_RGB = bytes.fromhex(NO_CONTACT_COLOR[1:])
 
 
-def _put_disc(raster: bytearray, cx: float, cy: float, r: float, rgb: bytes) -> None:
-    """Paint a disc into a PPM of the canvas, one slice assignment per pixel row."""
-    for py, a, b in _disc_runs(cx, cy, r, WIDTH, HEIGHT):
-        start = len(_PPM_HEADER) + 3 * (py * WIDTH + a)
-        raster[start : start + 3 * (b - a + 1)] = rgb * (b - a + 1)
+def _disc_slices(cx: float, cy: float, r: float) -> list[tuple[int, int]]:
+    """A disc on the canvas as (byte offset, pixel count) runs of its PPM."""
+    head = len(_PPM_HEADER)
+    return [
+        (head + 3 * (py * WIDTH + a), b - a + 1)
+        for py, a, b in _disc_runs(cx, cy, r, WIDTH, HEIGHT)
+    ]
+
+
+def _paint(raster: bytearray, runs, rgb: bytes) -> None:
+    """Paint (byte offset, pixel count) runs of a PPM in one color."""
+    for start, n in runs:
+        raster[start : start + 3 * n] = rgb * n
 
 
 @functools.cache
@@ -294,23 +331,30 @@ def _outlined_canvas() -> bytes:
     for k in range(steps + 1):
         t = k / steps
         side_y = HEIGHT - _MARGIN + t * (_SHOULDER_Y - (HEIGHT - _MARGIN))
-        _put_disc(raster, _MARGIN, side_y, 1.2, rgb)
-        _put_disc(raster, WIDTH - _MARGIN, side_y, 1.2, rgb)
+        _paint(raster, _disc_slices(_MARGIN, side_y, 1.2), rgb)
+        _paint(raster, _disc_slices(WIDTH - _MARGIN, side_y, 1.2), rgb)
         angle = math.pi * (1.0 - t)
         arch_x = 0.5 * WIDTH + _ARCH_RX * math.cos(angle)
-        _put_disc(raster, arch_x, _SHOULDER_Y - _ARCH_RY * math.sin(angle), 1.2, rgb)
+        _paint(raster, _disc_slices(arch_x, _SHOULDER_Y - _ARCH_RY * math.sin(angle), 1.2), rgb)
     return bytes(raster)
+
+
+@_per_lattice
+def _palatal_ppm_dots(rows: int, cols: int):
+    """Each dot's runs in the PPM, anterior row first."""
+    centers, radius = _palatal_layout(rows, cols)
+    return (_disc_slices(cx, cy, radius) for row in centers for cx, cy in row)
 
 
 def render_palatal_ppm(frame: EPGFrame) -> bytes:
     """Raster fallback of the palatal view (binary PPM, P6).
 
     A copy of the outlined canvas gets one disc per cell, painted in order,
-    later ones over earlier ones.
+    later ones over earlier ones. The discs' runs are kept per lattice (see
+    _CACHED_CELLS); a frame only picks their colors.
     """
     raster = bytearray(_outlined_canvas())
-    centers, radius = _palatal_layout(frame.rows, frame.cols)
-    for row_centers, row in zip(centers, frame.cells):
-        for (cx, cy), contacted in zip(row_centers, row):
-            _put_disc(raster, cx, cy, radius, _CONTACT_RGB if contacted else _NO_CONTACT_RGB)
+    dots = _palatal_ppm_dots(frame.rows, frame.cols)
+    for runs, contacted in zip(dots, itertools.chain.from_iterable(frame.cells)):
+        _paint(raster, runs, _CONTACT_RGB if contacted else _NO_CONTACT_RGB)
     return bytes(raster)

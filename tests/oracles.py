@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from palatogram import (
     midsagittal_height,
     slice_at,
 )
-from palatogram.dome import surface_xs
+from palatogram.dome import MAX_SURFACE_STEPS, surface_xs
 from palatogram.epg import column_fractions
 from palatogram.errors import MAX_MM, MIN_MM
 from palatogram.render import (
@@ -181,6 +182,15 @@ def disc_pixels(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[in
     ]
 
 
+def outline_geometry():
+    """Margin and horseshoe arch (rx, ry, shoulder y) of the palatal view, from the canvas size."""
+    w, h = float(WIDTH), float(HEIGHT)
+    margin = 0.08 * min(w, h)
+    rx = 0.5 * w - margin
+    ry = 0.42 * (h - 2 * margin)
+    return margin, (rx, ry, margin + ry)
+
+
 def palatal_layout(rows: int, cols: int):
     """Dot centers, margin and outline of the palatal view, from the canvas size.
 
@@ -188,7 +198,7 @@ def palatal_layout(rows: int, cols: int):
     became module constants and the layout a cached tuple.
     """
     w, h = float(WIDTH), float(HEIGHT)
-    margin = 0.08 * min(w, h)
+    margin, arch = outline_geometry()
     arch_top = margin
     arch_bottom = h - margin
     usable_h = arch_bottom - arch_top
@@ -203,29 +213,31 @@ def palatal_layout(rows: int, cols: int):
         centers.append(
             [(0.5 * w + (f - 0.5) * (w - 2 * margin - 2 * radius) * narrow, cy) for f in fracs]
         )
-    rx = 0.5 * w - margin
-    ry = 0.42 * (h - 2 * margin)
-    return centers, radius, margin, (rx, ry, margin + ry)
+    return centers, radius, margin, arch
 
 
-def palatal_ppm(frame: EPGFrame) -> bytes:
-    """The palatal PPM painted pixel by pixel into a grid of RGB tuples.
+def hex_rgb(color: str) -> tuple[int, int, int]:
+    return (int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16))
 
-    This is the painter render_palatal_ppm used before it wrote scanline
-    runs; both must give the same bytes.
+
+PPM_HEADER = f"P6\n{WIDTH} {HEIGHT}\n255\n".encode("ascii")
+
+
+@functools.cache
+def outlined_ppm() -> bytes:
+    """The PPM of the white canvas with the outline painted on it.
+
+    The outline is painted pixel by pixel into a grid of RGB tuples. No
+    frame changes it, so it is painted once; palatal_ppm copies the bytes.
     """
     w, h = WIDTH, HEIGHT
-    white = (255, 255, 255)
-    pixels = [[white] * w for _ in range(h)]
-
-    def hex_rgb(color: str) -> tuple[int, int, int]:
-        return (int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16))
+    pixels = [[(255, 255, 255)] * w for _ in range(h)]
 
     def put_disc(cx: float, cy: float, r: float, rgb: tuple[int, int, int]) -> None:
         for px, py in disc_pixels(cx, cy, r, w, h):
             pixels[py][px] = rgb
 
-    centers, radius, margin, (rx, ry, shoulder_y) = palatal_layout(frame.rows, frame.cols)
+    margin, (rx, ry, shoulder_y) = outline_geometry()
     outline = hex_rgb(OUTLINE_COLOR)
     steps = 160
     for k in range(steps + 1):
@@ -234,14 +246,88 @@ def palatal_ppm(frame: EPGFrame) -> bytes:
         put_disc(w - margin, h - margin + t * (shoulder_y - (h - margin)), 1.2, outline)
         angle = math.pi * (1.0 - t)
         put_disc(0.5 * w + rx * math.cos(angle), shoulder_y - ry * math.sin(angle), 1.2, outline)
-    contact_rgb = hex_rgb(CONTACT_COLOR)
-    open_rgb = hex_rgb(NO_CONTACT_COLOR)
+    channels = itertools.chain.from_iterable(itertools.chain.from_iterable(pixels))
+    return PPM_HEADER + bytes(channels)
+
+
+def palatal_ppm(frame: EPGFrame) -> bytes:
+    """The palatal PPM with each dot painted pixel by pixel over the outlined canvas.
+
+    This is the painter render_palatal_ppm used before it wrote scanline
+    runs; both must give the same bytes.
+    """
+    raster = bytearray(outlined_ppm())
+    centers, radius, _margin, _arch = palatal_layout(frame.rows, frame.cols)
+    contact_rgb = bytes(hex_rgb(CONTACT_COLOR))
+    open_rgb = bytes(hex_rgb(NO_CONTACT_COLOR))
     for i, row in enumerate(frame.cells):
         for j, contacted in enumerate(row):
             cx, cy = centers[i][j]
-            put_disc(cx, cy, radius, contact_rgb if contacted else open_rgb)
-    channels = itertools.chain.from_iterable(itertools.chain.from_iterable(pixels))
-    return f"P6\n{w} {h}\n255\n".encode("ascii") + bytes(channels)
+            rgb = contact_rgb if contacted else open_rgb
+            for px, py in disc_pixels(cx, cy, radius, WIDTH, HEIGHT):
+                at = len(PPM_HEADER) + 3 * (py * WIDTH + px)
+                raster[at : at + 3] = rgb
+    return bytes(raster)
+
+
+def sample_surface(
+    geometry: PalateGeometry, nx: int, nz: int
+) -> list[list[tuple[float, float, float]]]:
+    """The dome sampled into (x, y, z) rows, one dome_elevation call per point.
+
+    This is the sampler dome.sample_surface was before it became a view of
+    the rows export_obj formats; both must give the same floats.
+    """
+    if not 1 <= nz <= MAX_SURFACE_STEPS:
+        raise DomainError(f"grid needs 1 <= nz <= {MAX_SURFACE_STEPS}, got nz={nz}")
+    weights = [(1.0 - j / nz, j / nz) for j in range(nz + 1)]
+    grid = []
+    for x in surface_xs(geometry, nx):
+        sl = slice_at(geometry, x)
+        zs = [g * sl.z_min + f * sl.z_max for g, f in weights]
+        grid.append([(x, dome_elevation(sl, z), z) for z in zs])
+    return grid
+
+
+def export_obj(geometry: PalateGeometry, nx: int, nz: int, contacts=None) -> bytes:
+    """The OBJ mesh formatted one vertex line and one face pair at a time.
+
+    This is the emitter render.export_obj was before it formatted a row at a
+    time; both must give the same bytes, and the same errors in the same order.
+    """
+    grid = sample_surface(geometry, nx, nz)
+    if contacts is not None and len(contacts) != nx + 1:
+        raise DomainError(
+            f"contacts list must have nx+1 = {nx + 1} entries, got {len(contacts)}"
+        )
+    vertex = "v %.6f %.6f %.6f"
+    lines = [vertex % point for row in grid for point in row]
+    lines.append("g palate")
+    stride = nz + 1
+    lines += [
+        f"f {v} {v + stride} {v + stride + 1}\nf {v} {v + stride + 1} {v + 1}"
+        for base in range(1, nx * stride + 1, stride)
+        for v in range(base, base + nz)
+    ]
+    groups = {NoContact: "no_contact", Intersection: "intersection", FullContact: "full_contact"}
+    for i, contact in enumerate(contacts or ()):
+        x = grid[i][0][0]
+        sl = slice_at(geometry, x)
+        group = groups.get(type(contact))
+        if group is None:
+            raise DomainError(f"contacts[{i}] is not a contact classification")
+        lines.append(f"g {group}")
+        if isinstance(contact, NoContact):
+            markers = [(sl.z_min, 0.0), (sl.z_max, 0.0)]
+        elif isinstance(contact, Intersection):
+            markers = [
+                (contact.z_left, dome_elevation(sl, contact.z_left)),
+                (contact.z_right, dome_elevation(sl, contact.z_right)),
+            ]
+        else:
+            markers = [(contact.z_apex, sl.h)]
+        lines.extend(vertex % (x, y, z) for z, y in markers)
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:

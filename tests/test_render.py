@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -227,16 +229,44 @@ def test_ppm_header_and_determinism():
 
 
 def test_ppm_outline_is_painted_once(monkeypatch):
-    # 3 x 161 outline discs on the first render only, then one disc per cell
+    # 3 x 161 outline discs on the first render only, one disc per cell on
+    # the first render of each lattice, and none on a lattice seen before
     calls = []
     disc_runs = render._disc_runs
     monkeypatch.setattr(render, "_disc_runs", lambda *args: calls.append(args) or disc_runs(*args))
     render._outlined_canvas.cache_clear()
+    render._palatal_ppm_dots.cache_clear()
     frame = uniform_frame(True, rows=3, cols=5)
     first = render_palatal_ppm(frame)
     assert len(calls) == 483 + 15
+    assert render_palatal_ppm(uniform_frame(False, rows=3, cols=5)) != first
     assert render_palatal_ppm(frame) == first
-    assert len(calls) == 483 + 2 * 15
+    assert len(calls) == 483 + 15
+    render_palatal_ppm(uniform_frame(True, rows=4, cols=6))
+    assert len(calls) == 483 + 15 + 24
+
+
+def test_render_caches_keep_no_large_lattice():
+    # a lattice past the cache bound is drawn without being kept; before the
+    # bound, the SVG and PPM of the smallest such lattice left 0.2 MB behind
+    # and those of a 512 x 512 one 50 MB, which takes about 12 s to render
+    # under tracemalloc
+    small = uniform_frame(True, rows=4, cols=4)
+    render_palatal_svg(small)
+    render_palatal_ppm(small)  # the outlined canvas is kept for every lattice
+    side = math.isqrt(render._CACHED_CELLS) + 1
+    frame = uniform_frame(True, side, side)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert render_palatal_svg(frame).count(b"<circle ") == side * side
+        assert len(render_palatal_ppm(frame)) == len(b"P6\n420 480\n255\n") + 420 * 480 * 3
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
 
 
 def test_ppm_contains_contact_color():
