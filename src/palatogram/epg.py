@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from ._frozen import Frozen
@@ -19,6 +20,30 @@ __all__ = [
 ]
 
 MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg allocates
+
+# The largest lattice, in cells, whose per-cell work is kept: the dome rows
+# of compute_epg and the SVG and PPM dots of the palatal view. The frames of
+# one animation share a palate and a lattice, and a few entries cover the
+# lattices one process draws at a time; at about 0.8 MB for a 32 x 32
+# lattice's dome rows, SVG and PPM dots, the caches hold about 12 MB at most.
+# A larger lattice is worked out afresh for each frame.
+_CACHED_CELLS = 32 * 32
+
+
+def _per_lattice(make, keep=tuple):
+    """make(*key), kept as keep(make(*key)) for the last 16 keys of at most _CACHED_CELLS cells.
+
+    Called as get(cells, *key), cells the count of the key's lattice. A
+    larger lattice's items are made afresh, one at a time as they are used.
+    """
+    kept = functools.lru_cache(maxsize=16)(lambda *key: keep(make(*key)))
+
+    @functools.wraps(make)
+    def get(cells: int, *key):
+        return kept(*key) if cells <= _CACHED_CELLS else make(*key)
+
+    get.cache_clear = kept.cache_clear
+    return get
 
 
 class EPGFrame(Frozen):
@@ -87,6 +112,12 @@ def compute_epg(
     Cell (i, j) is contacted iff the shaped tongue height at the cell center
     reaches the dome surface there. rows must lie in [1, MAX_EPG_SIDE] and
     cols in [2, MAX_EPG_SIDE].
+
+    The dome sampled at the cell centers depends only on the palate, the
+    overlap and the lattice, not on the tongue: it is kept for the last 16
+    of them of at most _CACHED_CELLS cells, the bound of the palatal view's
+    dots, so a frame on a kept one only shapes the tongue. A larger lattice
+    samples the dome row by row as it goes, keeping none of it.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -98,18 +129,36 @@ def compute_epg(
         raise DomainError(
             "tongue contour and palate do not overlap along the anterior-posterior axis"
         )
+    x_of_row, cells = [], []
+    for x, sl, zs, dome in _dome_rows(rows * cols, geometry, x_lo, x_hi, rows, cols):
+        heights = shaped_heights(params, sl, x, midsagittal_height(contour, x), zs)
+        cells.append(tuple(map(operator.ge, heights, dome)))
+        x_of_row.append(x)
+        # free an unkept row's floats before the next row is made, which reuses them
+        del zs, dome, heights
+    return EPGFrame(cells=tuple(cells), x_of_row=tuple(x_of_row))
+
+
+def _kept_rows(rows) -> tuple:
+    """Dome rows as kept: each row's z and elevations a tuple, so that no caller can alter them."""
+    return tuple((x, sl, tuple(zs), tuple(dome)) for x, sl, zs, dome in rows)
+
+
+@functools.partial(_per_lattice, keep=_kept_rows)
+def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
+    """Each row's x, its slice, its cells' z and the dome elevation at each z.
+
+    The dome side of compute_epg, the same for every tongue on one palate,
+    overlap and lattice.
+    """
     offsets = [f - 0.5 for f in column_fractions(cols)]
-    x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
-    cells = []
-    for x in x_of_row:
+    for i in range(rows):
+        x = x_lo + (i + 0.5) * (x_hi - x_lo) / rows
         sl = slice_at(geometry, x)
-        u_mid = midsagittal_height(contour, x)
         # offsets mirror exactly, keeping symmetric shapes bit-symmetric
         z_center, span = sl.z_center, sl.span
         zs = [z_center + o * span for o in offsets]
-        heights = shaped_heights(params, sl, x, u_mid, zs)
-        cells.append(tuple(map(operator.ge, heights, dome_elevations(sl, zs))))
-    return EPGFrame(cells=tuple(cells), x_of_row=x_of_row)
+        yield x, sl, zs, dome_elevations(sl, zs)
 
 
 def epg_text(frame: EPGFrame) -> str:

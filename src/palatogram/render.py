@@ -18,7 +18,7 @@ from .dome import (
     dome_elevations,
     _surface_rows,
 )
-from .epg import EPGFrame, column_fractions
+from .epg import EPGFrame, _per_lattice, column_fractions
 from .errors import DomainError
 
 __all__ = [
@@ -66,31 +66,8 @@ _PALATAL_SVG_HEAD = (
 )
 
 
-# The largest lattice, in cells, whose per-dot drawing is kept. The frames of
-# one animation share a lattice, and a few entries cover the lattices one
-# process renders at a time; at 0.7 MB for a 32 x 32 lattice's SVG and PPM
-# dots, the caches hold about 11 MB at most. A larger lattice is drawn afresh
-# for each frame.
-_CACHED_CELLS = 32 * 32
-
-
-def _per_lattice(dots):
-    """dots(rows, cols), kept as a tuple for the last 16 lattices of at most _CACHED_CELLS cells.
-
-    A larger lattice's dots are made afresh, one at a time as they are drawn.
-    """
-    kept = functools.lru_cache(maxsize=16)(lambda rows, cols: tuple(dots(rows, cols)))
-
-    @functools.wraps(dots)
-    def get(rows: int, cols: int):
-        return kept(rows, cols) if rows * cols <= _CACHED_CELLS else dots(rows, cols)
-
-    get.cache_clear = kept.cache_clear
-    return get
-
-
-def _palatal_layout(rows: int, cols: int) -> tuple[tuple, float]:
-    """The (cx, cy) of each dot, a tuple per row with the anterior row first, and their radius."""
+def _palatal_layout(rows: int, cols: int):
+    """The (cx, cy) of each dot, a tuple per row made as it is read, anterior row first, and their radius."""
     arch_bottom = HEIGHT - _MARGIN
     usable_h = arch_bottom - _MARGIN
     y0 = _MARGIN + 0.22 * usable_h
@@ -98,13 +75,14 @@ def _palatal_layout(rows: int, cols: int) -> tuple[tuple, float]:
     radius = min((y1 - y0) / rows, (WIDTH - 2 * _MARGIN) / cols) * 0.30
     row_span = WIDTH - 2 * _MARGIN - 2 * radius
     fracs = column_fractions(cols)
-    centers = []
-    for i in range(rows):
+
+    def centers(i: int) -> tuple:
         cy = y0 + (i + 0.5) * (y1 - y0) / rows
         # the palate narrows toward the incisors; shrink anterior rows
         narrow = 0.58 + 0.42 * (i + 0.5) / rows
-        centers.append(tuple((0.5 * WIDTH + (f - 0.5) * row_span * narrow, cy) for f in fracs))
-    return tuple(centers), radius
+        return tuple((0.5 * WIDTH + (f - 0.5) * row_span * narrow, cy) for f in fracs)
+
+    return map(centers, range(rows)), radius
 
 
 @_per_lattice
@@ -124,10 +102,11 @@ _ON, _OFF = CONTACT_COLOR + '"/>', NO_CONTACT_COLOR + '"/>'
 def render_palatal_svg(frame: EPGFrame) -> bytes:
     """Palatal view: one dot per grid cell inside a horseshoe outline.
 
-    The dots' text is kept per lattice (see _CACHED_CELLS); a frame only
-    adds its fill colors.
+    The dots' text is kept per lattice (see epg._CACHED_CELLS); a frame
+    only adds its fill colors.
     """
-    dots = _palatal_svg_dots(frame.rows, frame.cols)
+    rows, cols = frame.rows, frame.cols
+    dots = _palatal_svg_dots(rows * cols, rows, cols)
     cells = itertools.chain.from_iterable(frame.cells)
     parts = [_PALATAL_SVG_HEAD]
     parts += [dot + (_ON if contacted else _OFF) for dot, contacted in zip(dots, cells)]
@@ -351,10 +330,11 @@ def render_palatal_ppm(frame: EPGFrame) -> bytes:
 
     A copy of the outlined canvas gets one disc per cell, painted in order,
     later ones over earlier ones. The discs' runs are kept per lattice (see
-    _CACHED_CELLS); a frame only picks their colors.
+    epg._CACHED_CELLS); a frame only picks their colors.
     """
     raster = bytearray(_outlined_canvas())
-    dots = _palatal_ppm_dots(frame.rows, frame.cols)
+    rows, cols = frame.rows, frame.cols
+    dots = _palatal_ppm_dots(rows * cols, rows, cols)
     for runs, contacted in zip(dots, itertools.chain.from_iterable(frame.cells)):
         _paint(raster, runs, _CONTACT_RGB if contacted else _NO_CONTACT_RGB)
     return bytes(raster)

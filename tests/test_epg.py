@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from palatogram import (
     epg_to_dict,
     slice_at,
 )
+from palatogram import epg
 from conftest import s0_geometry
 
 
@@ -241,3 +244,47 @@ def test_shaped_rasterization_uses_field():
     plain = compute_epg(geometry, flat(3.0), ShapingParams(), rows=4, cols=8)
     shaped = compute_epg(geometry, flat(3.0), params, rows=4, cols=8)
     assert shaped.contact_count > plain.contact_count
+
+
+def test_dome_rows_are_sampled_once_per_palate_and_lattice(monkeypatch):
+    # one slice_at and one dome_elevations call per row on the first frame of
+    # a kept lattice, none for another tongue on it, and one per row on every
+    # frame of a lattice past the bound
+    calls = {"slice_at": 0, "dome_elevations": 0}
+    for name in calls:
+        real = getattr(epg, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(epg, name, counted)
+    epg._dome_rows.cache_clear()
+    geometry = default_palate()
+    first, second = list(default_library())[:2]
+    compute_epg(geometry, first.contour, first.params)
+    assert calls == {"slice_at": 8, "dome_elevations": 8}
+    compute_epg(geometry, second.contour, second.params)
+    assert calls == {"slice_at": 8, "dome_elevations": 8}
+    side = math.isqrt(epg._CACHED_CELLS) + 1
+    for k, target in enumerate((first, second, first), start=1):
+        compute_epg(geometry, target.contour, target.params, rows=side, cols=side)
+        assert calls == {"slice_at": 8 + k * side, "dome_elevations": 8 + k * side}
+
+
+def test_dome_rows_keep_no_large_lattice():
+    # a lattice past the cache bound samples the dome without keeping it
+    geometry, target = default_palate(), list(default_library())[0]
+    side = math.isqrt(epg._CACHED_CELLS) + 1
+    epg._dome_rows.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        frame = compute_epg(geometry, target.contour, target.params, rows=side, cols=side)
+        del frame
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024

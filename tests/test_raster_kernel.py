@@ -54,13 +54,16 @@ slices = st.builds(
 )
 
 
+zeros = st.sampled_from((0.0, -0.0))
+
+
 @st.composite
 def palates(draw) -> PalateGeometry:
     shape = draw(st.sampled_from(list(DomeShape)))
-    x = draw(st.floats(-5, 5))
+    x = draw(st.floats(-5, 5) | zeros)
     stack = []
     for _ in range(draw(st.integers(2, 4))):
-        z_min = draw(st.floats(-25, 0))
+        z_min = draw(st.floats(-25, 0) | zeros)
         stack.append(
             DomeSlice(
                 x=x,
@@ -74,7 +77,7 @@ def palates(draw) -> PalateGeometry:
     return PalateGeometry(slices=tuple(stack))
 
 
-heights = st.floats(-5, 25) | st.sampled_from((0.0, -0.0))
+heights = st.floats(-5, 25) | zeros
 
 
 @st.composite
@@ -110,14 +113,40 @@ def shaping(draw) -> ShapingParams:
     )
 
 
+def flip_zero_signs(geometry: PalateGeometry) -> PalateGeometry:
+    """A palate equal to geometry, but a distinct object whose zero fields carry the other sign."""
+    flip = lambda v: -v if v == 0 else v
+    return PalateGeometry(
+        slices=tuple(
+            DomeSlice(x=flip(s.x), z_min=flip(s.z_min), z_max=flip(s.z_max), h=s.h, shape=s.shape)
+            for s in geometry.slices
+        )
+    )
+
+
+# compute_epg keeps the dome rows of lattices of at most 32 x 32 cells and
+# samples larger ones afresh; draw both
+lattices = st.tuples(st.integers(1, 32), st.integers(2, 32)) | st.tuples(
+    st.integers(26, 40), st.integers(40, 41)
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), rows=st.integers(1, 40), cols=st.integers(2, 41))
-def test_compute_epg_matches_per_cell_oracle(data, rows, cols):
+@given(data=st.data(), lattice=lattices)
+def test_compute_epg_matches_per_cell_oracle(data, lattice):
+    # on one palate and lattice: a first contour, a second one over the same
+    # overlap (which reuses the first one's dome rows where they are kept),
+    # and the second on a palate equal to the first but made apart from it
+    rows, cols = lattice
     geometry = data.draw(palates())
+    twin = flip_zero_signs(geometry)
+    assert twin == geometry and twin is not geometry
     contour = data.draw(contours(geometry))
-    params = data.draw(shaping())
-    frame = compute_epg(geometry, contour, params, rows=rows, cols=cols)
-    assert frame.cells == epg_cells(geometry, contour, params, rows, cols)
+    again = TongueContour(points=tuple((x, data.draw(heights)) for x, _u in contour.points))
+    for palate, tongue in ((geometry, contour), (geometry, again), (twin, again)):
+        params = data.draw(shaping())
+        frame = compute_epg(palate, tongue, params, rows=rows, cols=cols)
+        assert frame.cells == epg_cells(palate, tongue, params, rows, cols)
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))

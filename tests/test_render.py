@@ -26,7 +26,7 @@ from palatogram import (
     render_palatal_ppm,
     render_palatal_svg,
 )
-from palatogram import render
+from palatogram import epg, render
 from palatogram.render import CONTACT_COLOR, NO_CONTACT_COLOR, WIDTH, fmt
 from conftest import s0_geometry
 
@@ -254,7 +254,7 @@ def test_render_caches_keep_no_large_lattice():
     small = uniform_frame(True, rows=4, cols=4)
     render_palatal_svg(small)
     render_palatal_ppm(small)  # the outlined canvas is kept for every lattice
-    side = math.isqrt(render._CACHED_CELLS) + 1
+    side = math.isqrt(epg._CACHED_CELLS) + 1
     frame = uniform_frame(True, side, side)
     gc.collect()
     tracemalloc.start()
@@ -267,6 +267,23 @@ def test_render_caches_keep_no_large_lattice():
     finally:
         tracemalloc.stop()
     assert held < 64 * 1024
+
+
+def test_uncached_ppm_holds_one_row_of_layout():
+    # past the cache bound the dot centers are made a row at a time as they
+    # are painted: beyond the painted canvas and the bytes returned, a 96 x 96
+    # PPM peaked 0.2 MB higher when every center was made before the first dot
+    render_palatal_ppm(uniform_frame(True, rows=4, cols=4))  # the outlined canvas is kept
+    frame = uniform_frame(True, 96, 96)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = render_palatal_ppm(frame)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * len(data) < 64 * 1024
 
 
 def test_ppm_contains_contact_color():
