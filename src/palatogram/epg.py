@@ -33,14 +33,14 @@ _CACHED_CELLS = 32 * 32
 def _per_lattice(make, keep=tuple):
     """make(*key), kept as keep(make(*key)) for the last 16 keys of at most _CACHED_CELLS cells.
 
-    Called as get(cells, *key), cells the count of the key's lattice. A
-    larger lattice's items are made afresh, one at a time as they are used.
+    Every key ends in its lattice's rows and cols. A larger lattice's items
+    are made afresh, one at a time as they are used.
     """
     kept = functools.lru_cache(maxsize=16)(lambda *key: keep(make(*key)))
 
     @functools.wraps(make)
-    def get(cells: int, *key):
-        return kept(*key) if cells <= _CACHED_CELLS else make(*key)
+    def get(*key):
+        return kept(*key) if key[-2] * key[-1] <= _CACHED_CELLS else make(*key)
 
     get.cache_clear = kept.cache_clear
     return get
@@ -130,7 +130,7 @@ def compute_epg(
             "tongue contour and palate do not overlap along the anterior-posterior axis"
         )
     x_of_row, cells = [], []
-    for x, sl, zs, dome in _dome_rows(rows * cols, geometry, x_lo, x_hi, rows, cols):
+    for x, sl, zs, dome in _dome_rows(geometry, x_lo, x_hi, rows, cols):
         heights = shaped_heights(params, sl, x, midsagittal_height(contour, x), zs)
         cells.append(tuple(map(operator.ge, heights, dome)))
         x_of_row.append(x)

@@ -106,7 +106,7 @@ def render_palatal_svg(frame: EPGFrame) -> bytes:
     only adds its fill colors.
     """
     rows, cols = frame.rows, frame.cols
-    dots = _palatal_svg_dots(rows * cols, rows, cols)
+    dots = _palatal_svg_dots(rows, cols)
     cells = itertools.chain.from_iterable(frame.cells)
     parts = [_PALATAL_SVG_HEAD]
     parts += [dot + (_ON if contacted else _OFF) for dot, contacted in zip(dots, cells)]
@@ -334,7 +334,7 @@ def render_palatal_ppm(frame: EPGFrame) -> bytes:
     """
     raster = bytearray(_outlined_canvas())
     rows, cols = frame.rows, frame.cols
-    dots = _palatal_ppm_dots(rows * cols, rows, cols)
+    dots = _palatal_ppm_dots(rows, cols)
     for runs, contacted in zip(dots, itertools.chain.from_iterable(frame.cells)):
         _paint(raster, runs, _CONTACT_RGB if contacted else _NO_CONTACT_RGB)
     return bytes(raster)

@@ -125,8 +125,9 @@ def flip_zero_signs(geometry: PalateGeometry) -> PalateGeometry:
 
 
 # compute_epg keeps the dome rows of lattices of at most 32 x 32 cells and
-# samples larger ones afresh; draw both
-lattices = st.tuples(st.integers(1, 32), st.integers(2, 32)) | st.tuples(
+# samples larger ones afresh; any lattice up to 40 x 41, and more often one
+# past the bound
+lattices = st.tuples(st.integers(1, 40), st.integers(2, 41)) | st.tuples(
     st.integers(26, 40), st.integers(40, 41)
 )
 
