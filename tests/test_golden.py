@@ -1,7 +1,9 @@
 """Golden-bytes corpus: sha256 digests of the package's output documents.
 
 Every case is one ``palatogram`` command line. Each case's bytes must hash
-to the digest stored in ``golden/manifest.json``. Speed work on the emitters,
+to the digest stored in ``golden/manifest.json``. The ``list-sounds`` and
+``--help`` cases hash what the command writes to standard output, the help
+text at 80 columns. Speed work on the emitters,
 the raster or the dome must leave every digest as it is. Regenerate the
 manifest only for a change that means to alter output bytes:
 
@@ -10,12 +12,16 @@ manifest only for a change that means to alter output bytes:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -33,6 +39,7 @@ ANIMATION_SPEC = {"targets": ["t", "a:", "s"], "hold_ms": [80, 40, 60], "transit
 # a tongue over x 10-30 of the palate's 0-40, in each form a --contour file takes
 CONTOUR = [[10, 4.0], [16, 9.5], [22, 12.0], [30, 6.0]]
 CONTOUR_PARAMS = {"tt_manner": "full", "tth": 0.6, "posterior_onset_x": 14.0}
+COMMANDS = ("epg", "slice", "mesh", "animate", "list-sounds")
 CONTOUR_DOCS = {
     "bare": CONTOUR,
     "nameless": {"contour": CONTOUR, "params": CONTOUR_PARAMS},
@@ -72,7 +79,20 @@ def golden_cases() -> dict:
             cases[f"slice/contour-named/{model}/x20.0.{fmt}"] = partial(
                 cli_bytes, ["slice", "--model", model, "--x", "20.0", "--format", fmt], contour="named"
             )
+    cases["list-sounds.txt"] = partial(stdout_bytes, ["list-sounds"])
+    cases["help/palatogram.txt"] = partial(stdout_bytes, ["--help"])
+    for command in COMMANDS:
+        cases[f"help/{command}.txt"] = partial(stdout_bytes, [command, "--help"])
     return cases
+
+
+def stdout_bytes(argv: list[str], workdir: Path) -> bytes:
+    """The bytes one command writes to standard output, help wrapped at 80 columns."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(stdout):
+        assert run(argv) == 0
+    stdout.flush()
+    return stdout.buffer.getvalue()
 
 
 def cli_bytes(argv: list[str], workdir: Path, contour: str | None = None) -> bytes:
