@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands:
-    epg         contact grid for one sound (txt, json, svg, ppm)
-    slice       coronal cross-section at a given x (svg or classification json)
+    epg         contact grid for one sound, in one of the frame formats
+    slice       coronal cross-section at a given x (view or classification)
     mesh        annotated 3D dome surface (obj)
     animate     frame sequence for a timed target animation
     list-sounds available preset names
 
-Exit codes: 0 success, 1 usage error, 2 validation or domain error.
+Exit codes: 0 success, 1 usage error, 2 validation, domain or io error.
+Output is bytes, UTF-8 whatever the locale; a closed stdout is an io error.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from .contact import classify_slice, contact_to_dict, surface_contacts
 from .dome import DomeShape, PalateGeometry, default_palate, load_palate, slice_at, with_shape
 from .epg import compute_epg, epg_text, epg_to_dict
 from .errors import PalatogramError, parse_json
-from .render import (
-    export_obj,
-    render_coronal_svg,
-    render_palatal_ppm,
-    render_palatal_svg,
-)
+from .render import export_obj, render_coronal_svg, render_palatal_ppm, render_palatal_svg
 from .shaping import midsagittal_height
 from .sounds import SoundTarget
 
@@ -37,6 +33,24 @@ __all__ = ["main", "run"]
 
 class UsageError(Exception):
     pass
+
+
+def _json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+# format name -> bytes of one EPG frame, for epg and every animate frame
+_FRAME_FORMATS = {
+    "txt": lambda frame: epg_text(frame).encode("utf-8"),
+    "json": lambda frame: _json_bytes(epg_to_dict(frame)),
+    "svg": render_palatal_svg,
+    "ppm": render_palatal_ppm,
+}
+# format name -> bytes of one coronal slice under a midline tongue height
+_SLICE_FORMATS = {
+    "svg": render_coronal_svg,
+    "json": lambda sl, u: _json_bytes(contact_to_dict(classify_slice(sl, u))),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,19 +81,22 @@ def build_parser() -> _Parser:
         p.add_argument("--sound", action="append", metavar="NAME", help="preset sound name")
         p.add_argument("--contour", metavar="FILE", help="tongue contour JSON file")
 
+    def add_frame_opts(p: argparse.ArgumentParser, default_format: str) -> None:
+        p.add_argument("--rows", type=int, default=8)
+        p.add_argument("--cols", type=int, default=8)
+        p.add_argument("--format", choices=_FRAME_FORMATS, default=default_format)
+
     epg = sub.add_parser("epg", help="EPG-style contact grid")
     add_palate_opts(epg)
     add_tongue_opts(epg)
-    epg.add_argument("--rows", type=int, default=8)
-    epg.add_argument("--cols", type=int, default=8)
-    epg.add_argument("--format", choices=["txt", "json", "svg", "ppm"], default="txt")
+    add_frame_opts(epg, "txt")
     epg.add_argument("--out", default="-", metavar="PATH", help="output path, '-' for stdout")
 
     slc = sub.add_parser("slice", help="coronal slice view and contact classification")
     add_palate_opts(slc)
     add_tongue_opts(slc)
     slc.add_argument("--x", type=float, required=True, metavar="MM")
-    slc.add_argument("--format", choices=["svg", "json"], default="svg")
+    slc.add_argument("--format", choices=_SLICE_FORMATS, default="svg")
     slc.add_argument("--out", default="-", metavar="PATH")
 
     mesh = sub.add_parser("mesh", help="3D dome surface as OBJ")
@@ -92,9 +109,7 @@ def build_parser() -> _Parser:
     anim = sub.add_parser("animate", help="render animation frames")
     add_palate_opts(anim)
     anim.add_argument("--spec", required=True, metavar="FILE", help="animation spec JSON")
-    anim.add_argument("--rows", type=int, default=8)
-    anim.add_argument("--cols", type=int, default=8)
-    anim.add_argument("--format", choices=["txt", "json", "svg", "ppm"], default="svg")
+    add_frame_opts(anim, "svg")
     anim.add_argument("--outdir", required=True, metavar="DIR")
 
     sub.add_parser("list-sounds", help="list preset sound names")
@@ -119,31 +134,22 @@ def _load_target(ns: argparse.Namespace) -> SoundTarget:
     return sounds.load_target(ns.contour)
 
 
-def _write(out: str, data: bytes | str) -> None:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    if out == "-":
+def _write(out: str | Path, data: bytes) -> None:
+    """Write a command's output to the file out, or to standard output for '-'."""
+    if out != "-":
+        Path(out).write_bytes(data)
+    elif sys.stdout is None:  # the process started with it closed, as under `>&-`
+        raise OSError("standard output is closed")
+    else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    else:
-        Path(out).write_bytes(data)
-
-
-def _render_frame(frame, fmt: str) -> bytes:
-    if fmt == "txt":
-        return epg_text(frame).encode("utf-8")
-    if fmt == "json":
-        return (json.dumps(epg_to_dict(frame), indent=2) + "\n").encode("utf-8")
-    if fmt == "svg":
-        return render_palatal_svg(frame)
-    return render_palatal_ppm(frame)
 
 
 def _cmd_epg(ns: argparse.Namespace) -> int:
     geometry = _load_geometry(ns)
     target = _load_target(ns)
     frame = compute_epg(geometry, target.contour, target.params, rows=ns.rows, cols=ns.cols)
-    _write(ns.out, _render_frame(frame, ns.format))
+    _write(ns.out, _FRAME_FORMATS[ns.format](frame))
     return 0
 
 
@@ -152,11 +158,7 @@ def _cmd_slice(ns: argparse.Namespace) -> int:
     target = _load_target(ns)
     sl = slice_at(geometry, ns.x)
     u = midsagittal_height(target.contour, ns.x)
-    if ns.format == "svg":
-        _write(ns.out, render_coronal_svg(sl, u))
-    else:
-        doc = contact_to_dict(classify_slice(sl, u))
-        _write(ns.out, json.dumps(doc, indent=2) + "\n")
+    _write(ns.out, _SLICE_FORMATS[ns.format](sl, u))
     return 0
 
 
@@ -175,17 +177,16 @@ def _cmd_animate(ns: argparse.Namespace) -> int:
     outdir = Path(ns.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     frames = sounds.animate(spec)
+    render = _FRAME_FORMATS[ns.format]
     for k, target in enumerate(frames):
         frame = compute_epg(geometry, target.contour, target.params, rows=ns.rows, cols=ns.cols)
-        path = outdir / f"frame_{k:05d}.{ns.format}"
-        path.write_bytes(_render_frame(frame, ns.format))
+        _write(outdir / f"frame_{k:05d}.{ns.format}", render(frame))
     print(f"wrote {len(frames)} frames to {outdir}", file=sys.stderr)
     return 0
 
 
 def _cmd_list_sounds(_: argparse.Namespace) -> int:
-    for name in sounds.sound_names():
-        print(name)
+    _write("-", "".join(f"{name}\n" for name in sounds.sound_names()).encode("utf-8"))
     return 0
 
 
@@ -199,16 +200,11 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
+        ns = build_parser().parse_args(argv)
+        return _COMMANDS[ns.command](ns)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[ns.command](ns)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

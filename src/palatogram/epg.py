@@ -30,13 +30,13 @@ MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg
 _CACHED_CELLS = 32 * 32
 
 
-def _per_lattice(make, keep=tuple):
-    """make(*key), kept as keep(make(*key)) for the last 16 keys of at most _CACHED_CELLS cells.
+def _per_lattice(make):
+    """make(*key), kept as a tuple for the last 16 keys of at most _CACHED_CELLS cells.
 
     Every key ends in its lattice's rows and cols. A larger lattice's items
     are made afresh, one at a time as they are used.
     """
-    kept = functools.lru_cache(maxsize=16)(lambda *key: keep(make(*key)))
+    kept = functools.lru_cache(maxsize=16)(lambda *key: tuple(make(*key)))
 
     @functools.wraps(make)
     def get(*key):
@@ -139,12 +139,7 @@ def compute_epg(
     return EPGFrame(cells=tuple(cells), x_of_row=tuple(x_of_row))
 
 
-def _kept_rows(rows) -> tuple:
-    """Dome rows as kept: each row's z and elevations a tuple, so that no caller can alter them."""
-    return tuple((x, sl, tuple(zs), tuple(dome)) for x, sl, zs, dome in rows)
-
-
-@functools.partial(_per_lattice, keep=_kept_rows)
+@_per_lattice
 def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
     """Each row's x, its slice, its cells' z and the dome elevation at each z.
 
@@ -161,11 +156,13 @@ def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, co
         yield x, sl, zs, dome_elevations(sl, zs)
 
 
+_TEXT_OF_CELL = b"." + b"#" * 255  # bytes.translate table: 0 -> '.', any other byte -> '#'
+
+
 def epg_text(frame: EPGFrame) -> str:
     """Anterior-first text rendering, '#' for contact and '.' otherwise."""
-    return "".join(
-        "".join("#" if cell else "." for cell in row) + "\n" for row in frame.cells
-    )
+    rows = [bytes(row).translate(_TEXT_OF_CELL) for row in frame.cells]
+    return (b"\n".join(rows) + b"\n").decode("ascii")
 
 
 def epg_to_dict(frame: EPGFrame) -> dict:

@@ -151,6 +151,13 @@ def epg_cells(
     return tuple(cells)
 
 
+def epg_text(frame: EPGFrame) -> str:
+    """The text view joined cell by cell, as epg.epg_text made it before its byte table."""
+    return "".join(
+        "".join("#" if cell else "." for cell in row) + "\n" for row in frame.cells
+    )
+
+
 def mesh_contacts(
     geometry: PalateGeometry, contour: TongueContour, nx: int
 ) -> list[NoContact | Intersection | FullContact]:

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import palatogram
+from palatogram import sound_names
 from palatogram.cli import run
+
+SOUND_NAMES_UTF8 = "".join(f"{name}\n" for name in sound_names()).encode("utf-8")
 
 
 def test_epg_txt_a_is_empty(capsys):
@@ -205,6 +214,40 @@ def test_animate_rejects_too_many_frames(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: config:") and "100000" in err
     assert err.count("\n") == 1
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["epg", "--sound", "t"],
+    ["slice", "--sound", "t", "--x", "20", "--format", "json"],
+    ["mesh"],
+    ["list-sounds"],
+])
+def test_closed_stdout_is_one_io_error(capsys, monkeypatch, argv):
+    # as with `palatogram ... >&-`: Python then starts with sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(argv) == 2
+    assert assert_one_error_line(capsys, "io") == "error: io: standard output is closed\n"
+
+
+def test_list_sounds_writes_utf8_whatever_the_stdout_encoding(capsys, monkeypatch):
+    assert run(["list-sounds"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == SOUND_NAMES_UTF8
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["list-sounds"]) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue() == SOUND_NAMES_UTF8
+
+
+def test_list_sounds_under_an_ascii_locale():
+    src = str(Path(palatogram.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "palatogram.cli", "list-sounds"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == SOUND_NAMES_UTF8
 
 
 def test_help_exits_zero():

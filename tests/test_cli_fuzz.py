@@ -8,7 +8,10 @@ return 0, 1 or 2 without an exception escaping; a failing run prints exactly
 one ``error:`` line; a run that succeeds writes no NaN or infinity. An epg,
 slice or mesh run whose palate and tongue load and whose grid and ``--x`` lie
 in their domain must not fail with a domain error: a slice interpolated
-between two that loaded is a valid slice.
+between two that loaded is a valid slice. Each run is made again with
+standard output closed (``sys.stdout`` None, as under ``>&-``): it must end
+as the first run did or with one ``error: io:`` line and exit 2. (argparse
+itself writes ``--help`` to stderr then, which is no error line.)
 """
 
 from __future__ import annotations
@@ -225,18 +228,32 @@ def test_cli_run_exits_cleanly(invocation):
         for name, text in files.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         argv = [arg.replace("{dir}", tmp) for arg in argv]
-        stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = run(argv)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        code, err = run_with_stdout(argv, stdout)
         stdout.flush()
-        out, err = stdout.buffer.getvalue(), stderr.getvalue()
         assert code in (0, 1, 2)
         event(f"{argv[:1]} exits {code}")
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not (err.startswith("error: domain:") and in_domain(argv)), (argv, err)
-            return
-        written = [(p.name, p.read_bytes()) for p in Path(tmp).rglob("*") if p.is_file()]
-        for name, data in [("stdout", out), *written]:
-            if name not in files:
-                assert not NON_FINITE_WORD.search(written_text(data, name)), (argv, name)
+        else:
+            written = [(p.name, p.read_bytes()) for p in Path(tmp).rglob("*") if p.is_file()]
+            for name, data in [("stdout", stdout.buffer.getvalue()), *written]:
+                if name not in files:
+                    assert not NON_FINITE_WORD.search(written_text(data, name)), (argv, name)
+        closed_code, closed_err = run_with_stdout(argv, None)
+        if (closed_code, error_lines(closed_err)) != (code, error_lines(err)):
+            assert closed_code == 2, (argv, closed_err)
+            assert closed_err.startswith("error: io:") and closed_err.count("\n") == 1, closed_err
+
+
+def run_with_stdout(argv: list[str], stdout) -> tuple[int, str]:
+    """run(argv)'s exit code and stderr, with sys.stdout set to stdout."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    return code, stderr.getvalue()
+
+
+def error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("error:")]

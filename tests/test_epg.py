@@ -29,6 +29,7 @@ from palatogram import (
 )
 from palatogram import epg
 from conftest import s0_geometry
+import oracles
 
 
 def flat(u: float, x0: float = 0.0, x1: float = 10.0) -> TongueContour:
@@ -196,6 +197,21 @@ def test_epg_text_direct():
     empty = EPGFrame(cells=((False, False), (False, False)), x_of_row=(1.0, 2.0))
     assert epg_text(empty) == "..\n..\n"
     assert len(epg_text(empty)) == 2 * (2 + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 40), data=st.data())
+@example(rows=1, cols=2, data=None)
+@example(rows=1, cols=1024, data=None)
+def test_epg_text_matches_the_per_cell_join(rows, cols, data):
+    # any 0-255 int is a cell to the byte table, read by its truth as before
+    cells = st.one_of(st.booleans(), st.integers(0, 255), st.sampled_from([0, 1, 255]))
+    if data is None:
+        grid = tuple(tuple(bool(j % 3) for j in range(cols)) for _ in range(rows))
+    else:
+        grid = data.draw(st.tuples(*[st.tuples(*[cells] * cols)] * rows))
+    frame = EPGFrame(cells=grid, x_of_row=tuple(map(float, range(rows))))
+    assert epg_text(frame) == oracles.epg_text(frame)
 
 
 def test_epg_text_t_preset_anterior_closure():
