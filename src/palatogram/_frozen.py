@@ -15,9 +15,13 @@ class Frozen:
     assignment or deletion. A copy, shallow or deep, is the value itself.
     Unpickling rebuilds the value through the constructor, so it is
     validated like the original.
+
+    The hash is worked out on first use and kept in the one slot of this
+    base, which is not a field: a palate's hash, a key of compute_epg's dome
+    cache, is then one slot read after the first, not one per slice.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
@@ -51,7 +55,12 @@ class Frozen:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet
+            value = hash(self._values(self))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

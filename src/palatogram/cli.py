@@ -145,6 +145,21 @@ def _write(out: str | Path, data: bytes) -> None:
         sys.stdout.buffer.flush()
 
 
+def _say(line: str) -> None:
+    """Write a line to standard error, or drop it when standard error is closed.
+
+    A process started under `2>&-` has sys.stderr None, or a sys.stderr on
+    whatever file the interpreter opened next as descriptor 2, which fails
+    to write.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _cmd_epg(ns: argparse.Namespace) -> int:
     geometry = _load_geometry(ns)
     target = _load_target(ns)
@@ -181,7 +196,7 @@ def _cmd_animate(ns: argparse.Namespace) -> int:
     for k, target in enumerate(frames):
         frame = compute_epg(geometry, target.contour, target.params, rows=ns.rows, cols=ns.cols)
         _write(outdir / f"frame_{k:05d}.{ns.format}", render(frame))
-    print(f"wrote {len(frames)} frames to {outdir}", file=sys.stderr)
+    _say(f"wrote {len(frames)} frames to {outdir}")
     return 0
 
 
@@ -206,13 +221,13 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
+        _say(f"error: usage: {exc}")
         return 1
     except PalatogramError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        _say(f"error: {exc.code}: {exc}")
         return 2
     except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
+        _say(f"error: io: {exc}")
         return 2
 
 

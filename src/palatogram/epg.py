@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from array import array
 
 from ._frozen import Frozen
 from .dome import PalateGeometry, dome_elevations, slice_at
@@ -21,29 +22,36 @@ __all__ = [
 
 MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg allocates
 
-# The largest lattice, in cells, whose per-cell work is kept: the dome rows
-# of compute_epg and the SVG and PPM dots of the palatal view. The frames of
-# one animation share a palate and a lattice, and a few entries cover the
-# lattices one process draws at a time; at about 0.8 MB for a 32 x 32
-# lattice's dome rows, SVG and PPM dots, the caches hold about 12 MB at most.
-# A larger lattice is worked out afresh for each frame.
-_CACHED_CELLS = 32 * 32
+# The largest lattice, in cells, whose dome rows compute_epg keeps, for the
+# last 16 palates, overlaps and lattices drawn: the frames drawn against one
+# palate share its dome. A kept row holds its cells' z and dome elevation as
+# doubles, 16 bytes a cell, beside about 0.4 KB for its x, slice and
+# containers, so a lattice of 128 x 128 holds about 0.3 MB and the tallest
+# one, 1024 x 16, about 0.65 MB: the 16 kept lattices hold at most about
+# 10.5 MB, and 48 x 48 to 100 x 64 on both built-in palates (10 lattices,
+# 41,480 cells) about 0.9 MB. A larger lattice's rows are sampled afresh,
+# one at a time, for each frame.
+_CACHED_CELLS = 128 * 128
 
 
-def _per_lattice(make):
-    """make(*key), kept as a tuple for the last 16 keys of at most _CACHED_CELLS cells.
+def _per_lattice(max_cells: int, keep=tuple):
+    """Keep keep(make(*key)) for the last 16 keys of at most max_cells cells.
 
     Every key ends in its lattice's rows and cols. A larger lattice's items
     are made afresh, one at a time as they are used.
     """
-    kept = functools.lru_cache(maxsize=16)(lambda *key: tuple(make(*key)))
 
-    @functools.wraps(make)
-    def get(*key):
-        return kept(*key) if key[-2] * key[-1] <= _CACHED_CELLS else make(*key)
+    def per_lattice(make):
+        kept = functools.lru_cache(maxsize=16)(lambda *key: keep(make(*key)))
 
-    get.cache_clear = kept.cache_clear
-    return get
+        @functools.wraps(make)
+        def get(*key):
+            return kept(*key) if key[-2] * key[-1] <= max_cells else make(*key)
+
+        get.cache_clear = kept.cache_clear
+        return get
+
+    return per_lattice
 
 
 class EPGFrame(Frozen):
@@ -114,10 +122,10 @@ def compute_epg(
     cols in [2, MAX_EPG_SIDE].
 
     The dome sampled at the cell centers depends only on the palate, the
-    overlap and the lattice, not on the tongue: it is kept for the last 16
-    of them of at most _CACHED_CELLS cells, the bound of the palatal view's
-    dots, so a frame on a kept one only shapes the tongue. A larger lattice
-    samples the dome row by row as it goes, keeping none of it.
+    overlap and the lattice, not on the tongue: it is kept, as doubles, for
+    the last 16 of them of at most _CACHED_CELLS = 128 x 128 cells (about
+    10.5 MB at most), so a frame on a kept one only shapes the tongue. A
+    larger lattice samples the dome row by row as it goes, keeping none of it.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -139,7 +147,12 @@ def compute_epg(
     return EPGFrame(cells=tuple(cells), x_of_row=tuple(x_of_row))
 
 
-@_per_lattice
+def _as_doubles(rows) -> tuple:
+    """Dome rows to keep, each row's z and elevations packed as doubles."""
+    return tuple((x, sl, array("d", zs), array("d", dome)) for x, sl, zs, dome in rows)
+
+
+@_per_lattice(_CACHED_CELLS, keep=_as_doubles)
 def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
     """Each row's x, its slice, its cells' z and the dome elevation at each z.
 

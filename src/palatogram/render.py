@@ -7,6 +7,7 @@ across runs: fixed attribute order, fixed decimal precision, no timestamps.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 
@@ -62,8 +63,8 @@ _OUTLINE_PATH = (
 )
 _PALATAL_SVG_HEAD = (
     f'{_SVG_HEAD}\n<path d="{_OUTLINE_PATH}" fill="none" '
-    f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
-)
+    f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>\n'
+).encode("ascii")
 
 
 def _palatal_layout(rows: int, cols: int):
@@ -85,33 +86,58 @@ def _palatal_layout(rows: int, cols: int):
     return map(centers, range(rows)), radius
 
 
-@_per_lattice
-def _palatal_svg_dots(rows: int, cols: int):
-    """Each dot's SVG text up to its fill color, anterior row first."""
+# The largest lattice, in cells, whose palatal dots are kept, for the last 16
+# lattices drawn. A dot's PPM runs and SVG text cost about 30 times a cell's
+# kept dome row (see epg._CACHED_CELLS): 32 x 32, the costliest lattice
+# within the bound, holds 0.6 MB of runs and 0.05 MB of text, so the kept
+# dots of both views hold at most about 10.5 MB.
+_CACHED_DOT_CELLS = 32 * 32
+
+
+def _svg_band_rows(cols: int) -> int:
+    """Rows of dots per SVG band: up to _CACHED_DOT_CELLS dots, and at least one row."""
+    return max(1, _CACHED_DOT_CELLS // cols)
+
+
+@_per_lattice(_CACHED_DOT_CELLS)
+def _palatal_svg_bands(rows: int, cols: int):
+    """The SVG text of each band of rows, anterior first, a %s where each dot's fill goes.
+
+    A kept lattice is one band, so its frames are one % each.
+    """
     centers, radius = _palatal_layout(rows, cols)
     f = fmt
     r = f(radius)
-    for row in centers:
+
+    def row_text(row: tuple) -> str:
         cy = f(row[0][1])
-        yield from (f'<circle cx="{f(cx)}" cy="{cy}" r="{r}" fill="' for cx, _cy in row)
+        return "".join([f'<circle cx="{f(cx)}" cy="{cy}" r="{r}" fill="%s' for cx, _cy in row])
+
+    texts, band_rows = map(row_text, centers), _svg_band_rows(cols)
+    while band := "".join(itertools.islice(texts, band_rows)):
+        yield band.encode("ascii")
 
 
-_ON, _OFF = CONTACT_COLOR + '"/>', NO_CONTACT_COLOR + '"/>'
+# the rest of a dot's line, for a contacted cell and for one without contact
+_ON, _OFF = f'{CONTACT_COLOR}"/>\n'.encode("ascii"), f'{NO_CONTACT_COLOR}"/>\n'.encode("ascii")
 
 
 def render_palatal_svg(frame: EPGFrame) -> bytes:
     """Palatal view: one dot per grid cell inside a horseshoe outline.
 
-    The dots' text is kept per lattice (see epg._CACHED_CELLS); a frame
-    only adds its fill colors.
+    The document is written a band of rows at a time. The bands' text is
+    kept per lattice (see _CACHED_DOT_CELLS); a frame only adds its fill
+    colors.
     """
-    rows, cols = frame.rows, frame.cols
-    dots = _palatal_svg_dots(rows, cols)
-    cells = itertools.chain.from_iterable(frame.cells)
-    parts = [_PALATAL_SVG_HEAD]
-    parts += [dot + (_ON if contacted else _OFF) for dot, contacted in zip(dots, cells)]
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    rows, cols, cells = frame.rows, frame.cols, frame.cells
+    band_rows = _svg_band_rows(cols)
+    out = io.BytesIO()
+    out.write(_PALATAL_SVG_HEAD)
+    for i, band in zip(range(0, rows, band_rows), _palatal_svg_bands(rows, cols)):
+        fills = [_ON if c else _OFF for row in cells[i : i + band_rows] for c in row]
+        out.write(band % tuple(fills))
+    out.write(b"</svg>\n")
+    return out.getvalue()
 
 
 CORONAL_CURVE_SAMPLES = 256
@@ -318,7 +344,7 @@ def _outlined_canvas() -> bytes:
     return bytes(raster)
 
 
-@_per_lattice
+@_per_lattice(_CACHED_DOT_CELLS)
 def _palatal_ppm_dots(rows: int, cols: int):
     """Each dot's runs in the PPM, anterior row first."""
     centers, radius = _palatal_layout(rows, cols)
@@ -330,7 +356,7 @@ def render_palatal_ppm(frame: EPGFrame) -> bytes:
 
     A copy of the outlined canvas gets one disc per cell, painted in order,
     later ones over earlier ones. The discs' runs are kept per lattice (see
-    epg._CACHED_CELLS); a frame only picks their colors.
+    _CACHED_DOT_CELLS); a frame only picks their colors.
     """
     raster = bytearray(_outlined_canvas())
     rows, cols = frame.rows, frame.cols

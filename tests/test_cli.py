@@ -229,6 +229,31 @@ def test_closed_stdout_is_one_io_error(capsys, monkeypatch, argv):
     assert assert_one_error_line(capsys, "io") == "error: io: standard output is closed\n"
 
 
+def test_closed_stderr_drops_its_lines(capsys, monkeypatch, tmp_path):
+    # as with `palatogram ... 2>&-` when Python starts with sys.stderr None:
+    # print(file=None) would write the line to stdout instead
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(["epg", "--sound", "zz"]) == 2
+    assert run(["epg", "--sound", "t", "--frobnicate"]) == 1
+    spec = tmp_path / "anim.json"
+    spec.write_text('{"targets": ["t"], "fps": 10}', encoding="utf-8")
+    assert run(["animate", "--spec", str(spec), "--outdir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_closed_stderr_keeps_the_exit_code():
+    # a process started under `2>&-` has sys.stderr None, or one on a file it
+    # opened for reading as fd 2, which fails to write; printing the error
+    # line put it on stdout in the first case and exited 1 in the second
+    src = str(Path(palatogram.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    script = '"$0" -m palatogram.cli epg --sound zz 2>&-'
+    proc = subprocess.run(
+        ["sh", "-c", script, sys.executable], env=env, capture_output=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
+
+
 def test_list_sounds_writes_utf8_whatever_the_stdout_encoding(capsys, monkeypatch):
     assert run(["list-sounds"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == SOUND_NAMES_UTF8

@@ -265,7 +265,7 @@ def test_shaped_rasterization_uses_field():
 def test_dome_rows_are_sampled_once_per_palate_and_lattice(monkeypatch):
     # one slice_at and one dome_elevations call per row on the first frame of
     # a kept lattice, none for another tongue on it, and one per row on every
-    # frame of a lattice past the bound
+    # frame of the first lattice past the bound
     calls = {"slice_at": 0, "dome_elevations": 0}
     for name in calls:
         real = getattr(epg, name)
@@ -278,29 +278,70 @@ def test_dome_rows_are_sampled_once_per_palate_and_lattice(monkeypatch):
     epg._dome_rows.cache_clear()
     geometry = default_palate()
     first, second = list(default_library())[:2]
-    compute_epg(geometry, first.contour, first.params)
-    assert calls == {"slice_at": 8, "dome_elevations": 8}
-    compute_epg(geometry, second.contour, second.params)
-    assert calls == {"slice_at": 8, "dome_elevations": 8}
+    sampled = 0
+    for side in (8, math.isqrt(epg._CACHED_CELLS)):
+        compute_epg(geometry, first.contour, first.params, rows=side, cols=side)
+        sampled += side
+        assert calls == {"slice_at": sampled, "dome_elevations": sampled}
+        compute_epg(geometry, second.contour, second.params, rows=side, cols=side)
+        assert calls == {"slice_at": sampled, "dome_elevations": sampled}
     side = math.isqrt(epg._CACHED_CELLS) + 1
-    for k, target in enumerate((first, second, first), start=1):
+    for target in (first, second, first):
         compute_epg(geometry, target.contour, target.params, rows=side, cols=side)
-        assert calls == {"slice_at": 8 + k * side, "dome_elevations": 8 + k * side}
+        sampled += side
+        assert calls == {"slice_at": sampled, "dome_elevations": sampled}
 
 
-def test_dome_rows_keep_no_large_lattice():
-    # a lattice past the cache bound samples the dome without keeping it
-    geometry, target = default_palate(), list(default_library())[0]
-    side = math.isqrt(epg._CACHED_CELLS) + 1
-    epg._dome_rows.cache_clear()
+def test_palate_is_hashed_once(monkeypatch):
+    # every compute_epg call hashes its palate for the dome-row cache key;
+    # after the first, that reads the kept hash instead of hashing each slice
+    slices = [DomeSlice(s.x, s.z_min, s.z_max, s.h, s.shape) for s in default_palate().slices]
+    geometry = PalateGeometry(tuple(slices))  # none of it hashed yet
+    calls = []
+    real = DomeSlice.__hash__
+    monkeypatch.setattr(DomeSlice, "__hash__", lambda s: calls.append(s) or real(s))
+    target = list(default_library())[0]
+    for _ in range(3):
+        compute_epg(geometry, target.contour, target.params)
+    assert len(calls) == len(geometry.slices)
+
+
+def held_bytes(draw) -> int:
+    """What draw() leaves allocated once it returns, as tracemalloc counts it."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        frame = compute_epg(geometry, target.contour, target.params, rows=side, cols=side)
-        del frame
+        draw()
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held < 64 * 1024
+
+
+def test_dome_rows_keep_no_large_lattice():
+    # the first lattices past the cache bound, square and tallest, sample the
+    # dome without keeping it
+    geometry, target = default_palate(), list(default_library())[0]
+    side = math.isqrt(epg._CACHED_CELLS) + 1
+    tallest = (epg.MAX_EPG_SIDE, epg._CACHED_CELLS // epg.MAX_EPG_SIDE + 1)
+    for rows, cols in ((side, side), tallest):
+        epg._dome_rows.cache_clear()
+        held = held_bytes(lambda: compute_epg(geometry, target.contour, target.params, rows, cols))
+        assert held < 64 * 1024, (rows, cols)
+
+
+def test_kept_dome_rows_stay_under_their_stated_size():
+    # the tallest lattices at the bound hold the most per cell; drawing 20 of
+    # them keeps the last 16, which _CACHED_CELLS's comment puts at 10.5 MB
+    geometry, target = default_palate(), list(default_library())[0]
+    cols = epg._CACHED_CELLS // epg.MAX_EPG_SIDE
+    epg._dome_rows.cache_clear()
+
+    def draw():
+        for rows in range(epg.MAX_EPG_SIDE - 19, epg.MAX_EPG_SIDE + 1):
+            compute_epg(geometry, target.contour, target.params, rows=rows, cols=cols)
+
+    held = held_bytes(draw)
+    epg._dome_rows.cache_clear()
+    assert 16 * 600 * 1024 < held < 11 * 2**20

@@ -124,11 +124,13 @@ def flip_zero_signs(geometry: PalateGeometry) -> PalateGeometry:
     )
 
 
-# compute_epg keeps the dome rows of lattices of at most 32 x 32 cells and
-# samples larger ones afresh; any lattice up to 40 x 41, and more often one
-# past the bound
-lattices = st.tuples(st.integers(1, 40), st.integers(2, 41)) | st.tuples(
-    st.integers(26, 40), st.integers(40, 41)
+# any lattice up to 40 x 41, more often one of the larger of them, and the
+# raster sizes 48 x 48 and 100 x 64, whose dome rows compute_epg keeps as
+# it does those of every lattice of at most 128 x 128 cells
+lattices = (
+    st.tuples(st.integers(1, 40), st.integers(2, 41))
+    | st.tuples(st.integers(26, 40), st.integers(40, 41))
+    | st.sampled_from(((48, 48), (100, 64)))
 )
 
 

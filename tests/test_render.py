@@ -26,7 +26,7 @@ from palatogram import (
     render_palatal_ppm,
     render_palatal_svg,
 )
-from palatogram import epg, render
+from palatogram import render
 from palatogram.render import CONTACT_COLOR, NO_CONTACT_COLOR, WIDTH, fmt
 from conftest import s0_geometry
 
@@ -254,7 +254,7 @@ def test_render_caches_keep_no_large_lattice():
     small = uniform_frame(True, rows=4, cols=4)
     render_palatal_svg(small)
     render_palatal_ppm(small)  # the outlined canvas is kept for every lattice
-    side = math.isqrt(epg._CACHED_CELLS) + 1
+    side = math.isqrt(render._CACHED_DOT_CELLS) + 1
     frame = uniform_frame(True, side, side)
     gc.collect()
     tracemalloc.start()
@@ -284,6 +284,24 @@ def test_uncached_ppm_holds_one_row_of_layout():
     finally:
         tracemalloc.stop()
     assert peak - 2 * len(data) < 64 * 1024
+
+
+def test_uncached_svg_holds_one_band_of_dots():
+    # past the cache bound the SVG is written a band of rows at a time: beyond
+    # the bytes returned, a 128 x 128 SVG peaked 0.3 MB higher, and 2.8 MB
+    # when it joined one string per dot and then encoded the document
+    render_palatal_svg(uniform_frame(True, rows=4, cols=4))
+    frame = uniform_frame(True, 128, 128)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = render_palatal_svg(frame)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert data.count(b"<circle ") == 128 * 128
+    assert peak - len(data) < 512 * 1024
 
 
 def test_ppm_contains_contact_color():
