@@ -15,7 +15,7 @@ from typing import Union
 from ._frozen import Frozen
 from .dome import DomeSlice, PalateGeometry, invert_dome, slice_at, surface_xs
 from .errors import DomainError
-from .shaping import TongueContour, midsagittal_height
+from .shaping import TongueContour, midsagittal_heights
 
 __all__ = [
     "NoContact",
@@ -77,11 +77,12 @@ def surface_contacts(
     in [1, MAX_SURFACE_STEPS].
     """
     x_lo, x_hi = contour.x_min, contour.x_max
+    xs = surface_xs(geometry, nx)
+    # the rows the contour covers are contiguous and nondecreasing
+    heights = iter(midsagittal_heights(contour, [x for x in xs if x_lo <= x <= x_hi]))
     return [
-        classify_slice(slice_at(geometry, x), midsagittal_height(contour, x))
-        if x_lo <= x <= x_hi
-        else NoContact()
-        for x in surface_xs(geometry, nx)
+        classify_slice(slice_at(geometry, x), next(heights)) if x_lo <= x <= x_hi else NoContact()
+        for x in xs
     ]
 
 

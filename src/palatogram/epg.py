@@ -7,9 +7,9 @@ import operator
 from array import array
 
 from ._frozen import Frozen
-from .dome import PalateGeometry, dome_elevations, slice_at
+from .dome import DomeSlice, PalateGeometry, dome_elevations, slice_at
 from .errors import DomainError
-from .shaping import ShapingParams, TongueContour, midsagittal_height, shaped_heights
+from .shaping import ShapingParams, TongueContour, midsagittal_heights, shaped_row
 
 __all__ = [
     "EPGFrame",
@@ -24,13 +24,14 @@ MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg
 
 # The largest lattice, in cells, whose dome rows compute_epg keeps, for the
 # last 16 palates, overlaps and lattices drawn: the frames drawn against one
-# palate share its dome. A kept row holds its cells' z and dome elevation as
-# doubles, 16 bytes a cell, beside about 0.4 KB for its x, slice and
-# containers, so a lattice of 128 x 128 holds about 0.3 MB and the tallest
-# one, 1024 x 16, about 0.65 MB: the 16 kept lattices hold at most about
-# 10.5 MB, and 48 x 48 to 100 x 64 on both built-in palates (10 lattices,
-# 41,480 cells) about 0.9 MB. A larger lattice's rows are sampled afresh,
-# one at a time, for each frame.
+# palate share its dome, so a frame on a kept lattice only does its tongue's
+# own arithmetic. A kept row holds each cell's offset |z - z_center| and dome
+# elevation as doubles, 16 bytes a cell, beside about 0.4 KB for its x,
+# slice and containers, so a lattice of 128 x 128 holds about 0.3 MB and the
+# tallest one, 1024 x 16, about 0.65 MB: the 16 kept lattices hold at most
+# about 10.5 MB, and 48 x 48 to 100 x 64 on both built-in palates (10
+# lattices, 41,480 cells) about 0.9 MB. A larger lattice's rows are sampled
+# afresh, one at a time, for each frame.
 _CACHED_CELLS = 128 * 128
 
 
@@ -122,10 +123,13 @@ def compute_epg(
     cols in [2, MAX_EPG_SIDE].
 
     The dome sampled at the cell centers depends only on the palate, the
-    overlap and the lattice, not on the tongue: it is kept, as doubles, for
+    overlap and the lattice, not on the tongue. Each cell's offset
+    |z - z_center| and dome elevation are kept, as doubles (16 B a cell), for
     the last 16 of them of at most _CACHED_CELLS = 128 x 128 cells (about
-    10.5 MB at most), so a frame on a kept one only shapes the tongue. A
-    larger lattice samples the dome row by row as it goes, keeping none of it.
+    10.5 MB at most), so a frame on a kept one only does its tongue's own
+    arithmetic: one walk of the contour for the rows' midline heights, and
+    each row shaped from its kept offsets. A larger lattice samples the dome
+    row by row as it goes, keeping none of it.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -137,36 +141,52 @@ def compute_epg(
         raise DomainError(
             "tongue contour and palate do not overlap along the anterior-posterior axis"
         )
-    x_of_row, cells = [], []
-    for x, sl, zs, dome in _dome_rows(geometry, x_lo, x_hi, rows, cols):
-        heights = shaped_heights(params, sl, x, midsagittal_height(contour, x), zs)
+    x_of_row, cell_zs, dome_rows = _dome_rows(geometry, x_lo, x_hi, rows, cols)
+    u_mids = midsagittal_heights(contour, x_of_row)
+    cells = []
+    for x, u_mid, (sl, offsets, dome) in zip(x_of_row, u_mids, dome_rows):
+        heights = shaped_row(params, sl, x, u_mid, offsets, cell_zs)
         cells.append(tuple(map(operator.ge, heights, dome)))
-        x_of_row.append(x)
         # free an unkept row's floats before the next row is made, which reuses them
-        del zs, dome, heights
-    return EPGFrame(cells=tuple(cells), x_of_row=tuple(x_of_row))
+        del offsets, dome, heights
+    return EPGFrame(cells=tuple(cells), x_of_row=x_of_row)
 
 
-def _as_doubles(rows) -> tuple:
-    """Dome rows to keep, each row's z and elevations packed as doubles."""
-    return tuple((x, sl, array("d", zs), array("d", dome)) for x, sl, zs, dome in rows)
+def _cell_zs(col_offsets, slice_: DomeSlice) -> list[float]:
+    """The z of each cell of the row on slice_, from each column's offset from mid-span."""
+    # the offsets mirror exactly, keeping symmetric shapes bit-symmetric
+    z_center, span = slice_.z_center, slice_.span
+    return [z_center + o * span for o in col_offsets]
+
+
+def _as_doubles(lattice) -> tuple:
+    """A dome lattice to keep, each row's offsets and elevations packed as doubles."""
+    x_of_row, cell_zs, rows = lattice
+    return x_of_row, cell_zs, tuple(
+        (sl, array("d", offsets), array("d", dome)) for sl, offsets, dome in rows
+    )
 
 
 @_per_lattice(_CACHED_CELLS, keep=_as_doubles)
 def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
-    """Each row's x, its slice, its cells' z and the dome elevation at each z.
+    """The rows' x, the cells' z as a function of a row's slice, and the rows.
 
-    The dome side of compute_epg, the same for every tongue on one palate,
-    overlap and lattice.
+    Each row is its slice, each cell's offset |z - z_center| and the dome
+    elevation at each cell, 16 B a cell as kept: the dome side of
+    compute_epg, the same for every tongue on one palate, overlap and
+    lattice. Unkept rows are made one at a time as they are used.
     """
-    offsets = [f - 0.5 for f in column_fractions(cols)]
-    for i in range(rows):
-        x = x_lo + (i + 0.5) * (x_hi - x_lo) / rows
+    x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
+    cell_zs = functools.partial(_cell_zs, tuple(f - 0.5 for f in column_fractions(cols)))
+    return x_of_row, cell_zs, _sample_rows(geometry, x_of_row, cell_zs)
+
+
+def _sample_rows(geometry: PalateGeometry, x_of_row, cell_zs):
+    for x in x_of_row:
         sl = slice_at(geometry, x)
-        # offsets mirror exactly, keeping symmetric shapes bit-symmetric
-        z_center, span = sl.z_center, sl.span
-        zs = [z_center + o * span for o in offsets]
-        yield x, sl, zs, dome_elevations(sl, zs)
+        zs = cell_zs(sl)
+        z_center = sl.z_center
+        yield sl, [abs(z - z_center) for z in zs], dome_elevations(sl, zs)
 
 
 _TEXT_OF_CELL = b"." + b"#" * 255  # bytes.translate table: 0 -> '.', any other byte -> '#'

@@ -17,10 +17,8 @@ The groove and lateral lowering are mutually exclusive.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from enum import Enum
-from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._frozen import Frozen
 from .dome import DomeSlice
@@ -33,10 +31,12 @@ __all__ = [
     "ShapingParams",
     "EDGE_RAMP_LENGTH",
     "midsagittal_height",
+    "midsagittal_heights",
     "edge_elevation_delta",
     "groove_delta",
     "lateral_lowering_delta",
     "shaped_heights",
+    "shaped_row",
     "params_from_dict",
 ]
 
@@ -177,25 +177,38 @@ class ShapingParams(Frozen):
             raise DomainError("groove and lateral lowering are mutually exclusive")
 
 
-_POINT_X = itemgetter(0)
-
-
 def midsagittal_height(contour: TongueContour, x: float) -> float:
     """Piecewise-linear tongue height at the midline."""
+    return midsagittal_heights(contour, (x,))[0]
+
+
+def midsagittal_heights(contour: TongueContour, xs: Iterable[float]) -> list[float]:
+    """``midsagittal_height`` at every x in xs, walking the contour with one cursor.
+
+    The cursor only moves forward for nondecreasing xs, so a row of them costs
+    one walk of the contour. Raises DomainError for the first x outside the
+    contour's range.
+    """
     pts = contour.points
-    if not pts[0][0] <= x <= pts[-1][0]:
-        raise DomainError(
-            f"x={x} outside tongue contour range [{pts[0][0]}, {pts[-1][0]}]"
-        )
-    # pts[i] is the first point after pts[0] with x <= pts[i][0]
-    i = bisect_left(pts, x, 1, key=_POINT_X)
-    (x0, u0), (x1, u1) = pts[i - 1], pts[i]
-    if x == x0:
-        return u0
-    if x == x1:
-        return u1
-    t = (x - x0) / (x1 - x0)
-    return (1.0 - t) * u0 + t * u1
+    x_first, x_last = pts[0][0], pts[-1][0]
+    heights = []
+    i = 1  # pts[i] is the first point after pts[0] with x <= pts[i][0]
+    for x in xs:
+        if not x_first <= x <= x_last:
+            raise DomainError(f"x={x} outside tongue contour range [{x_first}, {x_last}]")
+        while pts[i][0] < x:
+            i += 1
+        while i > 1 and pts[i - 1][0] >= x:
+            i -= 1
+        (x0, u0), (x1, u1) = pts[i - 1], pts[i]
+        if x == x0:
+            heights.append(u0)
+        elif x == x1:
+            heights.append(u1)
+        else:
+            t = (x - x0) / (x1 - x0)
+            heights.append((1.0 - t) * u0 + t * u1)
+    return heights
 
 
 def edge_elevation_delta(params: ShapingParams, slice_: DomeSlice, x: float, z: float) -> float:
@@ -243,33 +256,58 @@ def shaped_heights(
     """Shaped tongue height at each lateral position zs of the row at x.
 
     Bit for bit ``u_mid + edge_elevation_delta + groove_delta +
-    lateral_lowering_delta`` at each z: the same float operations in the same
-    order, with the slice fields and manner flags read once per row and the
-    terms that are zero across the row skipped. u_mid is the midsagittal
-    height at x and slice_ the dome slice there; zs must be finite.
+    lateral_lowering_delta`` at each z. u_mid is the midsagittal height at x
+    and slice_ the dome slice there; zs must be finite. The row kernel
+    shaped_row does the work, from each z's offset |z - z_center|.
+    """
+    z_center = slice_.z_center
+    return shaped_row(params, slice_, x, u_mid, [abs(z - z_center) for z in zs], lambda _: zs)
+
+
+def shaped_row(
+    params: ShapingParams,
+    slice_: DomeSlice,
+    x: float,
+    u_mid: float,
+    offsets: Sequence[float],
+    cell_zs: Callable[[DomeSlice], Sequence[float]],
+) -> list[float]:
+    """Shaped tongue height at each cell of the row at x, from its offset |z - z_center|.
+
+    The one implementation of tongue shaping: bit for bit the per-term sum
+    ``u_mid + edge_elevation_delta + groove_delta + lateral_lowering_delta``
+    at each cell, the same float operations in the same order, with the
+    slice fields and manner flags read once per row and the terms that are
+    zero across the row skipped. The edge weight and the groove strip depend
+    on z only through its offset; the lateral strips are bounded in z, so a
+    lateral-lowering row alone calls cell_zs(slice_) for its cells' z.
     """
     # adding 0.0 turns -0.0 into 0.0, as the zero terms of the per-term sum
     # do; from then on no sum is -0.0, so adding a zero term changes nothing
     u0 = u_mid + 0.0
-    z_center = slice_.z_center
-    scale = 0.0
+    edge = None
     if params.tt_manner is TipManner.FULL or params.td_manner is DorsumManner.FULL:
         ramp = min(1.0, max(0.0, (x - params.posterior_onset_x) / EDGE_RAMP_LENGTH))
         scale = params.tth * params.edge_elev_max * ramp
-    if scale:
-        half_width = slice_.half_width
-        us = [u0 + scale * (abs(z - z_center) / half_width) ** 2 for z in zs]
-    else:
-        us = [u0] * len(zs)
+        if scale:
+            half_width = slice_.half_width
+            edge = [u0 + scale * (o / half_width) ** 2 for o in offsets]
     if params.groove_enabled:
         half, drop = 0.5 * params.groove_width, -params.groove_depth
-        return [u + drop if abs(z - z_center) <= half else u for u, z in zip(us, zs)]
+        if edge is None:
+            low = u0 + drop
+            return [low if o <= half else u0 for o in offsets]
+        return [u + drop if o <= half else u for u, o in zip(edge, offsets)]
     if params.lateral_lower_enabled:
         left = slice_.z_min + params.lateral_lower_width
         right = slice_.z_max - params.lateral_lower_width
         drop = -params.lateral_lower_depth
-        return [u + drop if z <= left or z >= right else u for u, z in zip(us, zs)]
-    return us
+        zs = cell_zs(slice_)
+        if edge is None:
+            low = u0 + drop
+            return [low if z <= left or z >= right else u0 for z in zs]
+        return [u + drop if z <= left or z >= right else u for u, z in zip(edge, zs)]
+    return [u0] * len(offsets) if edge is None else edge
 
 
 def params_from_dict(doc: object) -> ShapingParams:

@@ -20,7 +20,7 @@ from .shaping import (
     _FLOAT_FIELDS,
     ShapingParams,
     TongueContour,
-    midsagittal_height,
+    midsagittal_heights,
     params_from_dict,
 )
 
@@ -289,7 +289,7 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
             f"too few floats for a blend grid of {BLEND_GRID_POINTS} points"
         )
     # (x, u of a, u of b) on the common grid
-    heights = [(x, midsagittal_height(a.contour, x), midsagittal_height(b.contour, x)) for x in xs]
+    heights = list(zip(xs, midsagittal_heights(a.contour, xs), midsagittal_heights(b.contour, xs)))
     name = f"{a.name}~{b.name}"
     numeric = [(n, getattr(a.params, n), getattr(b.params, n)) for n in _FLOAT_FIELDS]
     discrete = [n for n in ShapingParams.__slots__ if n not in _FLOAT_FIELDS]
