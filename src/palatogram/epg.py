@@ -152,7 +152,7 @@ def compute_epg(
     return EPGFrame(cells=tuple(cells), x_of_row=x_of_row)
 
 
-def _cell_zs(col_offsets, slice_: DomeSlice) -> list[float]:
+def _cell_zs(col_offsets: tuple[float, ...], slice_: DomeSlice) -> list[float]:
     """The z of each cell of the row on slice_, from each column's offset from mid-span."""
     # the offsets mirror exactly, keeping symmetric shapes bit-symmetric
     z_center, span = slice_.z_center, slice_.span
@@ -181,7 +181,7 @@ def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, co
     return x_of_row, cell_zs, _sample_rows(geometry, x_of_row, cell_zs)
 
 
-def _sample_rows(geometry: PalateGeometry, x_of_row, cell_zs):
+def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], cell_zs):
     for x in x_of_row:
         sl = slice_at(geometry, x)
         zs = cell_zs(sl)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from palatogram import (
@@ -28,7 +29,6 @@ from palatogram import (
     edge_elevation_delta,
     groove_delta,
     lateral_lowering_delta,
-    midsagittal_height,
     slice_at,
 )
 from palatogram.dome import MAX_SURFACE_STEPS, surface_xs
@@ -108,6 +108,22 @@ def dome_height(slice_: DomeSlice, z: float) -> float:
     return e if e <= slice_.h else slice_.h
 
 
+def midline_height(contour: TongueContour, x: float) -> float:
+    """The contour's height at one x, bisecting for its segment as the per-point lookup did."""
+    pts = contour.points
+    if not pts[0][0] <= x <= pts[-1][0]:
+        raise DomainError(f"x={x} outside tongue contour range [{pts[0][0]}, {pts[-1][0]}]")
+    # pts[i] is the first point after pts[0] with x <= pts[i][0]
+    i = bisect_left(pts, x, 1, key=lambda point: point[0])
+    (x0, u0), (x1, u1) = pts[i - 1], pts[i]
+    if x == x0:
+        return u0
+    if x == x1:
+        return u1
+    t = (x - x0) / (x1 - x0)
+    return (1.0 - t) * u0 + t * u1
+
+
 def shaped_height(
     params: ShapingParams, slice_: DomeSlice, x: float, u_mid: float, z: float
 ) -> float:
@@ -139,7 +155,7 @@ def epg_cells(
         x = x_lo + (i + 0.5) * (x_hi - x_lo) / rows
         sl = slice_at(geometry, x)
         try:
-            u_mid = midsagittal_height(contour, x)
+            u_mid = midline_height(contour, x)
         except DomainError:
             cells.append((False,) * cols)
             continue
@@ -169,7 +185,7 @@ def mesh_contacts(
     contacts = []
     for x in surface_xs(geometry, nx):
         if contour.x_min <= x <= contour.x_max:
-            contact = classify_slice(slice_at(geometry, x), midsagittal_height(contour, x))
+            contact = classify_slice(slice_at(geometry, x), midline_height(contour, x))
         else:
             contact = NoContact()  # tongue absent at this slice
         contacts.append(contact)
@@ -357,7 +373,7 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     for k in range(BLEND_GRID_POINTS):
         f = k / (BLEND_GRID_POINTS - 1)
         x = (1.0 - f) * x_lo + f * x_hi
-        u = (1.0 - lam) * midsagittal_height(a.contour, x) + lam * midsagittal_height(
+        u = (1.0 - lam) * midline_height(a.contour, x) + lam * midline_height(
             b.contour, x
         )
         points.append((x, u))

@@ -292,6 +292,17 @@ def test_dome_rows_are_sampled_once_per_palate_and_lattice(monkeypatch):
         assert calls == {"slice_at": sampled, "dome_elevations": sampled}
 
 
+def test_contour_is_walked_once_per_frame(monkeypatch):
+    # every row's midline height comes from one call, kept lattice or not
+    walks = []
+    real = epg.midsagittal_heights
+    monkeypatch.setattr(epg, "midsagittal_heights", lambda c, xs: walks.append(xs) or real(c, xs))
+    geometry, target = default_palate(), list(default_library())[0]
+    for side in (8, 8, math.isqrt(epg._CACHED_CELLS) + 1):
+        frame = compute_epg(geometry, target.contour, target.params, rows=side, cols=side)
+        assert walks.pop() == frame.x_of_row and walks == []
+
+
 def test_palate_is_hashed_once(monkeypatch):
     # every compute_epg call hashes its palate for the dome-row cache key;
     # after the first, that reads the kept hash instead of hashing each slice

@@ -1,8 +1,10 @@
 """The row kernels of the EPG raster against the per-cell evaluator in oracles.py.
 
-compute_epg evaluates one row at a time (shaped_heights, dome_elevations);
-every cell must come out as the per-cell sum and dome formula give it, and
-every height bit for bit, -0.0 included.
+compute_epg evaluates one row at a time (shaped_row from each cell's kept
+offset |z - z_center|, dome_elevations) and finds every row's midline height
+in one walk of the contour (midsagittal_heights); every cell must come out
+as the per-cell sum, dome formula and bisected contour give it, and every
+height bit for bit, -0.0 included.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from palatogram import (
     slice_at,
 )
 from palatogram.dome import dome_elevations
-from palatogram.shaping import shaped_heights
-from oracles import dome_height, epg_cells, shaped_height
+from palatogram.epg import column_fractions
+from palatogram.shaping import midsagittal_heights, shaped_heights, shaped_row
+from oracles import dome_height, epg_cells, midline_height, shaped_height
 
 
 def bits(values) -> list[str]:
@@ -199,6 +202,127 @@ def test_kernel_heights_match_per_term_sum(sl, params, behind_onset, u_mid, frac
     ]
     want = [shaped_height(params, sl, x, u_mid, z) for z in zs]
     assert bits(shaped_heights(params, sl, x, u_mid, zs)) == bits(want)
+
+
+@pytest.mark.parametrize("strip", ["none", "groove", "lateral"])
+@pytest.mark.parametrize("td_manner", list(DorsumManner))
+@pytest.mark.parametrize("tt_manner", list(TipManner))
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    sl=slices,
+    behind_onset=st.floats(-5, 15),
+    u_mid=heights,
+    cols=st.integers(2, 41),
+)
+def test_row_kernel_on_offsets_matches_per_term_sum(
+    tt_manner, td_manner, strip, data, sl, behind_onset, u_mid, cols
+):
+    # the row kernel fed each lattice cell's offset |z - z_center|, as
+    # compute_epg keeps it, for every manner and strip; only a
+    # lateral-lowering row asks for its cells' z
+    params = ShapingParams(
+        tt_manner=tt_manner,
+        td_manner=td_manner,
+        tth=data.draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 1)),
+        edge_elev_max=data.draw(st.floats(0, 20)),
+        posterior_onset_x=sl.x - behind_onset,
+        groove_enabled=strip == "groove",
+        groove_width=data.draw(widths),
+        groove_depth=data.draw(st.floats(0, 30)),
+        lateral_lower_enabled=strip == "lateral",
+        lateral_lower_width=data.draw(widths),
+        lateral_lower_depth=data.draw(st.floats(0, 30)),
+    )
+    zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
+    offsets = [abs(z - sl.z_center) for z in zs]
+    asked = []
+    cell_zs = lambda slice_: asked.append(slice_) or zs
+    for u in (u_mid, 0.0, -0.0):
+        want = [shaped_height(params, sl, sl.x, u, z) for z in zs]
+        assert bits(shaped_row(params, sl, sl.x, u, offsets, cell_zs)) == bits(want)
+    assert asked == ([sl] * 3 if strip == "lateral" else [])
+
+
+@st.composite
+def walked_contours(draw) -> tuple[TongueContour, list[float]]:
+    """A contour and nondecreasing xs over its range: knots, both ends, repeats."""
+    x = draw(st.floats(-50, 50) | zeros)
+    points = [(x, draw(heights))]
+    for _ in range(draw(st.integers(1, 6))):
+        x += draw(st.floats(1e-9, 20))
+        points.append((x, draw(heights)))
+    lo, hi = points[0][0], points[-1][0]
+    xs = draw(st.lists(st.floats(lo, hi) | st.sampled_from([p[0] for p in points]), max_size=30))
+    xs += draw(st.lists(st.sampled_from(xs or [lo]), max_size=5))  # repeats
+    return TongueContour(points=tuple(points)), sorted(xs + [lo, hi])
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk=walked_contours(), shuffled=st.randoms(use_true_random=False))
+def test_midline_walk_matches_per_point_lookup(walk, shuffled):
+    contour, xs = walk
+    want = [midline_height(contour, x) for x in xs]
+    assert bits(midsagittal_heights(contour, xs)) == bits(want)
+    assert bits(midsagittal_height(contour, x) for x in xs) == bits(want)
+    shuffled.shuffle(xs)  # the cursor also steps back, so any order is right
+    assert bits(midsagittal_heights(contour, xs)) == bits(midline_height(contour, x) for x in xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk=walked_contours(), bad=st.sampled_from(("low", "high", "nan")), at=st.integers(0, 40))
+def test_midline_walk_rejects_the_first_x_out_of_range(walk, bad, at):
+    contour, xs = walk
+    lo, hi = contour.x_min, contour.x_max
+    x_bad = {"low": lo - 1.0, "high": hi + 1.0, "nan": math.nan}[bad]
+    xs.insert(min(at, len(xs)), x_bad)
+    with pytest.raises(DomainError) as want:
+        midline_height(contour, x_bad)
+    with pytest.raises(DomainError) as got:
+        midsagittal_heights(contour, xs)
+    assert str(got.value) == str(want.value) == f"x={x_bad} outside tongue contour range [{lo}, {hi}]"
+
+
+def strip_edge_palate(shape: DomeShape) -> PalateGeometry:
+    """Slices that all start at z = 0, so a lateral strip's edge z_min + w is exactly w."""
+    return PalateGeometry(
+        slices=tuple(
+            DomeSlice(x=x, z_min=0.0, z_max=z_max, h=h, shape=shape)
+            for x, z_max, h in ((0.0, 30.0, 9.0), (12.0, 36.5, 13.0), (40.0, 33.25, 7.5))
+        )
+    )
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+@pytest.mark.parametrize("cols", [7, 9, 41])
+def test_cells_on_a_strip_edge_match_oracle(shape, cols):
+    # a cell exactly on a strip's edge, o == 0.5 * groove_width or
+    # z == z_min + lateral_lower_width, is lowered, as the per-term functions
+    # have it; the tongue reaches the apex and each strip drops it below the
+    # baseline, so only the unlowered cells touch. The twin palate, equal but
+    # with its zeros signed the other way, reuses the kept rows.
+    geometry, rows, row = strip_edge_palate(shape), 5, 2
+    twin = flip_zero_signs(geometry)
+    assert twin == geometry and twin is not geometry
+    tongue = TongueContour(points=((-1.0, 14.0), (41.0, 14.0)))
+    probe = compute_epg(geometry, tongue, ShapingParams(), rows=rows, cols=cols)
+    assert all(all(cells) for cells in probe.cells)
+    sl = slice_at(geometry, probe.x_of_row[row])
+    for j, f in enumerate(column_fractions(cols)[: cols // 2]):
+        z = sl.z_center + (f - 0.5) * sl.span
+        assert sl.z_min + z == z
+        for params in (
+            ShapingParams(groove_enabled=True, groove_width=2.0 * abs(z - sl.z_center), groove_depth=30.0),
+            ShapingParams(lateral_lower_enabled=True, lateral_lower_width=z, lateral_lower_depth=30.0),
+        ):
+            for palate in (geometry, twin):
+                cells = compute_epg(palate, tongue, params, rows=rows, cols=cols).cells
+                assert cells == epg_cells(palate, tongue, params, rows, cols)
+                assert not cells[row][j]  # on the edge, so lowered
+                if params.groove_enabled:
+                    assert cells[row][:j] == (True,) * j
+                else:
+                    assert cells[row][j + 1 : cols - 1 - j] == (True,) * (cols - 2 - 2 * j)
 
 
 @settings(max_examples=150, deadline=None)
