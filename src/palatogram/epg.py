@@ -7,7 +7,7 @@ import operator
 from array import array
 
 from ._frozen import Frozen
-from .dome import DomeSlice, PalateGeometry, dome_elevations, slice_at
+from .dome import PalateGeometry, dome_elevations, slice_at
 from .errors import DomainError
 from .shaping import ShapingParams, TongueContour, midsagittal_heights, shaped_row
 
@@ -128,8 +128,9 @@ def compute_epg(
     the last 16 of them of at most _CACHED_CELLS = 128 x 128 cells (about
     10.5 MB at most), so a frame on a kept one only does its tongue's own
     arithmetic: one walk of the contour for the rows' midline heights, and
-    each row shaped from its kept offsets. A larger lattice samples the dome
-    row by row as it goes, keeping none of it.
+    each row shaped from its kept offsets alone, as every shaping term
+    depends on a cell only through its offset. A larger lattice samples the
+    dome row by row as it goes, keeping none of it.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -141,51 +142,47 @@ def compute_epg(
         raise DomainError(
             "tongue contour and palate do not overlap along the anterior-posterior axis"
         )
-    x_of_row, cell_zs, dome_rows = _dome_rows(geometry, x_lo, x_hi, rows, cols)
+    x_of_row, dome_rows = _dome_rows(geometry, x_lo, x_hi, rows, cols)
     u_mids = midsagittal_heights(contour, x_of_row)
     cells = []
     for x, u_mid, (sl, offsets, dome) in zip(x_of_row, u_mids, dome_rows):
-        heights = shaped_row(params, sl, x, u_mid, offsets, cell_zs)
+        heights = shaped_row(params, sl, x, u_mid, offsets)
         cells.append(tuple(map(operator.ge, heights, dome)))
         # free an unkept row's floats before the next row is made, which reuses them
         del offsets, dome, heights
     return EPGFrame(cells=tuple(cells), x_of_row=x_of_row)
 
 
-def _cell_zs(col_offsets: tuple[float, ...], slice_: DomeSlice) -> list[float]:
-    """The z of each cell of the row on slice_, from each column's offset from mid-span."""
-    # the offsets mirror exactly, keeping symmetric shapes bit-symmetric
-    z_center, span = slice_.z_center, slice_.span
-    return [z_center + o * span for o in col_offsets]
-
-
 def _as_doubles(lattice) -> tuple:
     """A dome lattice to keep, each row's offsets and elevations packed as doubles."""
-    x_of_row, cell_zs, rows = lattice
-    return x_of_row, cell_zs, tuple(
+    x_of_row, rows = lattice
+    return x_of_row, tuple(
         (sl, array("d", offsets), array("d", dome)) for sl, offsets, dome in rows
     )
 
 
 @_per_lattice(_CACHED_CELLS, keep=_as_doubles)
 def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
-    """The rows' x, the cells' z as a function of a row's slice, and the rows.
+    """The rows' x, and each row's slice, cell offsets and dome elevations.
 
-    Each row is its slice, each cell's offset |z - z_center| and the dome
-    elevation at each cell, 16 B a cell as kept: the dome side of
-    compute_epg, the same for every tongue on one palate, overlap and
-    lattice. Unkept rows are made one at a time as they are used.
+    A row holds each cell's offset |z - z_center| and the dome elevation at
+    each cell, 16 B a cell as kept: the dome side of compute_epg, the same
+    for every tongue on one palate, overlap and lattice. The cells' z are
+    only needed to sample the dome, so no row keeps them. Unkept rows are
+    made one at a time as they are used.
     """
     x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
-    cell_zs = functools.partial(_cell_zs, tuple(f - 0.5 for f in column_fractions(cols)))
-    return x_of_row, cell_zs, _sample_rows(geometry, x_of_row, cell_zs)
+    col_offsets = tuple(f - 0.5 for f in column_fractions(cols))
+    return x_of_row, _sample_rows(geometry, x_of_row, col_offsets)
 
 
-def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], cell_zs):
+def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], col_offsets):
     for x in x_of_row:
         sl = slice_at(geometry, x)
-        zs = cell_zs(sl)
-        z_center = sl.z_center
+        # the column offsets mirror exactly, but each z is rounded on its own,
+        # so two mirrored cells' offsets |z - z_center| can differ by an ulp
+        z_center, span = sl.z_center, sl.span
+        zs = [z_center + o * span for o in col_offsets]
         yield sl, [abs(z - z_center) for z in zs], dome_elevations(sl, zs)
 
 

@@ -6,19 +6,23 @@ into a full height field u_t(x, z):
 
 * posterior lateral edge elevation, driven by the tongue tip height control
   (seals the airway against the gum ridge for apical closures),
-* a central groove, a constant-width full-depth lowering of the midline
-  strip along the entire tongue (fricative channel),
-* lateral lowering, a constant-width full-depth lowering of both tongue
-  edges along the entire tongue (the /l/ configuration).
+* a central groove, a full-depth lowering of the cells whose offset
+  |z - z_center| from the midline is at most groove_width / 2, along the
+  entire tongue (fricative channel),
+* lateral lowering, a full-depth lowering of the cells whose offset is at
+  least half_width - lateral_lower_width, both tongue edges along the
+  entire tongue (the /l/ configuration).
 
-The groove and lateral lowering are mutually exclusive.
+Both are one strip of offsets, so every term depends on a cell only through
+its offset and cells at one offset get one height. The groove and lateral
+lowering are mutually exclusive.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._frozen import Frozen
 from .dome import DomeSlice
@@ -35,7 +39,6 @@ __all__ = [
     "edge_elevation_delta",
     "groove_delta",
     "lateral_lowering_delta",
-    "shaped_heights",
     "shaped_row",
     "params_from_dict",
 ]
@@ -236,32 +239,16 @@ def groove_delta(params: ShapingParams, slice_: DomeSlice, z: float) -> float:
 
 
 def lateral_lowering_delta(params: ShapingParams, slice_: DomeSlice, z: float) -> float:
-    """Lateral lowering: full-depth lowering of both edge strips (or 0)."""
+    """Lateral lowering: full-depth lowering of both edge strips (or 0).
+
+    A cell is in an edge strip when its offset |z - z_center| is at least
+    half_width - lateral_lower_width, the one test for both edges.
+    """
     if not params.lateral_lower_enabled:
         return 0.0
-    if z <= slice_.z_min + params.lateral_lower_width:
-        return -params.lateral_lower_depth
-    if z >= slice_.z_max - params.lateral_lower_width:
+    if abs(z - slice_.z_center) >= slice_.half_width - params.lateral_lower_width:
         return -params.lateral_lower_depth
     return 0.0
-
-
-def shaped_heights(
-    params: ShapingParams,
-    slice_: DomeSlice,
-    x: float,
-    u_mid: float,
-    zs: Sequence[float],
-) -> list[float]:
-    """Shaped tongue height at each lateral position zs of the row at x.
-
-    Bit for bit ``u_mid + edge_elevation_delta + groove_delta +
-    lateral_lowering_delta`` at each z. u_mid is the midsagittal height at x
-    and slice_ the dome slice there; zs must be finite. The row kernel
-    shaped_row does the work, from each z's offset |z - z_center|.
-    """
-    z_center = slice_.z_center
-    return shaped_row(params, slice_, x, u_mid, [abs(z - z_center) for z in zs], lambda _: zs)
 
 
 def shaped_row(
@@ -270,7 +257,6 @@ def shaped_row(
     x: float,
     u_mid: float,
     offsets: Sequence[float],
-    cell_zs: Callable[[DomeSlice], Sequence[float]],
 ) -> list[float]:
     """Shaped tongue height at each cell of the row at x, from its offset |z - z_center|.
 
@@ -278,36 +264,37 @@ def shaped_row(
     ``u_mid + edge_elevation_delta + groove_delta + lateral_lowering_delta``
     at each cell, the same float operations in the same order, with the
     slice fields and manner flags read once per row and the terms that are
-    zero across the row skipped. The edge weight and the groove strip depend
-    on z only through its offset; the lateral strips are bounded in z, so a
-    lateral-lowering row alone calls cell_zs(slice_) for its cells' z.
+    zero across the row skipped. Every term depends on a cell only through
+    its offset: the edge weight is (o / half_width) ** 2, and the groove and
+    the lateral lowering are one strip, the cells with lo <= o <= hi dropped
+    by a constant, applied in the same pass as the edge weight.
     """
     # adding 0.0 turns -0.0 into 0.0, as the zero terms of the per-term sum
     # do; from then on no sum is -0.0, so adding a zero term changes nothing
     u0 = u_mid + 0.0
-    edge = None
+    scale = 0.0
     if params.tt_manner is TipManner.FULL or params.td_manner is DorsumManner.FULL:
         ramp = min(1.0, max(0.0, (x - params.posterior_onset_x) / EDGE_RAMP_LENGTH))
         scale = params.tth * params.edge_elev_max * ramp
-        if scale:
-            half_width = slice_.half_width
-            edge = [u0 + scale * (o / half_width) ** 2 for o in offsets]
+    half_width = slice_.half_width
+    strip = None
     if params.groove_enabled:
-        half, drop = 0.5 * params.groove_width, -params.groove_depth
-        if edge is None:
-            low = u0 + drop
-            return [low if o <= half else u0 for o in offsets]
-        return [u + drop if o <= half else u for u, o in zip(edge, offsets)]
-    if params.lateral_lower_enabled:
-        left = slice_.z_min + params.lateral_lower_width
-        right = slice_.z_max - params.lateral_lower_width
-        drop = -params.lateral_lower_depth
-        zs = cell_zs(slice_)
-        if edge is None:
-            low = u0 + drop
-            return [low if z <= left or z >= right else u0 for z in zs]
-        return [u + drop if z <= left or z >= right else u for u, z in zip(edge, zs)]
-    return [u0] * len(offsets) if edge is None else edge
+        strip = 0.0, 0.5 * params.groove_width, -params.groove_depth
+    elif params.lateral_lower_enabled:
+        strip = half_width - params.lateral_lower_width, math.inf, -params.lateral_lower_depth
+    if strip is None:
+        if scale:
+            return [u0 + scale * (o / half_width) ** 2 for o in offsets]
+        return [u0] * len(offsets)
+    lo, hi, drop = strip
+    if scale:
+        return [
+            u + drop if lo <= o <= hi else u
+            for o in offsets
+            for u in (u0 + scale * (o / half_width) ** 2,)
+        ]
+    low = u0 + drop
+    return [low if lo <= o <= hi else u0 for o in offsets]
 
 
 def params_from_dict(doc: object) -> ShapingParams:

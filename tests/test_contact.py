@@ -24,15 +24,14 @@ from palatogram import (
     surface_contacts,
 )
 from palatogram.dome import dome_elevations
-from palatogram.shaping import shaped_heights
-from oracles import bisect_crossings, mesh_contacts
+from oracles import bisect_crossings, mesh_contacts, shaped_height
 
 
 def _flat_row_contact_runs(sl: DomeSlice, u: float, n: int) -> list[tuple[float, float]]:
     # the runs of touching samples, as (first z, last z), of a flat tongue's
     # row sampled at n evenly spaced points over the slice's lateral span
     zs = [sl.z_min + sl.span * k / (n - 1) for k in range(n)]
-    us = shaped_heights(ShapingParams(), sl, sl.x, u, zs)
+    us = [shaped_height(ShapingParams(), sl, sl.x, u, z) for z in zs]
     runs: list[tuple[float, float]] = []
     start = None
     for k, (z, t, d) in enumerate(zip(zs, us, dome_elevations(sl, zs))):

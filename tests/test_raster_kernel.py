@@ -37,12 +37,17 @@ from palatogram import (
 )
 from palatogram.dome import dome_elevations
 from palatogram.epg import column_fractions
-from palatogram.shaping import midsagittal_heights, shaped_heights, shaped_row
+from palatogram.shaping import midsagittal_heights, shaped_row
 from oracles import dome_height, epg_cells, midline_height, shaped_height
 
 
 def bits(values) -> list[str]:
     return [float(v).hex() for v in values]
+
+
+def offsets(sl: DomeSlice, zs) -> list[float]:
+    """Each z's offset |z - z_center| from the midline, what shaped_row reads."""
+    return [abs(z - sl.z_center) for z in zs]
 
 
 slices = st.builds(
@@ -99,18 +104,24 @@ widths = st.sampled_from((0.0, 100.0)) | st.floats(0, 8) | st.floats(40, 100)
 
 
 @st.composite
-def shaping(draw) -> ShapingParams:
-    mode = draw(st.sampled_from(("none", "groove", "lateral")))
+def shaping(
+    draw,
+    tt_manners=st.sampled_from(list(TipManner)),
+    td_manners=st.sampled_from(list(DorsumManner)),
+    strips=st.sampled_from(("none", "groove", "lateral")),
+    onsets=st.floats(-10, 50),
+) -> ShapingParams:
+    strip = draw(strips)
     return ShapingParams(
-        tt_manner=draw(st.sampled_from(list(TipManner))),
-        td_manner=draw(st.sampled_from(list(DorsumManner))),
+        tt_manner=draw(tt_manners),
+        td_manner=draw(td_manners),
         tth=draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 1)),
         edge_elev_max=draw(st.floats(0, 20)),
-        posterior_onset_x=draw(st.floats(-10, 50)),
-        groove_enabled=mode == "groove",
+        posterior_onset_x=draw(onsets),
+        groove_enabled=strip == "groove",
         groove_width=draw(widths),
         groove_depth=draw(st.floats(0, 30)),
-        lateral_lower_enabled=mode == "lateral",
+        lateral_lower_enabled=strip == "lateral",
         lateral_lower_width=draw(widths),
         lateral_lower_depth=draw(st.floats(0, 30)),
     )
@@ -197,11 +208,13 @@ def test_kernel_heights_match_per_term_sum(sl, params, behind_onset, u_mid, frac
         sl.z_center,
         sl.z_center - 0.5 * params.groove_width,
         sl.z_center + 0.5 * params.groove_width,
+        sl.z_center - (sl.half_width - params.lateral_lower_width),
+        sl.z_center + (sl.half_width - params.lateral_lower_width),
         sl.z_min + params.lateral_lower_width,
         sl.z_max - params.lateral_lower_width,
     ]
     want = [shaped_height(params, sl, x, u_mid, z) for z in zs]
-    assert bits(shaped_heights(params, sl, x, u_mid, zs)) == bits(want)
+    assert bits(shaped_row(params, sl, x, u_mid, offsets(sl, zs))) == bits(want)
 
 
 @pytest.mark.parametrize("strip", ["none", "groove", "lateral"])
@@ -219,29 +232,44 @@ def test_row_kernel_on_offsets_matches_per_term_sum(
     tt_manner, td_manner, strip, data, sl, behind_onset, u_mid, cols
 ):
     # the row kernel fed each lattice cell's offset |z - z_center|, as
-    # compute_epg keeps it, for every manner and strip; only a
-    # lateral-lowering row asks for its cells' z
-    params = ShapingParams(
-        tt_manner=tt_manner,
-        td_manner=td_manner,
-        tth=data.draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 1)),
-        edge_elev_max=data.draw(st.floats(0, 20)),
-        posterior_onset_x=sl.x - behind_onset,
-        groove_enabled=strip == "groove",
-        groove_width=data.draw(widths),
-        groove_depth=data.draw(st.floats(0, 30)),
-        lateral_lower_enabled=strip == "lateral",
-        lateral_lower_width=data.draw(widths),
-        lateral_lower_depth=data.draw(st.floats(0, 30)),
-    )
+    # compute_epg keeps it, for every manner and strip
+    params = data.draw(shaping(*map(st.just, (tt_manner, td_manner, strip, sl.x - behind_onset))))
     zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
-    offsets = [abs(z - sl.z_center) for z in zs]
-    asked = []
-    cell_zs = lambda slice_: asked.append(slice_) or zs
     for u in (u_mid, 0.0, -0.0):
         want = [shaped_height(params, sl, sl.x, u, z) for z in zs]
-        assert bits(shaped_row(params, sl, sl.x, u, offsets, cell_zs)) == bits(want)
-    assert asked == ([sl] * 3 if strip == "lateral" else [])
+        assert bits(shaped_row(params, sl, sl.x, u, offsets(sl, zs))) == bits(want)
+
+
+@pytest.mark.parametrize("strip", ["none", "groove", "lateral"])
+@pytest.mark.parametrize("td_manner", list(DorsumManner))
+@pytest.mark.parametrize("tt_manner", list(TipManner))
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    sl=slices,
+    behind_onset=st.floats(-5, 15),
+    u_mid=heights,
+    ds=st.lists(st.floats(0, 1.25), min_size=1, max_size=20),
+)
+def test_equal_offsets_shape_equally(
+    tt_manner, td_manner, strip, data, sl, behind_onset, u_mid, ds
+):
+    # the tongue is shaped symmetrically about the midline: two cells of a
+    # row whose offsets |z - z_center| are bit-equal get bit-equal heights,
+    # from the per-term sum and from the row kernel, on the strip edges too
+    params = data.draw(shaping(*map(st.just, (tt_manner, td_manner, strip, sl.x - behind_onset))))
+    reach = [d * sl.half_width for d in ds] + [
+        0.5 * params.groove_width,
+        sl.half_width - params.lateral_lower_width,
+    ]
+    zs = [z for d in reach for z in (sl.z_center - d, sl.z_center + d)]
+    row = shaped_row(params, sl, sl.x, u_mid, offsets(sl, zs))
+    per_term = [shaped_height(params, sl, sl.x, u_mid, z) for z in zs]
+    by_offset = {}
+    for o, u, v in zip(bits(offsets(sl, zs)), bits(row), bits(per_term)):
+        by_offset.setdefault(o, set()).add((u, v))
+    assume(len(by_offset) < len(zs))  # some two cells share an offset
+    assert all(len(shaped) == 1 for shaped in by_offset.values())
 
 
 @st.composite
@@ -284,7 +312,9 @@ def test_midline_walk_rejects_the_first_x_out_of_range(walk, bad, at):
 
 
 def strip_edge_palate(shape: DomeShape) -> PalateGeometry:
-    """Slices that all start at z = 0, so a lateral strip's edge z_min + w is exactly w."""
+    """Slices that all start at z = 0, so half_width == z_center and a cell z left of
+    the midline lies on the edge of a lateral strip of width z: its offset is
+    z_center - z, rounded once, as half_width - z is."""
     return PalateGeometry(
         slices=tuple(
             DomeSlice(x=x, z_min=0.0, z_max=z_max, h=h, shape=shape)
@@ -297,8 +327,8 @@ def strip_edge_palate(shape: DomeShape) -> PalateGeometry:
 @pytest.mark.parametrize("cols", [7, 9, 41])
 def test_cells_on_a_strip_edge_match_oracle(shape, cols):
     # a cell exactly on a strip's edge, o == 0.5 * groove_width or
-    # z == z_min + lateral_lower_width, is lowered, as the per-term functions
-    # have it; the tongue reaches the apex and each strip drops it below the
+    # o == half_width - lateral_lower_width, is lowered, as the per-term
+    # functions have it; the tongue reaches the apex and each strip drops it below the
     # baseline, so only the unlowered cells touch. The twin palate, equal but
     # with its zeros signed the other way, reuses the kept rows.
     geometry, rows, row = strip_edge_palate(shape), 5, 2
@@ -325,6 +355,39 @@ def test_cells_on_a_strip_edge_match_oracle(shape, cols):
                     assert cells[row][j + 1 : cols - 1 - j] == (True,) * (cols - 2 - 2 * j)
 
 
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_lateral_strip_follows_the_offset_rule_off_zero(shape):
+    # on slices with z_min != 0 a width can put a cell on the edge of a strip
+    # bounded in z, z <= z_min + w, while its offset stays below
+    # half_width - w and its mirror cell, of the same offset, is not on the
+    # z-bounded right strip; the strip is bounded by offset, so neither cell
+    # is lowered and the row stays symmetric. The middle slice is row 2's.
+    z_min, z_max = -34.62543023550395, 16.373160243792782
+    geometry = PalateGeometry(
+        slices=tuple(
+            DomeSlice(x=x, z_min=z_min, z_max=z_max, h=h, shape=shape)
+            for x, h in ((0.0, 9.0), (20.0, 13.0), (40.0, 7.5))
+        )
+    )
+    rows, row, cols, j, w = 5, 2, 8, 1, 9.562235714868136
+    sl = geometry.slices[1]
+    zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
+    lefts, rights = offsets(sl, zs[: cols // 2]), offsets(sl, zs[: cols // 2 - 1 : -1])
+    assert lefts == rights
+    assert zs[j] <= sl.z_min + w and not zs[-1 - j] >= sl.z_max - w
+    assert lefts[j] < sl.half_width - w
+    # above the apex, so exactly the cells the strip lowers are open
+    tongue = TongueContour(points=((-1.0, 14.0), (41.0, 14.0)))
+    params = ShapingParams(
+        lateral_lower_enabled=True, lateral_lower_width=w, lateral_lower_depth=30.0
+    )
+    frame = compute_epg(geometry, tongue, params, rows=rows, cols=cols)
+    assert frame.cells == epg_cells(geometry, tongue, params, rows, cols)
+    assert slice_at(geometry, frame.x_of_row[row]) is sl
+    assert frame.cells[row] == tuple(o < sl.half_width - w for o in offsets(sl, zs))
+    assert frame.cells[row] == (False,) + (True,) * (cols - 2) + (False,)
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), params=shaping(), g=st.floats(0, 1), f=st.floats(-0.25, 1.25))
 def test_field_matches_per_term_sum(data, params, g, f):
@@ -336,7 +399,7 @@ def test_field_matches_per_term_sum(data, params, g, f):
     sl = slice_at(geometry, x)
     z = sl.z_min + f * sl.span
     u_mid = midsagittal_height(contour, x)
-    got = shaped_heights(params, sl, x, u_mid, (z,))[0]
+    (got,) = shaped_row(params, sl, x, u_mid, offsets(sl, (z,)))
     assert got.hex() == shaped_height(params, sl, x, u_mid, z).hex()
 
 
@@ -376,7 +439,7 @@ def test_flat_rows_match_classify_slice(sl, u, at_apex, cols):
         u = sl.h
     assume(u == sl.h or abs(u - sl.h) > 1e-9 * sl.h)
     zs = [sl.z_min + (k + 0.5) / cols * sl.span for k in range(cols)]
-    us = shaped_heights(ShapingParams(), sl, sl.x, u, zs)
+    us = shaped_row(ShapingParams(), sl, sl.x, u, offsets(sl, zs))
     assert us == [u] * cols
     touching = [a >= b for a, b in zip(us, dome_elevations(sl, zs))]
     contact = classify_slice(sl, u)
@@ -399,10 +462,10 @@ def test_shaped_row_contacts_only_unlowered_strip(s0_cosine):
     )
     n = 1024
     zs = [-1.0 + 2.0 * k / (n - 1) for k in range(n)]
-    us = shaped_heights(params, s0_cosine, 0.0, 11.0, zs)
+    us = shaped_row(params, s0_cosine, 0.0, 11.0, offsets(s0_cosine, zs))
     touching = [z for z, u, d in zip(zs, us, dome_elevations(s0_cosine, zs)) if u >= d]
     assert touching == [z for z in zs if -0.2 < z < 0.2]
     groove = ShapingParams(groove_enabled=True, groove_width=0.4, groove_depth=12.0)
-    us = shaped_heights(groove, s0_cosine, 0.0, 11.0, zs)
+    us = shaped_row(groove, s0_cosine, 0.0, 11.0, offsets(s0_cosine, zs))
     touching = [z for z, u, d in zip(zs, us, dome_elevations(s0_cosine, zs)) if u >= d]
     assert touching == [z for z in zs if abs(z) > 0.2]

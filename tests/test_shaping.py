@@ -26,7 +26,8 @@ from palatogram import (
     midsagittal_height,
     slice_at,
 )
-from palatogram.shaping import params_from_dict, shaped_heights
+from palatogram.shaping import params_from_dict
+from oracles import shaped_height
 
 
 @pytest.fixture
@@ -202,7 +203,7 @@ def geometry_for_field() -> PalateGeometry:
 def field(contour: TongueContour, params: ShapingParams, x: float, z: float) -> float:
     """u_t(x, z) over geometry_for_field(), as compute_epg composes it."""
     sl = slice_at(geometry_for_field(), x)
-    return shaped_heights(params, sl, x, midsagittal_height(contour, x), (z,))[0]
+    return shaped_height(params, sl, x, midsagittal_height(contour, x), z)
 
 
 def test_field_reduces_to_flat_line():
