@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from array import array
+from bisect import bisect_left, bisect_right
 
 from ._frozen import Frozen
 from .dome import PalateGeometry, dome_elevations, slice_at
 from .errors import DomainError
-from .shaping import ShapingParams, TongueContour, midsagittal_heights, shaped_row
+from .shaping import ShapingParams, TongueContour, midsagittal_heights, row_constants
 
 __all__ = [
     "EPGFrame",
@@ -26,12 +28,15 @@ MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg
 # last 16 palates, overlaps and lattices drawn: the frames drawn against one
 # palate share its dome, so a frame on a kept lattice only does its tongue's
 # own arithmetic. A kept row holds each cell's offset |z - z_center| and dome
-# elevation as doubles, 16 bytes a cell, beside about 0.4 KB for its x,
-# slice and containers, so a lattice of 128 x 128 holds about 0.3 MB and the
-# tallest one, 1024 x 16, about 0.65 MB: the 16 kept lattices hold at most
-# about 10.5 MB, and 48 x 48 to 100 x 64 on both built-in palates (10
-# lattices, 41,480 cells) about 0.9 MB. A larger lattice's rows are sampled
-# afresh, one at a time, for each frame.
+# elevation as doubles in walk order (the left half as sampled, then the
+# right half reversed, so that compute_epg can bisect each half), 16 bytes a
+# cell, beside about 0.4 KB for its x, slice and containers (the ends of its
+# walks are one tuple that a lattice's rows share), so a lattice of
+# 128 x 128 holds about 0.3 MB and the tallest one, 1024 x 16, about
+# 0.65 MB: the 16 kept lattices hold at most about 10.5 MB, and 48 x 48 to
+# 100 x 64 on both built-in palates (10 lattices, 41,480 cells) about
+# 0.9 MB. A larger lattice's rows are sampled afresh, one at a time, for
+# each frame, in the same order and through the same kernel.
 _CACHED_CELLS = 128 * 128
 
 
@@ -123,14 +128,19 @@ def compute_epg(
     cols in [2, MAX_EPG_SIDE].
 
     The dome sampled at the cell centers depends only on the palate, the
-    overlap and the lattice, not on the tongue. Each cell's offset
-    |z - z_center| and dome elevation are kept, as doubles (16 B a cell), for
-    the last 16 of them of at most _CACHED_CELLS = 128 x 128 cells (about
-    10.5 MB at most), so a frame on a kept one only does its tongue's own
-    arithmetic: one walk of the contour for the rows' midline heights, and
-    each row shaped from its kept offsets alone, as every shaping term
-    depends on a cell only through its offset. A larger lattice samples the
-    dome row by row as it goes, keeping none of it.
+    overlap and the lattice, not on the tongue, and _dome_rows keeps it (see
+    _CACHED_CELLS), each half row as a walk from its molar edge to the
+    middle. Along a walk the offset |z - z_center| never grows, so neither
+    does the unlowered tongue (its edge weight scale * (o / half_width) ** 2
+    has scale >= 0), and the dome never falls (a walk is cut where rounding
+    makes it fall). So the cells the unlowered tongue reaches are a prefix
+    of the walk, those the tongue lowered by a strip reaches are a prefix of
+    the strip's cells (a contiguous run, as the strip is a range of
+    offsets), and each is found by bisection with the per-cell test itself,
+    the same float operations as the per-term sum: a row costs O(log cols)
+    tests, and its cells are a few slices of runs. tests/test_raster_kernel.py
+    checks every cell bit for bit against the per-cell evaluator in
+    tests/oracles.py, and the number of values a row reads.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -144,46 +154,122 @@ def compute_epg(
         )
     x_of_row, dome_rows = _dome_rows(geometry, x_lo, x_hi, rows, cols)
     u_mids = midsagittal_heights(contour, x_of_row)
+    middle = (cols + 1) // 2  # the left walk ends in the middle column
+    n = MAX_EPG_SIDE
     cells = []
-    for x, u_mid, (sl, offsets, dome) in zip(x_of_row, u_mids, dome_rows):
-        heights = shaped_row(params, sl, x, u_mid, offsets)
-        cells.append(tuple(map(operator.ge, heights, dome)))
+    for x, u_mid, (sl, offsets, dome, ends) in zip(x_of_row, u_mids, dome_rows):
+        u0, scale, lo, hi, drop = row_constants(params, sl, x, u_mid)
+        if scale:
+            half_width = sl.half_width
+        left = right = ()
+        a = 0
+        for b in ends:
+            # k: the first cell of the walk [a, b) that the unlowered tongue
+            # misses, which then misses every later cell. The bisections
+            # here probe their first cell first: many walks reach no cell.
+            if scale:
+                k, q, m = a, b, a
+                while k < q:
+                    if u0 + scale * (offsets[m] / half_width) ** 2 >= dome[m]:
+                        k = m + 1
+                    else:
+                        q = m
+                    m = (k + q) // 2
+            else:
+                k = bisect_right(dome, u0, a, b)
+            # [s, t): the strip's cells before k, as the offsets fall along
+            # the walk: a groove's from the first offset <= hi on, a lateral
+            # strip's up to the first offset < lo. j: the first of them the
+            # lowered tongue misses. A strip that drops by 0 lowers nothing.
+            j = t = a
+            if drop and a < k:
+                s = a if hi == math.inf else bisect_left(offsets, -hi, a, k, key=operator.neg)
+                t = k if lo <= 0.0 else bisect_right(offsets, -lo, s, k, key=operator.neg)
+                if scale:
+                    j, q, m = s, t, s
+                    while j < q:
+                        if u0 + scale * (offsets[m] / half_width) ** 2 + drop >= dome[m]:
+                            j = m + 1
+                        else:
+                            q = m
+                        m = (j + q) // 2
+                else:
+                    j = bisect_right(dome, u0 + drop, s, t)
+            # so the walk's contacts are [a, j) and [t, k); one run of them is
+            # written as [t, k) alone, so the walk is one slice of _RUNS
+            if j == t or t == k:
+                j, t, k = a, a, j + k - t
+            if b <= middle:
+                left += _RUNS[n - j + a : n + t - j] + _RUNS[n - k + t : n + b - k]
+            else:
+                right = _RUNS_BACK[n - b + k : n + k - t] + _RUNS_BACK[n - t + j : n + j - a] + right
+            a = b
+        cells.append(left + right)
         # free an unkept row's floats before the next row is made, which reuses them
-        del offsets, dome, heights
-    return EPGFrame(cells=tuple(cells), x_of_row=x_of_row)
+        del offsets, dome
+    return EPGFrame._unchecked(tuple(cells), x_of_row)
+
+
+# _RUNS[n - c : n + f] is c contacts then f misses, and _RUNS_BACK[n - f : n + c]
+# the same cells backward, for any c, f <= n = MAX_EPG_SIDE. A row is a few
+# slices, and adding an empty one copies nothing: a row of two one-run walks
+# makes its two halves and itself, no tuple of another size. Tuples of many
+# sizes each hold an allocator pool, about 0.4 MB of raster peak RSS.
+_RUNS = (True,) * MAX_EPG_SIDE + (False,) * MAX_EPG_SIDE
+_RUNS_BACK = _RUNS[::-1]
 
 
 def _as_doubles(lattice) -> tuple:
     """A dome lattice to keep, each row's offsets and elevations packed as doubles."""
     x_of_row, rows = lattice
     return x_of_row, tuple(
-        (sl, array("d", offsets), array("d", dome)) for sl, offsets, dome in rows
+        (sl, array("d", offsets), array("d", dome), ends) for sl, offsets, dome, ends in rows
     )
 
 
 @_per_lattice(_CACHED_CELLS, keep=_as_doubles)
 def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
-    """The rows' x, and each row's slice, cell offsets and dome elevations.
+    """The rows' x, and each row's slice, cell offsets, dome elevations and walk ends.
 
     A row holds each cell's offset |z - z_center| and the dome elevation at
-    each cell, 16 B a cell as kept: the dome side of compute_epg, the same
-    for every tongue on one palate, overlap and lattice. The cells' z are
-    only needed to sample the dome, so no row keeps them. Unkept rows are
-    made one at a time as they are used.
+    each cell, 16 B a cell as kept, in walk order: the left half of the row
+    and its middle column as sampled, then the right half reversed, so each
+    walk runs from a molar edge to the middle. This is the dome side of
+    compute_epg, the same for every tongue on one palate, overlap and
+    lattice. The cells' z are only needed to sample the dome, so no row
+    keeps them. Unkept rows are made one at a time as they are used.
     """
     x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
     col_offsets = tuple(f - 0.5 for f in column_fractions(cols))
-    return x_of_row, _sample_rows(geometry, x_of_row, col_offsets)
+    middle = (cols + 1) // 2
+    walk_offsets = col_offsets[:middle] + col_offsets[:middle - 1:-1]
+    return x_of_row, _sample_rows(geometry, x_of_row, walk_offsets, middle)
 
 
-def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], col_offsets):
+def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], walk_offsets, middle):
+    """Each row's slice, offsets and dome in walk order, and the ends of its walks.
+
+    Along a walk z moves toward z_center, each z_center + o * span rounded
+    monotonically, so the offsets never grow. The dome rises along it as
+    far as its rounding and math.cos allow, which nothing promises, so the
+    elevations are checked: where one falls, the walk ends there and the
+    next one starts.
+    """
+    cols = len(walk_offsets)
+    halves = (middle, cols)
     for x in x_of_row:
         sl = slice_at(geometry, x)
         # the column offsets mirror exactly, but each z is rounded on its own,
         # so two mirrored cells' offsets |z - z_center| can differ by an ulp
         z_center, span = sl.z_center, sl.span
-        zs = [z_center + o * span for o in col_offsets]
-        yield sl, [abs(z - z_center) for z in zs], dome_elevations(sl, zs)
+        zs = [z_center + o * span for o in walk_offsets]
+        dome = dome_elevations(sl, zs)
+        ends = halves
+        if dome[:middle] != sorted(dome[:middle]) or dome[middle:] != sorted(dome[middle:]):
+            ends = tuple(
+                k for k in range(1, cols + 1) if k in halves or dome[k] < dome[k - 1]
+            )
+        yield sl, [abs(z - z_center) for z in zs], dome, ends
 
 
 _TEXT_OF_CELL = b"." + b"#" * 255  # bytes.translate table: 0 -> '.', any other byte -> '#'

@@ -43,7 +43,7 @@ from palatogram.render import (
     _SVG_HEAD,
     fmt,
 )
-from palatogram.shaping import _FLOAT_FIELDS
+from palatogram.shaping import _FLOAT_FIELDS, row_constants
 from palatogram.sounds import BLEND_GRID_POINTS, MAX_FRAMES
 
 
@@ -133,6 +133,22 @@ def shaped_height(
     u += groove_delta(params, slice_, z)
     u += lateral_lowering_delta(params, slice_, z)
     return u
+
+
+def shaped_row(
+    params: ShapingParams, slice_: DomeSlice, x: float, u_mid: float, offsets
+) -> list[float]:
+    """The shaped height at each offset |z - z_center| of the row at x, cell by cell.
+
+    This is the row kernel compute_epg ran before it bisected its rows: the
+    sum row_constants states, evaluated at every cell. compute_epg tests
+    the same sum, in the same order, at the cells its bisections probe.
+    """
+    u0, scale, lo, hi, drop = row_constants(params, slice_, x, u_mid)
+    half_width = slice_.half_width
+    return [
+        u0 + scale * (o / half_width) ** 2 + (drop if lo <= o <= hi else 0.0) for o in offsets
+    ]
 
 
 def epg_cells(

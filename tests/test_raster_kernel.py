@@ -1,10 +1,12 @@
-"""The row kernels of the EPG raster against the per-cell evaluator in oracles.py.
+"""The row kernel of the EPG raster against the per-cell evaluator in oracles.py.
 
-compute_epg evaluates one row at a time (shaped_row from each cell's kept
-offset |z - z_center|, dome_elevations) and finds every row's midline height
-in one walk of the contour (midsagittal_heights); every cell must come out
-as the per-cell sum, dome formula and bisected contour give it, and every
-height bit for bit, -0.0 included.
+compute_epg walks each half row from its molar edge to the middle, where the
+offset |z - z_center| never grows and the dome never falls, and bisects each
+walk for the cells the tongue reaches (shaping.row_constants gives the
+row's terms; the dome rows are kept in walk order). It finds every row's
+midline height in one walk of the contour (midsagittal_heights). Every cell
+must come out as the per-cell sum, dome formula and bisected contour give
+it, and every height bit for bit, -0.0 included.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ from palatogram import (
     slice_at,
 )
 from palatogram.dome import dome_elevations
-from palatogram.epg import column_fractions
-from palatogram.shaping import midsagittal_heights, shaped_row
-from oracles import dome_height, epg_cells, midline_height, shaped_height
+from palatogram import epg
+from palatogram.epg import EPGFrame, column_fractions
+from palatogram.errors import MAX_MM, MIN_MM
+from palatogram.shaping import EDGE_RAMP_LENGTH, midsagittal_heights
+from oracles import dome_height, epg_cells, midline_height, shaped_height, shaped_row
 
 
 def bits(values) -> list[str]:
@@ -164,6 +168,13 @@ def test_compute_epg_matches_per_cell_oracle(data, lattice):
         params = data.draw(shaping())
         frame = compute_epg(palate, tongue, params, rows=rows, cols=cols)
         assert frame.cells == epg_cells(palate, tongue, params, rows, cols)
+        assert checked(frame) == frame
+
+
+def checked(frame: EPGFrame) -> EPGFrame:
+    """frame rebuilt by EPGFrame's checked constructor, which compute_epg skips."""
+    assert all(cell.__class__ is bool for row in frame.cells for cell in row)
+    return EPGFrame(frame.cells, frame.x_of_row)
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))
@@ -173,6 +184,179 @@ def test_presets_match_per_cell_oracle(shape, rows, cols):
     for target in default_library():
         frame = compute_epg(geometry, target.contour, target.params, rows=rows, cols=cols)
         assert frame.cells == epg_cells(geometry, target.contour, target.params, rows, cols)
+        assert checked(frame) == frame
+
+
+# each way of shaping a row: the edge weight, a strip, or both
+MANNERS = {
+    "flat": {},
+    "groove": {"groove_enabled": True},
+    "lateral": {"lateral_lower_enabled": True},
+    "edge": {"tt_manner": TipManner.FULL},
+    "edge+groove": {"tt_manner": TipManner.FULL, "groove_enabled": True},
+    "edge+lateral": {"td_manner": DorsumManner.FULL, "lateral_lower_enabled": True},
+}
+
+
+@st.composite
+def manner_params(draw, manner: str, x_lo: float, x_hi: float) -> ShapingParams:
+    """ShapingParams of one manner whose edge ramp starts within reach of [x_lo, x_hi]."""
+    return ShapingParams(
+        **MANNERS[manner],
+        tth=draw(st.floats(0.05, 1)),
+        edge_elev_max=draw(st.floats(0.5, 20)),
+        posterior_onset_x=draw(st.floats(x_lo - EDGE_RAMP_LENGTH, x_hi)),
+        groove_width=draw(widths),
+        groove_depth=draw(st.floats(0.5, 30)),
+        lateral_lower_width=draw(widths),
+        lateral_lower_depth=draw(st.floats(0.5, 30)),
+    )
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("manner", list(MANNERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 40), half=st.integers(1, 20))
+def test_compute_epg_matches_oracle_in_each_manner(manner, parity, data, rows, half):
+    # the ramp of an edge manner is partial across the rows: it starts
+    # inside the overlap or less than a ramp length before it
+    cols = 2 * half + (parity == "odd")
+    geometry = data.draw(palates())
+    contour = data.draw(contours(geometry))
+    x_lo, x_hi = max(geometry.x_min, contour.x_min), min(geometry.x_max, contour.x_max)
+    params = data.draw(manner_params(manner, x_lo, x_hi))
+    frame = compute_epg(geometry, contour, params, rows=rows, cols=cols)
+    assert frame.cells == epg_cells(geometry, contour, params, rows, cols)
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), params=shaping())
+def test_a_streamed_lattice_matches_per_cell_oracle(data, params):
+    # a lattice too large to keep is sampled row by row, through the same kernel
+    rows, cols = epg.MAX_EPG_SIDE, 17
+    assert rows * cols > epg._CACHED_CELLS
+    geometry = data.draw(palates())
+    contour = data.draw(contours(geometry))
+    frame = compute_epg(geometry, contour, params, rows=rows, cols=cols)
+    assert frame.cells == epg_cells(geometry, contour, params, rows, cols)
+
+
+# narrow slices far from z = 0, where each z is rounded to about 1e-10
+far_slices = st.builds(
+    lambda sign, center, half_width, h, shape: DomeSlice(
+        x=0.0, z_min=sign * center - half_width, z_max=sign * center + half_width, h=h, shape=shape
+    ),
+    sign=st.sampled_from((-1.0, 1.0)),
+    center=st.floats(1e5, MAX_MM - 1e-3),
+    half_width=st.floats(1.001 * MIN_MM, 4 * MIN_MM),  # z_min and z_max round apart
+    h=st.floats(MIN_MM, 20),
+    shape=st.sampled_from(list(DomeShape)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl=slices | far_slices, cols=st.integers(2, 41) | st.integers(2, epg.MAX_EPG_SIDE))
+def test_each_walk_has_falling_offsets_and_a_rising_dome(sl, cols):
+    # a kept row holds the left half and the middle column as sampled, then
+    # the right half reversed; each walk, edge to middle, has offsets that
+    # never grow and a dome that never falls
+    geometry = PalateGeometry(slices=(sl, DomeSlice(sl.x + 1.0, sl.z_min, sl.z_max, sl.h, sl.shape)))
+    (x,), ((row_slice, kept, dome, ends),) = epg._dome_rows(geometry, sl.x, sl.x + 1.0, 1, cols)
+    assert row_slice == slice_at(geometry, x)
+    zs = [row_slice.z_center + (f - 0.5) * row_slice.span for f in column_fractions(cols)]
+    middle = (cols + 1) // 2
+    walk = zs[:middle] + zs[: middle - 1 : -1]
+    assert bits(kept) == bits(offsets(row_slice, walk))
+    assert bits(dome) == bits(dome_height(row_slice, z) for z in walk)
+    assert middle in ends and ends[-1] == cols
+    a = 0
+    for b in ends:
+        assert list(kept[a:b]) == sorted(kept[a:b], reverse=True)
+        assert list(dome[a:b]) == sorted(dome[a:b])
+        a = b
+
+
+def test_a_falling_dome_cuts_its_walk(monkeypatch):
+    # Where the sampled dome falls along a walk, the walk ends there. No
+    # slice was seen to fall: the half-ellipse's radicand rises toward the
+    # middle, and the cosine is a function of the offset alone, monotone as
+    # far as the platform's cos is. So the fall is planted: walk cell 3
+    # takes cell 1's lower elevation. A tongue at cell 1's level then
+    # reaches cells 0, 1 and 3 of the walk, which no prefix of it is.
+    real = epg.dome_elevations
+
+    def dipped(sl, zs):
+        dome = real(sl, zs)
+        dome[3] = dome[1]
+        return dome
+
+    monkeypatch.setattr(epg, "dome_elevations", dipped)
+    geometry, rows, cols = default_palate(), 1, 9
+    epg._dome_rows.cache_clear()
+    try:
+        (x,), ((sl, _kept, _dome, ends),) = epg._dome_rows(geometry, 0.0, 40.0, rows, cols)
+        assert ends == (3, 5, 9)
+        zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
+        domes = [dome_height(sl, z) for z in zs]
+        domes[3] = domes[1]
+        shapings = (
+            ShapingParams(),
+            ShapingParams(groove_enabled=True, groove_width=3.0, groove_depth=0.5),
+            ShapingParams(lateral_lower_enabled=True, lateral_lower_width=4.0, lateral_lower_depth=0.5),
+            ShapingParams(tt_manner=TipManner.FULL, tth=0.5, edge_elev_max=0.1, posterior_onset_x=0.0),
+        )
+        for u in sorted(set(domes)):
+            contour = TongueContour(points=((0.0, u), (x, u), (40.0, u)))
+            for params in shapings:
+                heights = shaped_row(params, sl, x, u, offsets(sl, zs))
+                want = tuple(h >= d for h, d in zip(heights, domes))
+                assert compute_epg(geometry, contour, params, rows, cols).cells == (want,)
+        flat = TongueContour(points=((0.0, domes[1]), (x, domes[1]), (40.0, domes[1])))
+        row = compute_epg(geometry, flat, ShapingParams(), rows, cols).cells[0]
+        assert row[:5] == (True, True, False, True, False)
+    finally:
+        epg._dome_rows.cache_clear()
+
+
+class CountedReads(list):
+    """A kept row's values, each read counted in reads[0]."""
+
+    def __init__(self, values, reads: list) -> None:
+        super().__init__(values)
+        self.reads = reads
+
+    def __getitem__(self, index):
+        self.reads[0] += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("manner", list(MANNERS))
+def test_a_row_reads_log_many_of_its_values(monkeypatch, manner):
+    # Each walk of a 1024-column row is bisected twice on its dome (its
+    # unlowered and its lowered reach, an offset read beside each elevation
+    # with the edge weight) and twice on its offsets (the strip's ends),
+    # each at most about log2(cols) reads: a per-cell loop, 2 * 1024 reads a
+    # row, would fail this.
+    rows, cols = 6, epg.MAX_EPG_SIDE
+    geometry = default_palate()
+    contour = TongueContour(points=((0.0, 8.0), (40.0, 11.0)))
+    params = ShapingParams(**MANNERS[manner], tth=1.0, posterior_onset_x=10.0)
+    reads, walks = [0], [0]
+    real = epg._dome_rows
+
+    def counted(*key):
+        x_of_row, dome_rows = real(*key)  # kept, so a tuple
+        walks[0] += sum(len(ends) for _sl, _kept, _dome, ends in dome_rows)
+        return x_of_row, [
+            (sl, CountedReads(kept, reads), CountedReads(dome, reads), ends)
+            for sl, kept, dome, ends in dome_rows
+        ]
+
+    monkeypatch.setattr(epg, "_dome_rows", counted)
+    frame = compute_epg(geometry, contour, params, rows=rows, cols=cols)
+    assert frame.cells == epg_cells(geometry, contour, params, rows, cols)
+    assert any(True in row and False in row for row in frame.cells)
+    assert reads[0] <= 6 * math.ceil(math.log2(cols)) * walks[0]
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))
