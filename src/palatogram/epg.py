@@ -66,7 +66,9 @@ class EPGFrame(Frozen):
     cells is a non-empty rectangle of booleans, and x_of_row each row's
     position, nondecreasing: rows over an overlap narrower than their count
     of floats share positions. Column j sits at column_fractions(cols)[j] of
-    its row's lateral span.
+    its row's lateral span, up to that fraction's rounding: compute_epg
+    places the right half at the left half's offsets from the middle
+    negated, so mirrored columns sit at exactly mirrored offsets.
     """
 
     __slots__ = ("cells", "x_of_row")
@@ -242,7 +244,10 @@ def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, co
     x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
     col_offsets = tuple(f - 0.5 for f in column_fractions(cols))
     middle = (cols + 1) // 2
-    walk_offsets = col_offsets[:middle] + col_offsets[:middle - 1:-1]
+    # f - 0.5 is not odd in f (at 7 columns, column 4's offset is 2 ulp short
+    # of column 2's), so the right half's offsets are the left's negated:
+    # mirrored cells then sit at exactly mirrored offsets
+    walk_offsets = col_offsets[:middle] + tuple(-o for o in col_offsets[: cols - middle])
     return x_of_row, _sample_rows(geometry, x_of_row, walk_offsets, middle)
 
 

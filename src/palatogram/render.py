@@ -144,6 +144,8 @@ CORONAL_CURVE_SAMPLES = 256
 # the coronal plot's inset from the canvas edges, and its marker size
 _INSET = 0.10 * min(WIDTH, HEIGHT)
 _MARKER = min(WIDTH, HEIGHT) * 0.018
+# the dome profile's points, "x,y" each, as fmt writes them but for "-0.000"
+_CORONAL_POINTS = " ".join(["%.3f,%.3f"] * CORONAL_CURVE_SAMPLES)
 
 
 def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
@@ -168,10 +170,20 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
         f'stroke="#999999" stroke-width="1"/>'
     )
     ts = [k / (CORONAL_CURVE_SAMPLES - 1) for k in range(CORONAL_CURVE_SAMPLES)]
-    zs = [(1.0 - t) * slice_.z_min + t * slice_.z_max for t in ts]
-    pts = [f"{f(sx(z))},{f(sy(y))}" for z, y in zip(zs, dome_elevations(slice_, zs))]
+    z_min, z_max, span = slice_.z_min, slice_.z_max, slice_.span
+    zs = [(1.0 - t) * z_min + t * z_max for t in ts]
+    # each point is sx(z), sy(y) inline, the profile formatted by one %
+    xy = [0.0] * (2 * CORONAL_CURVE_SAMPLES)
+    xy[::2] = [_INSET + (z - z_min) / span * (WIDTH - 2 * _INSET) for z in zs]
+    xy[1::2] = [
+        HEIGHT - _INSET - (y - u_lo) / (u_hi - u_lo) * (HEIGHT - 2 * _INSET)
+        for y in dome_elevations(slice_, zs)
+    ]
+    points = _CORONAL_POINTS % tuple(xy)
+    if "-0.000" in points:
+        points = points.replace("-0.000", "0.000")
     parts.append(
-        f'<polyline points="{" ".join(pts)}" fill="none" '
+        f'<polyline points="{points}" fill="none" '
         f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
     )
     # flat coronal tongue line
@@ -208,14 +220,12 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
+# each class's group line, before its markers
 _GROUP_OF_CLASS = {
-    NoContact: "no_contact",
-    Intersection: "intersection",
-    FullContact: "full_contact",
+    NoContact: b"g no_contact\n",
+    Intersection: b"g intersection\n",
+    FullContact: b"g full_contact\n",
 }
-
-_OBJ_VERTEX = "v %.6f %.6f %.6f\n"
-_OBJ_FACE_PAIR = "f %s %s %s\nf %s %s %s\n"
 
 
 def export_obj(
@@ -226,11 +236,13 @@ def export_obj(
 ) -> bytes:
     """Triangulated dome surface, plus optional per-slice contact markers.
 
-    The text is one ``v x y z`` line per surface point, row by row, then two
-    ``f`` lines per quad; each row is formatted by one ``%`` over the row,
-    its x formatted once. Markers are emitted as extra vertices inside named
-    groups (no_contact, intersection, full_contact); they are not referenced
-    by any face.
+    The bytes are one ``v x y z`` line per surface point, row by row, then
+    two ``f`` lines per quad. Each row of vertices is formatted by one bytes
+    ``%`` over the row, its x formatted once, and each row of faces by one
+    join of its vertex numbers into pieces made once per call; the document
+    is one join of its rows, never held as text. Markers are emitted as
+    extra vertices inside named groups (no_contact, intersection,
+    full_contact); they are not referenced by any face.
     """
     rows = _surface_rows(geometry, nx, nz)
     if contacts is not None and len(contacts) != nx + 1:
@@ -243,26 +255,29 @@ def export_obj(
     for x, _sl, zs, ys in rows:
         yz[::2] = ys
         yz[1::2] = zs
-        out.append(("v %.6f %%.6f %%.6f\n" % x) * stride % tuple(yz))
-    out.append("g palate\n")
+        out.append((b"v %.6f %%.6f %%.6f\n" % x) * stride % tuple(yz))
+    out.append(b"g palate\n")
     # two triangles per quad (v, v+stride, v+stride+1) and (v, v+stride+1, v+1),
-    # v the 1-based number of the quad's corner at (row i, column j): each
-    # corner of a row of quads is a slice of the vertex numbers
+    # v the 1-based number of the quad's corner at (row i, column j): a row
+    # of quads is 12 pieces a quad, "f ", v, " ", v+stride, " ", v+stride+1,
+    # "\nf ", v, " ", v+stride+1, " ", v+1, each quad after the first opening
+    # with "\nf ", and a closing "\n"; each corner is a slice of the vertex
+    # numbers
     numbers = list(map(str, range(1, (nx + 1) * stride + 1)))
-    faces = _OBJ_FACE_PAIR * nz
-    corners = [""] * (6 * nz)
+    pieces = ["\nf ", "", " ", "", " ", "", "\nf ", "", " ", "", " ", ""] * nz + ["\n"]
+    pieces[0] = "f "
     for base in range(0, nx * stride, stride):
-        corners[0::6] = corners[3::6] = numbers[base : base + nz]
-        corners[1::6] = numbers[base + stride : base + stride + nz]
-        corners[2::6] = corners[4::6] = numbers[base + stride + 1 : base + 2 * stride]
-        corners[5::6] = numbers[base + 1 : base + stride]
-        out.append(faces % tuple(corners))
+        pieces[1::12] = pieces[7::12] = numbers[base : base + nz]
+        pieces[3::12] = numbers[base + stride : base + stride + nz]
+        pieces[5::12] = pieces[9::12] = numbers[base + stride + 1 : base + 2 * stride]
+        pieces[11::12] = numbers[base + 1 : base + stride]
+        out.append("".join(pieces).encode("ascii"))
     if contacts is not None:
         for i, ((x, sl, _zs, _ys), contact) in enumerate(zip(rows, contacts)):
             group = _GROUP_OF_CLASS.get(type(contact))
             if group is None:
                 raise DomainError(f"contacts[{i}] is not a contact classification")
-            out.append(f"g {group}\n")
+            out.append(group)
             if isinstance(contact, NoContact):
                 markers = [(sl.z_min, 0.0), (sl.z_max, 0.0)]
             elif isinstance(contact, Intersection):
@@ -272,8 +287,8 @@ def export_obj(
                 ]
             else:
                 markers = [(contact.z_apex, sl.h)]
-            out.extend(_OBJ_VERTEX % (x, y, z) for z, y in markers)
-    return "".join(out).encode("utf-8")
+            out.extend(b"v %.6f %.6f %.6f\n" % (x, y, z) for z, y in markers)
+    return b"".join(out)
 
 
 def _disc_runs(cx: float, cy: float, r: float, w: int, h: int) -> list[tuple[int, int, int]]:

@@ -151,6 +151,20 @@ def shaped_row(
     ]
 
 
+def cell_zs(slice_: DomeSlice, cols: int) -> list[float]:
+    """The z of each column's cell on a slice, left to right, where compute_epg samples it.
+
+    The left half and an odd middle column sit at offset f - 0.5 of the
+    span, f from column_fractions, and the right half at the left half's
+    offsets negated: f - 0.5 is not odd in f, and negation makes mirrored
+    cells sit at exactly mirrored offsets.
+    """
+    middle = (cols + 1) // 2
+    left = [f - 0.5 for f in column_fractions(cols)[:middle]]
+    offsets = left + [-o for o in reversed(left[: cols - middle])]
+    return [slice_.z_center + o * slice_.span for o in offsets]
+
+
 def epg_cells(
     geometry: PalateGeometry,
     contour: TongueContour,
@@ -165,7 +179,6 @@ def epg_cells(
     """
     x_lo = max(geometry.x_min, contour.x_min)
     x_hi = min(geometry.x_max, contour.x_max)
-    fracs = column_fractions(cols)
     cells = []
     for i in range(rows):
         x = x_lo + (i + 0.5) * (x_hi - x_lo) / rows
@@ -176,8 +189,7 @@ def epg_cells(
             cells.append((False,) * cols)
             continue
         row = []
-        for f in fracs:
-            z = sl.z_center + (f - 0.5) * sl.span
+        for z in cell_zs(sl, cols):
             row.append(shaped_height(params, sl, x, u_mid, z) >= dome_height(sl, z))
         cells.append(tuple(row))
     return tuple(cells)
@@ -457,6 +469,74 @@ def palatal_svg(frame: EPGFrame) -> bytes:
             parts.append(
                 f'<circle cx="{f(cx)}" cy="{f(cy)}" r="{f(radius)}" fill="{fill}"/>'
             )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
+    """The coronal SVG with each profile point placed and formatted on its own.
+
+    This is the emitter render.render_coronal_svg was before it formatted
+    the profile by one %; both must give the same bytes.
+    """
+    inset = 0.10 * min(WIDTH, HEIGHT)
+    marker = min(WIDTH, HEIGHT) * 0.018
+    u_lo = min(0.0, u) - 0.15 * slice_.h
+    u_hi = slice_.h + 0.15 * slice_.h
+    if u > slice_.h:
+        u_hi = u + 0.15 * slice_.h
+
+    def sx(z: float) -> float:
+        return inset + (z - slice_.z_min) / slice_.span * (WIDTH - 2 * inset)
+
+    def sy(elev: float) -> float:
+        return HEIGHT - inset - (elev - u_lo) / (u_hi - u_lo) * (HEIGHT - 2 * inset)
+
+    f = fmt
+    parts = [_SVG_HEAD]
+    parts.append(
+        f'<line x1="{f(sx(slice_.z_min))}" y1="{f(sy(0.0))}" '
+        f'x2="{f(sx(slice_.z_max))}" y2="{f(sy(0.0))}" '
+        f'stroke="#999999" stroke-width="1"/>'
+    )
+    pts = []
+    for k in range(256):
+        t = k / 255
+        z = (1.0 - t) * slice_.z_min + t * slice_.z_max
+        pts.append(f"{f(sx(z))},{f(sy(dome_elevation(slice_, z)))}")
+    parts.append(
+        f'<polyline points="{" ".join(pts)}" fill="none" '
+        f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
+    )
+    parts.append(
+        f'<line x1="{f(sx(slice_.z_min))}" y1="{f(sy(u))}" '
+        f'x2="{f(sx(slice_.z_max))}" y2="{f(sy(u))}" '
+        f'stroke="#227722" stroke-width="2"/>'
+    )
+    contact = classify_slice(slice_, u)
+    if isinstance(contact, NoContact):
+        for z in (slice_.z_min, slice_.z_max):
+            parts.append(
+                f'<circle cx="{f(sx(z))}" cy="{f(sy(0.0))}" r="{f(marker)}" '
+                f'fill="{NO_CONTACT_COLOR}"/>'
+            )
+    elif isinstance(contact, Intersection):
+        for z in (contact.z_left, contact.z_right):
+            cx, cy = sx(z), sy(u)
+            for dx0, dy0, dx1, dy1 in (
+                (-marker, -marker, marker, marker),
+                (-marker, marker, marker, -marker),
+            ):
+                parts.append(
+                    f'<line x1="{f(cx + dx0)}" y1="{f(cy + dy0)}" '
+                    f'x2="{f(cx + dx1)}" y2="{f(cy + dy1)}" '
+                    f'stroke="{CONTACT_COLOR}" stroke-width="2"/>'
+                )
+    else:
+        parts.append(
+            f'<circle cx="{f(sx(contact.z_apex))}" cy="{f(sy(slice_.h))}" '
+            f'r="{f(marker)}" fill="{CONTACT_COLOR}"/>'
+        )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 

@@ -7,14 +7,14 @@ cell for cell, with no tolerance:
 * raising the contour never removes a contact;
 * raising every slice's dome height never adds one.
 
-Each holds float for float: negation rounds symmetrically and the column
-offsets mirror exactly, and every float operation from a height to a cell's
-comparison is monotone.
+Each holds float for float: negation rounds symmetrically, the right half's
+column offsets are the left half's negated, so they mirror exactly, and
+every float operation from a height to a cell's comparison is monotone.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palatogram import (
@@ -91,8 +91,26 @@ def assert_no_contact_lost(low, high) -> None:
             assert b or not a, f"cell ({i}, {j}) lost its contact"
 
 
+# A flat tongue at the dome height of column 4 of 7: with the right half's
+# offsets taken as f - 0.5, column 4 sat 2 ulp nearer the middle than its
+# mirror, column 2, so the row read ###..## both ways round.
+MIRROR_TIE = (
+    PalateGeometry(slices=tuple(
+        DomeSlice(
+            x=x, z_min=0.9394493915643203, z_max=24.08471365235679, h=9.813268262520461,
+            shape=DomeShape.HALF_ELLIPSE,
+        )
+        for x in (0.0, 40.0)
+    )),
+    TongueContour(points=((-1.0, 9.404200678473), (41.0, 9.404200678473))),
+    ShapingParams(edge_elev_max=0.0),
+    {"rows": 1, "cols": 7},
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(scene=scenes())
+@example(scene=MIRROR_TIE)
 def test_mirroring_the_palate_reverses_every_row(scene):
     geometry, contour, params, lattice = scene
     mirrored = PalateGeometry(slices=tuple(

@@ -39,10 +39,10 @@ from palatogram import (
 )
 from palatogram.dome import dome_elevations
 from palatogram import epg
-from palatogram.epg import EPGFrame, column_fractions
+from palatogram.epg import EPGFrame
 from palatogram.errors import MAX_MM, MIN_MM
 from palatogram.shaping import EDGE_RAMP_LENGTH, midsagittal_heights
-from oracles import dome_height, epg_cells, midline_height, shaped_height, shaped_row
+from oracles import cell_zs, dome_height, epg_cells, midline_height, shaped_height, shaped_row
 
 
 def bits(values) -> list[str]:
@@ -263,7 +263,7 @@ def test_each_walk_has_falling_offsets_and_a_rising_dome(sl, cols):
     geometry = PalateGeometry(slices=(sl, DomeSlice(sl.x + 1.0, sl.z_min, sl.z_max, sl.h, sl.shape)))
     (x,), ((row_slice, kept, dome, ends),) = epg._dome_rows(geometry, sl.x, sl.x + 1.0, 1, cols)
     assert row_slice == slice_at(geometry, x)
-    zs = [row_slice.z_center + (f - 0.5) * row_slice.span for f in column_fractions(cols)]
+    zs = cell_zs(row_slice, cols)
     middle = (cols + 1) // 2
     walk = zs[:middle] + zs[: middle - 1 : -1]
     assert bits(kept) == bits(offsets(row_slice, walk))
@@ -296,7 +296,7 @@ def test_a_falling_dome_cuts_its_walk(monkeypatch):
     try:
         (x,), ((sl, _kept, _dome, ends),) = epg._dome_rows(geometry, 0.0, 40.0, rows, cols)
         assert ends == (3, 5, 9)
-        zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
+        zs = cell_zs(sl, cols)
         domes = [dome_height(sl, z) for z in zs]
         domes[3] = domes[1]
         shapings = (
@@ -368,8 +368,8 @@ def test_cells_on_the_threshold_match_oracle(shape):
                         ShapingParams(), rows=rows, cols=cols)
     for i, x in enumerate(frame.x_of_row):
         sl = slice_at(geometry, x)
-        for j, f in enumerate(frame.z_frac_of_col):
-            u = dome_height(sl, sl.z_center + (f - 0.5) * sl.span)
+        for j, z in enumerate(cell_zs(sl, cols)):
+            u = dome_height(sl, z)
             # a contour point at x gives the midline height u exactly
             contour = TongueContour(points=((geometry.x_min, u), (x, u), (geometry.x_max, u)))
             cells = compute_epg(geometry, contour, ShapingParams(), rows=rows, cols=cols).cells
@@ -418,7 +418,7 @@ def test_row_kernel_on_offsets_matches_per_term_sum(
     # the row kernel fed each lattice cell's offset |z - z_center|, as
     # compute_epg keeps it, for every manner and strip
     params = data.draw(shaping(*map(st.just, (tt_manner, td_manner, strip, sl.x - behind_onset))))
-    zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
+    zs = cell_zs(sl, cols)
     for u in (u_mid, 0.0, -0.0):
         want = [shaped_height(params, sl, sl.x, u, z) for z in zs]
         assert bits(shaped_row(params, sl, sl.x, u, offsets(sl, zs))) == bits(want)
@@ -522,8 +522,7 @@ def test_cells_on_a_strip_edge_match_oracle(shape, cols):
     probe = compute_epg(geometry, tongue, ShapingParams(), rows=rows, cols=cols)
     assert all(all(cells) for cells in probe.cells)
     sl = slice_at(geometry, probe.x_of_row[row])
-    for j, f in enumerate(column_fractions(cols)[: cols // 2]):
-        z = sl.z_center + (f - 0.5) * sl.span
+    for j, z in enumerate(cell_zs(sl, cols)[: cols // 2]):
         assert sl.z_min + z == z
         for params in (
             ShapingParams(groove_enabled=True, groove_width=2.0 * abs(z - sl.z_center), groove_depth=30.0),
@@ -556,7 +555,7 @@ def test_lateral_strip_follows_the_offset_rule_off_zero(shape):
     )
     rows, row, cols, j, w = 5, 2, 8, 1, 9.562235714868136
     sl = geometry.slices[1]
-    zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
+    zs = cell_zs(sl, cols)
     lefts, rights = offsets(sl, zs[: cols // 2]), offsets(sl, zs[: cols // 2 - 1 : -1])
     assert lefts == rights
     assert zs[j] <= sl.z_min + w and not zs[-1 - j] >= sl.z_max - w

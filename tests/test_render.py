@@ -8,7 +8,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from palatogram import (
     DomainError,
     DomeShape,
@@ -136,6 +139,32 @@ def test_coronal_full_contact_marker(slice_s0):
 
 def test_coronal_determinism(slice_s0):
     assert render_coronal_svg(slice_s0, 4.2) == render_coronal_svg(slice_s0, 4.2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sl=st.builds(
+        lambda z_min, width, h, shape: DomeSlice(
+            x=0.0, z_min=z_min, z_max=z_min + width, h=h, shape=shape
+        ),
+        z_min=st.floats(-30.0, 5.0),
+        width=st.floats(0.5, 40.0),
+        h=st.floats(0.5, 25.0),
+        shape=st.sampled_from(list(DomeShape)),
+    ),
+    where=st.sampled_from(["below 0", "inside", "at or above h"]),
+    data=st.data(),
+)
+def test_coronal_matches_per_point_emitter(sl, where, data):
+    # u below the occlusal plane (no contact), inside (0, h) (two crossings)
+    # and at or above the apex (full contact), each on both dome shapes
+    if where == "below 0":
+        u = data.draw(st.floats(-50.0, 0.0, exclude_max=True))
+    elif where == "inside":
+        u = sl.h * data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    else:
+        u = sl.h + data.draw(st.floats(0.0, 50.0))
+    assert render_coronal_svg(sl, u) == oracles.render_coronal_svg(sl, u)
 
 
 def parse_obj(data: bytes):
