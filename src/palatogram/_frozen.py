@@ -42,7 +42,9 @@ class Frozen:
         """An instance of values, in ``__slots__`` order, that skips ``__init__``'s checks.
 
         Only for values derived from checked ones, which a check could fail by
-        rounding alone; unpickling it runs the checks after all.
+        rounding alone. Its three uses are slice_at's interpolated slices,
+        compute_epg's frames and the blended frames of interpolate and
+        animate. Unpickling it runs the checks after all.
         """
         self = object.__new__(cls)
         for name, value in zip(cls.__slots__, values, strict=True):

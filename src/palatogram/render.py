@@ -149,75 +149,58 @@ _CORONAL_POINTS = " ".join(["%.3f,%.3f"] * CORONAL_CURVE_SAMPLES)
 
 
 def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
-    """Coronal view: dome profile, flat tongue line at u, contact markers."""
-    u_lo = min(0.0, u) - 0.15 * slice_.h
-    u_hi = slice_.h + 0.15 * slice_.h
-    if u > slice_.h:
-        u_hi = u + 0.15 * slice_.h
+    """Coronal view: dome profile, flat tongue line at u, contact markers.
 
-    def sx(z: float) -> float:
-        return _INSET + (z - slice_.z_min) / slice_.span * (WIDTH - 2 * _INSET)
+    Every point is placed by one z -> x map and one elevation -> y map, each
+    over a list.
+    """
+    z_min, z_max, span, h = slice_.z_min, slice_.z_max, slice_.span, slice_.h
+    u_lo = min(0.0, u) - 0.15 * h
+    u_span = (u if u > h else h) + 0.15 * h - u_lo
 
-    def sy(elev: float) -> float:
-        return HEIGHT - _INSET - (elev - u_lo) / (u_hi - u_lo) * (HEIGHT - 2 * _INSET)
+    def sx(zs: list[float]) -> list[float]:
+        return [_INSET + (z - z_min) / span * (WIDTH - 2 * _INSET) for z in zs]
 
-    f = fmt
-    parts = [_SVG_HEAD]
-    # occlusal baseline
-    parts.append(
-        f'<line x1="{f(sx(slice_.z_min))}" y1="{f(sy(0.0))}" '
-        f'x2="{f(sx(slice_.z_max))}" y2="{f(sy(0.0))}" '
-        f'stroke="#999999" stroke-width="1"/>'
-    )
+    def sy(elevs: list[float]) -> list[float]:
+        return [HEIGHT - _INSET - (e - u_lo) / u_span * (HEIGHT - 2 * _INSET) for e in elevs]
+
     ts = [k / (CORONAL_CURVE_SAMPLES - 1) for k in range(CORONAL_CURVE_SAMPLES)]
-    z_min, z_max, span = slice_.z_min, slice_.z_max, slice_.span
     zs = [(1.0 - t) * z_min + t * z_max for t in ts]
-    # each point is sx(z), sy(y) inline, the profile formatted by one %
     xy = [0.0] * (2 * CORONAL_CURVE_SAMPLES)
-    xy[::2] = [_INSET + (z - z_min) / span * (WIDTH - 2 * _INSET) for z in zs]
-    xy[1::2] = [
-        HEIGHT - _INSET - (y - u_lo) / (u_hi - u_lo) * (HEIGHT - 2 * _INSET)
-        for y in dome_elevations(slice_, zs)
-    ]
+    xy[::2] = sx(zs)
+    xy[1::2] = sy(dome_elevations(slice_, zs))
     points = _CORONAL_POINTS % tuple(xy)
     if "-0.000" in points:
         points = points.replace("-0.000", "0.000")
-    parts.append(
-        f'<polyline points="{points}" fill="none" '
-        f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'
-    )
-    # flat coronal tongue line
-    parts.append(
-        f'<line x1="{f(sx(slice_.z_min))}" y1="{f(sy(u))}" '
-        f'x2="{f(sx(slice_.z_max))}" y2="{f(sy(u))}" '
-        f'stroke="#227722" stroke-width="2"/>'
-    )
+    f = fmt
+    x_ends, (y_base, y_tongue) = sx([z_min, z_max]), sy([0.0, u])
+    # the occlusal baseline and the flat tongue line, which share their ends in x
+    line = f'<line x1="{f(x_ends[0])}" y1="%s" x2="{f(x_ends[1])}" y2="%s" '
+    parts = [
+        _SVG_HEAD,
+        line % (f(y_base), f(y_base)) + 'stroke="#999999" stroke-width="1"/>',
+        f'<polyline points="{points}" fill="none" stroke="{OUTLINE_COLOR}" stroke-width="2"/>',
+        line % (f(y_tongue), f(y_tongue)) + 'stroke="#227722" stroke-width="2"/>',
+    ]
+    # the contact markers: a circle at each (cx, cy) of markers, or two crosses
     contact = classify_slice(slice_, u)
+    markers, fill = [], CONTACT_COLOR
     if isinstance(contact, NoContact):
-        for z in (slice_.z_min, slice_.z_max):
-            parts.append(
-                f'<circle cx="{f(sx(z))}" cy="{f(sy(0.0))}" r="{f(_MARKER)}" '
-                f'fill="{NO_CONTACT_COLOR}"/>'
-            )
+        markers, fill = [(x, y_base) for x in x_ends], NO_CONTACT_COLOR
     elif isinstance(contact, Intersection):
-        for z in (contact.z_left, contact.z_right):
-            cx, cy = sx(z), sy(u)
-            for dx0, dy0, dx1, dy1 in (
-                (-_MARKER, -_MARKER, _MARKER, _MARKER),
-                (-_MARKER, _MARKER, _MARKER, -_MARKER),
-            ):
+        for cx in sx([contact.z_left, contact.z_right]):
+            for dy in (_MARKER, -_MARKER):
                 parts.append(
-                    f'<line x1="{f(cx + dx0)}" y1="{f(cy + dy0)}" '
-                    f'x2="{f(cx + dx1)}" y2="{f(cy + dy1)}" '
+                    f'<line x1="{f(cx - _MARKER)}" y1="{f(y_tongue - dy)}" '
+                    f'x2="{f(cx + _MARKER)}" y2="{f(y_tongue + dy)}" '
                     f'stroke="{CONTACT_COLOR}" stroke-width="2"/>'
                 )
     else:
-        parts.append(
-            f'<circle cx="{f(sx(contact.z_apex))}" cy="{f(sy(slice_.h))}" '
-            f'r="{f(_MARKER)}" fill="{CONTACT_COLOR}"/>'
-        )
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+        markers = list(zip(sx([contact.z_apex]), sy([h])))
+    for cx, cy in markers:
+        parts.append(f'<circle cx="{f(cx)}" cy="{f(cy)}" r="{f(_MARKER)}" fill="{fill}"/>')
+    parts.append("</svg>\n")
+    return "\n".join(parts).encode("utf-8")
 
 
 # each class's group line, before its markers

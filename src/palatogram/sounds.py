@@ -275,7 +275,10 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
     """The blend of a into b as a function of lam in (0, 1).
 
     The common x grid, both contours' heights on it and the blended name do
-    not depend on lam, so they are computed once; each call only lerps.
+    not depend on lam, so they are computed once; each call only lerps. A
+    frame is built without re-running the constructors' checks: its heights
+    and float params are lerps, and its other params picks, of checked values
+    on the grid checked here.
     """
     x_lo = max(a.contour.x_min, b.contour.x_min)
     x_hi = min(a.contour.x_max, b.contour.x_max)
@@ -291,19 +294,20 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
     # (x, u of a, u of b) on the common grid
     heights = list(zip(xs, midsagittal_heights(a.contour, xs), midsagittal_heights(b.contour, xs)))
     name = f"{a.name}~{b.name}"
-    numeric = [(n, getattr(a.params, n), getattr(b.params, n)) for n in _FLOAT_FIELDS]
-    discrete = [n for n in ShapingParams.__slots__ if n not in _FLOAT_FIELDS]
+    # (a's value, b's value, whether it lerps) of each param, in __slots__ order
+    fields = [
+        (getattr(a.params, n), getattr(b.params, n), n in _FLOAT_FIELDS)
+        for n in ShapingParams.__slots__
+    ]
 
     def at(lam: float) -> SoundTarget:
         points = tuple((x, (1.0 - lam) * u0 + lam * u1) for x, u0, u1 in heights)
-        blended = {n: (1.0 - lam) * va + lam * vb for n, va, vb in numeric}
-        discrete_src = a.params if lam < 0.5 else b.params
-        for n in discrete:
-            blended[n] = getattr(discrete_src, n)
-        return SoundTarget(
-            name=name,
-            contour=TongueContour(points=points),
-            params=ShapingParams(**blended),
+        params = [
+            (1.0 - lam) * va + lam * vb if lerps else (va if lam < 0.5 else vb)
+            for va, vb, lerps in fields
+        ]
+        return SoundTarget._unchecked(
+            name, TongueContour._unchecked(points), ShapingParams._unchecked(*params)
         )
 
     return at
@@ -313,7 +317,8 @@ def animate(spec: AnimationSpec) -> list[SoundTarget]:
     """One target per frame: holds repeat a target, transitions blend linearly.
 
     Each transition's blend is prepared once, on its first frame strictly
-    inside it, and reused by the transition's later frames.
+    inside it, and reused by the transition's later frames, which it builds
+    without re-running the constructors' checks (see _blend).
     """
     segments, total_ms = _timeline(spec)
     n_frames = math.ceil(total_ms * spec.fps / 1000.0)

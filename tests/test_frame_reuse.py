@@ -1,7 +1,8 @@
 """Frame-invariant work done once, against the per-frame code in oracles.py.
 
-sounds.animate prepares one blend per transition and render_palatal_svg one
-layout per lattice. Both must give exactly what the per-frame oracles give:
+sounds.animate prepares one blend per transition, which builds its frames
+without the constructors' checks, and render_palatal_svg one layout per
+lattice. Both must give exactly what the per-frame oracles give:
 the same targets float for float (and the same objects for holds and
 endpoints), the same DomainError for contours that do not overlap, and the
 same SVG bytes whatever order lattices arrive in.
@@ -10,6 +11,7 @@ same SVG bytes whatever order lattices arrive in.
 from __future__ import annotations
 
 import math
+import pickle
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -148,7 +150,38 @@ def test_interpolate_matches_oracle_on_every_preset_pair():
     for a in PRESETS:
         for b in PRESETS:
             for lam in lams:
-                assert repr(interpolate(a, b, lam)) == repr(oracles.interpolate(a, b, lam))
+                frame = interpolate(a, b, lam)
+                assert repr(frame) == repr(oracles.interpolate(a, b, lam))
+                # unpickling runs the constructors' checks on the unchecked values
+                assert pickle.loads(pickle.dumps(frame)) == frame
+
+
+def test_blended_frames_run_no_constructor(monkeypatch):
+    spec = AnimationSpec(
+        targets=(PRESETS[0], PRESETS[5], PRESETS[0]),
+        hold_ms=(100.0, 100.0, 100.0),
+        transition_ms=(200.0, 100.0),
+        fps=10.0,
+    )
+    calls = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in (ShapingParams, TongueContour, SoundTarget):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    frames = animate(spec)
+    assert any(all(f is not t for t in spec.targets) for f in frames)
+    interpolate(PRESETS[0], PRESETS[5], 0.3)
+    assert calls == []
+    ShapingParams()  # the wrappers do count
+    assert calls == ["ShapingParams"]
 
 
 @st.composite

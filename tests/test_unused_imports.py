@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or defines a private one none reads.
 
 A name counts as used when the module reads it anywhere, annotations
-included, or lists it in its ``__all__``. Only the standard library's ast
-is needed, so the check runs wherever the tests do.
+included, or lists it in its ``__all__``. A module-level name with one
+leading underscore counts as read when some module of the package reads it,
+as a name, an attribute or an import, so a simplification leaves no helper
+behind. Only the standard library's ast is needed, so the checks run
+wherever the tests do.
 """
 
 from __future__ import annotations
@@ -47,3 +50,46 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level names with one leading underscore that no module reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{module}: {name} (line {node.lineno})"
+                for name in bound
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return dead
+
+
+def test_the_check_sees_a_dead_private_name():
+    sources = {
+        "a.py": "_ON, _OFF = 1, 2\n_KEPT: int = 3\ndef _helper():\n    return _ON\n__all__ = []\n",
+        "b.py": "from . import a\nfrom .a import _helper\n_helper(a._KEPT)\n",
+    }
+    assert dead_private_names(sources) == ["a.py: _OFF (line 1)"]
+
+
+def test_no_dead_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert dead_private_names(sources) == []
