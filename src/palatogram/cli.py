@@ -193,9 +193,12 @@ def _cmd_animate(ns: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     frames = sounds.animate(spec)
     render = _FRAME_FORMATS[ns.format]
+    held = data = None
     for k, target in enumerate(frames):
-        frame = compute_epg(geometry, target.contour, target.params, rows=ns.rows, cols=ns.cols)
-        _write(outdir / f"frame_{k:05d}.{ns.format}", render(frame))
+        if target is not held:  # a hold frame repeats its target object, and its bytes
+            frame = compute_epg(geometry, target.contour, target.params, rows=ns.rows, cols=ns.cols)
+            held, data = target, render(frame)
+        _write(outdir / f"frame_{k:05d}.{ns.format}", data)
     _say(f"wrote {len(frames)} frames to {outdir}")
     return 0
 

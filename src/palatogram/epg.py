@@ -9,7 +9,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 
 from ._frozen import Frozen
-from .dome import PalateGeometry, dome_elevations, slice_at
+from .dome import PalateGeometry, dome_profile, slice_at
 from .errors import DomainError
 from .shaping import ShapingParams, TongueContour, midsagittal_heights, row_constants
 
@@ -27,16 +27,16 @@ MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg
 # The largest lattice, in cells, whose dome rows compute_epg keeps, for the
 # last 16 palates, overlaps and lattices drawn: the frames drawn against one
 # palate share its dome, so a frame on a kept lattice only does its tongue's
-# own arithmetic. A kept row holds each cell's offset |z - z_center| and dome
-# elevation as doubles in walk order (the left half as sampled, then the
-# right half reversed, so that compute_epg can bisect each half), 16 bytes a
-# cell, beside about 0.4 KB for its x, slice and containers (the ends of its
-# walks are one tuple that a lattice's rows share), so a lattice of
-# 128 x 128 holds about 0.3 MB and the tallest one, 1024 x 16, about
-# 0.65 MB: the 16 kept lattices hold at most about 10.5 MB, and 48 x 48 to
-# 100 x 64 on both built-in palates (10 lattices, 41,480 cells) about
-# 0.9 MB. A larger lattice's rows are sampled afresh, one at a time, for
-# each frame, in the same order and through the same kernel.
+# own arithmetic. A kept row holds one walk, its left half and an odd middle
+# column: each cell's offset from the midline and dome elevation as doubles,
+# 16 bytes a cell of the walk, about 8 a cell of the row, beside about 0.4 KB
+# for its x, slice and containers (the end of its walk is one tuple that a
+# lattice's rows share), so a lattice of 128 x 128 holds about 0.18 MB and
+# the tallest one, 1024 x 16, about 0.54 MB: the 16 kept lattices hold at
+# most about 8.6 MB, and 48 x 48 to 100 x 64 on both built-in palates (10
+# lattices, 41,480 cells) about 0.6 MB. A larger lattice's rows are sampled
+# afresh, one at a time, for each frame, in the same order and through the
+# same kernel.
 _CACHED_CELLS = 128 * 128
 
 
@@ -66,9 +66,9 @@ class EPGFrame(Frozen):
     cells is a non-empty rectangle of booleans, and x_of_row each row's
     position, nondecreasing: rows over an overlap narrower than their count
     of floats share positions. Column j sits at column_fractions(cols)[j] of
-    its row's lateral span, up to that fraction's rounding: compute_epg
-    places the right half at the left half's offsets from the middle
-    negated, so mirrored columns sit at exactly mirrored offsets.
+    its row's lateral span, at the offset |f - 0.5| * span from the midline:
+    compute_epg computes the left half and an odd middle column and mirrors
+    them, so every row it makes reads the same reversed.
     """
 
     __slots__ = ("cells", "x_of_row")
@@ -129,20 +129,24 @@ def compute_epg(
     reaches the dome surface there. rows must lie in [1, MAX_EPG_SIDE] and
     cols in [2, MAX_EPG_SIDE].
 
-    The dome sampled at the cell centers depends only on the palate, the
-    overlap and the lattice, not on the tongue, and _dome_rows keeps it (see
-    _CACHED_CELLS), each half row as a walk from its molar edge to the
-    middle. Along a walk the offset |z - z_center| never grows, so neither
-    does the unlowered tongue (its edge weight scale * (o / half_width) ** 2
-    has scale >= 0), and the dome never falls (a walk is cut where rounding
-    makes it fall). So the cells the unlowered tongue reaches are a prefix
-    of the walk, those the tongue lowered by a strip reaches are a prefix of
-    the strip's cells (a contiguous run, as the strip is a range of
-    offsets), and each is found by bisection with the per-cell test itself,
-    the same float operations as the per-term sum: a row costs O(log cols)
-    tests, and its cells are a few slices of runs. tests/test_raster_kernel.py
-    checks every cell bit for bit against the per-cell evaluator in
-    tests/oracles.py, and the number of values a row reads.
+    The model is symmetric about each slice's midline: the dome and every
+    shaping term depend on a cell only through its offset from the midline.
+    So each row is one walk, its left half and an odd middle column, from
+    the molar edge to the middle, and the right half is that walk mirrored.
+    The dome sampled along the walk depends only on the palate, the overlap
+    and the lattice, not on the tongue, and _dome_rows keeps it (see
+    _CACHED_CELLS). Along the walk the offset never grows, so neither does
+    the unlowered tongue (its edge weight scale * (o / half_width) ** 2 has
+    scale >= 0), and the dome never falls (the walk is cut into runs where
+    rounding makes it fall). So the cells of a run the unlowered tongue
+    reaches are a prefix of it, those the tongue lowered by a strip reaches
+    are a prefix of the strip's cells (a contiguous run, as the strip is a
+    range of offsets), and each is found by bisection with the per-cell test
+    itself, the same float operations as the per-term sum: a row costs
+    O(log cols) tests, and its cells are a few slices of runs.
+    tests/test_raster_kernel.py checks every cell bit for bit against the
+    per-cell evaluator in tests/oracles.py, and the number of values a row
+    reads.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -156,14 +160,14 @@ def compute_epg(
         )
     x_of_row, dome_rows = _dome_rows(geometry, x_lo, x_hi, rows, cols)
     u_mids = midsagittal_heights(contour, x_of_row)
-    middle = (cols + 1) // 2  # the left walk ends in the middle column
+    mirror = cols // 2 - 1  # the right half is the walk reversed, less an odd middle
     n = MAX_EPG_SIDE
     cells = []
     for x, u_mid, (sl, offsets, dome, ends) in zip(x_of_row, u_mids, dome_rows):
         u0, scale, lo, hi, drop = row_constants(params, sl, x, u_mid)
         if scale:
             half_width = sl.half_width
-        left = right = ()
+        left = ()
         a = 0
         # The four searches stay inline, as each alternative cost more a call
         # (41 interleaved in-process rounds on the same cells, CPython 3.11 on
@@ -171,9 +175,9 @@ def compute_epg(
         # grids and 9.1% at 8 x 8, and bisect_left(range(b), True, a, key=...)
         # for the two loops on edge rows 12% and 15.5% more.
         for b in ends:
-            # k: the first cell of the walk [a, b) that the unlowered tongue
+            # k: the first cell of the run [a, b) that the unlowered tongue
             # misses, which then misses every later cell. The bisections
-            # here probe their first cell first: many walks reach no cell.
+            # here probe their first cell first: many rows reach no cell.
             if scale:
                 k, q, m = a, b, a
                 while k < q:
@@ -202,28 +206,24 @@ def compute_epg(
                         m = (j + q) // 2
                 else:
                     j = bisect_right(dome, u0 + drop, s, t)
-            # so the walk's contacts are [a, j) and [t, k); one run of them is
-            # written as [t, k) alone, so the walk is one slice of _RUNS
+            # so the run's contacts are [a, j) and [t, k); one run of them is
+            # written as [t, k) alone, so the run is one slice of _RUNS
             if j == t or t == k:
                 j, t, k = a, a, j + k - t
-            if b <= middle:
-                left += _RUNS[n - j + a : n + t - j] + _RUNS[n - k + t : n + b - k]
-            else:
-                right = _RUNS_BACK[n - b + k : n + k - t] + _RUNS_BACK[n - t + j : n + j - a] + right
+            left += _RUNS[n - j + a : n + t - j] + _RUNS[n - k + t : n + b - k]
             a = b
-        cells.append(left + right)
+        cells.append(left + left[mirror::-1])
         # free an unkept row's floats before the next row is made, which reuses them
         del offsets, dome
     return EPGFrame._unchecked(tuple(cells), x_of_row)
 
 
-# _RUNS[n - c : n + f] is c contacts then f misses, and _RUNS_BACK[n - f : n + c]
-# the same cells backward, for any c, f <= n = MAX_EPG_SIDE. A row is a few
-# slices, and adding an empty one copies nothing: a row of two one-run walks
-# makes its two halves and itself, no tuple of another size. Tuples of many
-# sizes each hold an allocator pool, about 0.4 MB of raster peak RSS.
+# _RUNS[n - c : n + f] is c contacts then f misses, for any c, f <= n =
+# MAX_EPG_SIDE. A row is a few slices, and adding an empty one copies
+# nothing: a row of a one-run walk makes its half, its mirror and itself, no
+# tuple of another size. Tuples of many sizes each hold an allocator pool,
+# about 0.4 MB of raster peak RSS.
 _RUNS = (True,) * MAX_EPG_SIDE + (False,) * MAX_EPG_SIDE
-_RUNS_BACK = _RUNS[::-1]
 
 
 def _as_doubles(lattice) -> tuple:
@@ -236,50 +236,40 @@ def _as_doubles(lattice) -> tuple:
 
 @_per_lattice(_CACHED_CELLS, keep=_as_doubles)
 def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
-    """The rows' x, and each row's slice, cell offsets, dome elevations and walk ends.
+    """The rows' x, and each row's slice, walk offsets, dome elevations and walk ends.
 
-    A row holds each cell's offset |z - z_center| and the dome elevation at
-    each cell, 16 B a cell as kept, in walk order: the left half of the row
-    and its middle column as sampled, then the right half reversed, so each
-    walk runs from a molar edge to the middle. This is the dome side of
-    compute_epg, the same for every tongue on one palate, overlap and
-    lattice. The cells' z are only needed to sample the dome, so no row
-    keeps them. Unkept rows are made one at a time as they are used.
+    A row keeps its left half and an odd middle column, the walk from the
+    left molar edge to the middle: each cell's offset from the midline and
+    the dome elevation there, 16 B a cell as kept. compute_epg mirrors the
+    walk into the right half. This is the dome side of compute_epg, the
+    same for every tongue on one palate, overlap and lattice. Unkept rows
+    are made one at a time as they are used.
     """
     x_of_row = tuple(x_lo + (i + 0.5) * (x_hi - x_lo) / rows for i in range(rows))
-    col_offsets = tuple(f - 0.5 for f in column_fractions(cols))
-    middle = (cols + 1) // 2
-    # f - 0.5 is not odd in f (at 7 columns, column 4's offset is 2 ulp short
-    # of column 2's), so the right half's offsets are the left's negated:
-    # mirrored cells then sit at exactly mirrored offsets
-    walk_offsets = col_offsets[:middle] + tuple(-o for o in col_offsets[: cols - middle])
-    return x_of_row, _sample_rows(geometry, x_of_row, walk_offsets, middle)
+    # |f - 0.5| of each column of the walk, whose f <= 0.5
+    walk = tuple(0.5 - f for f in column_fractions(cols)[: (cols + 1) // 2])
+    return x_of_row, _sample_rows(geometry, x_of_row, walk)
 
 
-def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], walk_offsets, middle):
-    """Each row's slice, offsets and dome in walk order, and the ends of its walks.
+def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], walk):
+    """Each row's slice, walk offsets and dome, and the ends of the runs it is bisected in.
 
-    Along a walk z moves toward z_center, each z_center + o * span rounded
-    monotonically, so the offsets never grow. The dome rises along it as
-    far as its rounding and math.cos allow, which nothing promises, so the
-    elevations are checked: where one falls, the walk ends there and the
-    next one starts.
+    A cell's offset is |f - 0.5| * span, from the slice's span alone, so the
+    offsets never grow along the walk, and the dome is dome_profile's at
+    them. The dome rises along the walk as far as its rounding and math.cos
+    allow, which nothing promises, so the elevations are checked: where one
+    falls, a run ends there and the next one starts.
     """
-    cols = len(walk_offsets)
-    halves = (middle, cols)
+    whole = (len(walk),)
     for x in x_of_row:
         sl = slice_at(geometry, x)
-        # the column offsets mirror exactly, but each z is rounded on its own,
-        # so two mirrored cells' offsets |z - z_center| can differ by an ulp
-        z_center, span = sl.z_center, sl.span
-        zs = [z_center + o * span for o in walk_offsets]
-        dome = dome_elevations(sl, zs)
-        ends = halves
-        if dome[:middle] != sorted(dome[:middle]) or dome[middle:] != sorted(dome[middle:]):
-            ends = tuple(
-                k for k in range(1, cols + 1) if k in halves or dome[k] < dome[k - 1]
-            )
-        yield sl, [abs(z - z_center) for z in zs], dome, ends
+        span = sl.span
+        offsets = [w * span for w in walk]
+        dome = dome_profile(sl, offsets)
+        ends = whole
+        if dome != sorted(dome):
+            ends = tuple(k for k in range(1, len(walk)) if dome[k] < dome[k - 1]) + whole
+        yield sl, offsets, dome, ends
 
 
 _TEXT_OF_CELL = b"." + b"#" * 255  # bytes.translate table: 0 -> '.', any other byte -> '#'

@@ -151,18 +151,26 @@ def shaped_row(
     ]
 
 
-def cell_zs(slice_: DomeSlice, cols: int) -> list[float]:
-    """The z of each column's cell on a slice, left to right, where compute_epg samples it.
+def cell_offsets(slice_: DomeSlice, cols: int) -> list[float]:
+    """Each column's offset from the midline on a slice, left to right, as compute_epg samples it.
 
-    The left half and an odd middle column sit at offset f - 0.5 of the
-    span, f from column_fractions, and the right half at the left half's
-    offsets negated: f - 0.5 is not odd in f, and negation makes mirrored
-    cells sit at exactly mirrored offsets.
+    The left half and an odd middle column sit at |f - 0.5| * span, f from
+    column_fractions, and each right column at its mirror column's offset.
     """
     middle = (cols + 1) // 2
-    left = [f - 0.5 for f in column_fractions(cols)[:middle]]
-    offsets = left + [-o for o in reversed(left[: cols - middle])]
-    return [slice_.z_center + o * slice_.span for o in offsets]
+    left = [(0.5 - f) * slice_.span for f in column_fractions(cols)[:middle]]
+    return left + left[: cols - middle][::-1]
+
+
+def centered(slice_: DomeSlice) -> DomeSlice:
+    """slice_ moved to z_center 0.0, with its half width, span, height and shape.
+
+    A cell of offset o sits at z = -o there, where |z - z_center| is exactly
+    o, so the per-term functions and the dome formula in z evaluate the cell
+    at its offset: (z - z_min) * (z_max - z) is (half_width - o) * (half_width + o).
+    """
+    half_width = slice_.half_width  # unchecked, as an interpolated slice may sit an ulp past a bound
+    return DomeSlice._unchecked(slice_.x, -half_width, half_width, slice_.h, slice_.shape)
 
 
 def epg_cells(
@@ -174,8 +182,9 @@ def epg_cells(
 ) -> tuple[tuple[bool, ...], ...]:
     """The EPG grid evaluated cell by cell, one shaping sum and one dome formula each.
 
-    This is the evaluator compute_epg ran before its row kernel; the kernel
-    must agree with it on every cell.
+    This is the evaluator compute_epg ran before its row kernel, each cell
+    taken at its offset from the midline (cell_offsets) on the centered
+    slice; the kernel must agree with it on every cell.
     """
     x_lo = max(geometry.x_min, contour.x_min)
     x_hi = min(geometry.x_max, contour.x_max)
@@ -188,9 +197,10 @@ def epg_cells(
         except DomainError:
             cells.append((False,) * cols)
             continue
+        at_zero = centered(sl)
         row = []
-        for z in cell_zs(sl, cols):
-            row.append(shaped_height(params, sl, x, u_mid, z) >= dome_height(sl, z))
+        for o in cell_offsets(sl, cols):
+            row.append(shaped_height(params, at_zero, x, u_mid, -o) >= dome_height(at_zero, -o))
         cells.append(tuple(row))
     return tuple(cells)
 

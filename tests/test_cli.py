@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import palatogram
-from palatogram import sound_names
+from palatogram import cli, compute_epg, epg_text, render_palatal_svg, sound_names, sounds
 from palatogram.cli import run
+from palatogram.errors import parse_json
 
 SOUND_NAMES_UTF8 = "".join(f"{name}\n" for name in sound_names()).encode("utf-8")
 
@@ -170,6 +171,30 @@ def test_animate_frames(tmp_path):
     files = sorted(p.name for p in outdir.iterdir())
     assert files == ["frame_00000.txt", "frame_00001.txt", "frame_00002.txt"]
     assert (outdir / "frame_00000.txt").read_text() == ("." * 8 + "\n") * 8
+
+
+@pytest.mark.parametrize("fmt", ["txt", "svg"])
+def test_animate_rasters_a_hold_once(tmp_path, capsys, monkeypatch, fmt):
+    # a hold frame repeats its target object, so its rendered bytes are
+    # reused: one raster per run of repeated targets, and still one file per
+    # frame, each the bytes its own raster would give
+    doc = {"targets": ["a:", "t", "s"], "hold_ms": [120, 80, 200], "transition_ms": 100, "fps": 25}
+    spec = tmp_path / "anim.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    targets = sounds.animate(sounds.animation_spec_from_dict(parse_json(spec.read_bytes(), spec)))
+    runs = 1 + sum(b is not a for a, b in zip(targets, targets[1:]))
+    assert runs < len(targets)
+    calls = []
+    monkeypatch.setattr(cli, "compute_epg", lambda *a, **k: calls.append(a) or compute_epg(*a, **k))
+    outdir = tmp_path / "frames"
+    assert run(["animate", "--spec", str(spec), "--format", fmt, "--outdir", str(outdir)]) == 0
+    assert len(calls) == runs
+    assert capsys.readouterr().err == f"wrote {len(targets)} frames to {outdir}\n"
+    geometry = palatogram.default_palate()
+    for k, target in enumerate(targets):
+        frame = compute_epg(geometry, target.contour, target.params)
+        want = epg_text(frame).encode("utf-8") if fmt == "txt" else render_palatal_svg(frame)
+        assert (outdir / f"frame_{k:05d}.{fmt}").read_bytes() == want
 
 
 def test_animate_rejects_bad_spec(tmp_path, capsys):

@@ -263,10 +263,10 @@ def test_shaped_rasterization_uses_field():
 
 
 def test_dome_rows_are_sampled_once_per_palate_and_lattice(monkeypatch):
-    # one slice_at and one dome_elevations call per row on the first frame of
+    # one slice_at and one dome_profile call per row on the first frame of
     # a kept lattice, none for another tongue on it, and one per row on every
     # frame of the first lattice past the bound
-    calls = {"slice_at": 0, "dome_elevations": 0}
+    calls = {"slice_at": 0, "dome_profile": 0}
     for name in calls:
         real = getattr(epg, name)
 
@@ -282,14 +282,14 @@ def test_dome_rows_are_sampled_once_per_palate_and_lattice(monkeypatch):
     for side in (8, math.isqrt(epg._CACHED_CELLS)):
         compute_epg(geometry, first.contour, first.params, rows=side, cols=side)
         sampled += side
-        assert calls == {"slice_at": sampled, "dome_elevations": sampled}
+        assert calls == {"slice_at": sampled, "dome_profile": sampled}
         compute_epg(geometry, second.contour, second.params, rows=side, cols=side)
-        assert calls == {"slice_at": sampled, "dome_elevations": sampled}
+        assert calls == {"slice_at": sampled, "dome_profile": sampled}
     side = math.isqrt(epg._CACHED_CELLS) + 1
     for target in (first, second, first):
         compute_epg(geometry, target.contour, target.params, rows=side, cols=side)
         sampled += side
-        assert calls == {"slice_at": sampled, "dome_elevations": sampled}
+        assert calls == {"slice_at": sampled, "dome_profile": sampled}
 
 
 def test_contour_is_walked_once_per_frame(monkeypatch):
@@ -344,7 +344,8 @@ def test_dome_rows_keep_no_large_lattice():
 
 def test_kept_dome_rows_stay_under_their_stated_size():
     # the tallest lattices at the bound hold the most per cell; drawing 20 of
-    # them keeps the last 16, which _CACHED_CELLS's comment puts at 10.5 MB
+    # them keeps the last 16, which _CACHED_CELLS's comment puts at 8.6 MB,
+    # a walk of 8 cells a row
     geometry, target = default_palate(), list(default_library())[0]
     cols = epg._CACHED_CELLS // epg.MAX_EPG_SIDE
     epg._dome_rows.cache_clear()
@@ -355,4 +356,4 @@ def test_kept_dome_rows_stay_under_their_stated_size():
 
     held = held_bytes(draw)
     epg._dome_rows.cache_clear()
-    assert 16 * 600 * 1024 < held < 11 * 2**20
+    assert 16 * 500 * 1024 < held < 9 * 2**20

@@ -3,17 +3,22 @@
 Over random palates, contours, manners and lattices, each compares two grids
 cell for cell, with no tolerance:
 
+* every row reads the same reversed;
 * mirroring the palate (z_min, z_max -> -z_max, -z_min) reverses every row;
 * raising the contour never removes a contact;
 * raising every slice's dome height never adds one.
 
-Each holds float for float: negation rounds symmetrically, the right half's
-column offsets are the left half's negated, so they mirror exactly, and
-every float operation from a height to a cell's comparison is monotone.
+Each holds float for float: a cell's offset |f - 0.5| * span, its dome and
+its shaping depend on the slice's span, half width and height alone, which
+mirroring keeps, and compute_epg mirrors each row's left half into its right
+half; every float operation from a height to a cell's comparison is
+monotone. Uniform scenes almost never put a cell on a threshold, so the
+symmetry properties also run over scenes snapped onto a tie at one cell.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +31,9 @@ from palatogram import (
     TipManner,
     TongueContour,
     compute_epg,
+    slice_at,
 )
+from oracles import cell_offsets, centered, dome_height, epg_cells
 
 # small raises, down to ones that vanish in rounding, and large ones
 raises = st.one_of(st.sampled_from([0.0, 5e-324, 1e-12, 1e-9]), st.floats(0.0, 3.0))
@@ -81,6 +88,36 @@ def scenes(draw) -> tuple:
     return geometry, draw(contours(geometry)), draw(manners()), lattice
 
 
+@st.composite
+def tie_scenes(draw) -> tuple:
+    """A scene snapped onto a tie at one cell of the left half of one row.
+
+    With o the cell's offset where compute_epg samples it (oracles.cell_offsets),
+    a groove of width 2 * o or a lateral strip of width half_width - o puts
+    the cell on the strip's edge, and a flat contour at the cell's dome
+    elevation, with a point at the row's x, puts the tongue on the dome
+    there; a scene takes one or both.
+    """
+    geometry, contour, params, lattice = draw(scenes())
+    rows, cols = lattice["rows"], lattice["cols"]
+    x_lo, x_hi = max(geometry.x_min, contour.x_min), min(geometry.x_max, contour.x_max)
+    x = x_lo + (draw(st.integers(0, rows - 1)) + 0.5) * (x_hi - x_lo) / rows
+    sl = slice_at(geometry, x)
+    o = draw(st.sampled_from(cell_offsets(sl, cols)[: (cols + 1) // 2]))
+    strip, flat = draw(
+        st.sampled_from([("groove", False), ("lateral", False), (None, True), ("groove", True), ("lateral", True)])
+    )
+    fields = {name: getattr(params, name) for name in ShapingParams.__slots__}
+    if strip == "groove":
+        fields.update(groove_enabled=True, lateral_lower_enabled=False, groove_width=2.0 * o)
+    elif strip == "lateral":
+        fields.update(groove_enabled=False, lateral_lower_enabled=True, lateral_lower_width=sl.half_width - o)
+    if flat:
+        u = dome_height(centered(sl), -o)
+        contour = TongueContour(points=tuple((p, u) for p in sorted({contour.x_min, x, contour.x_max})))
+    return geometry, contour, ShapingParams(**fields), lattice
+
+
 def cells(geometry, contour, params, lattice) -> tuple[tuple[bool, ...], ...]:
     return compute_epg(geometry, contour, params, **lattice).cells
 
@@ -108,8 +145,51 @@ MIRROR_TIE = (
 )
 
 
+@settings(max_examples=150, deadline=None)
+@given(scene=scenes() | tie_scenes())
+@example(scene=MIRROR_TIE)
+def test_every_row_reads_the_same_mirrored(scene):
+    grid = cells(*scene)
+    assert grid == tuple(row[::-1] for row in grid)
+
+
+# A lateral strip whose inner edge half_width - w is the offset of columns 1
+# and 5 of 7 on this slice, so both are lowered. Offsets taken as
+# |z - z_center|, each z rounded on its own, put column 1 an ulp inside the
+# edge and column 5 on it, and one cell of the pair was lowered: .####..
+# under the tongue, .#..... over it. In exact arithmetic the columns'
+# offset, 2/7 of the span, lies 7.6e-16 mm inside the strip.
+Z_MIN, Z_MAX, EDGE_WIDTH = -34.62543023550395, 16.373160243792782, 10.928269388420729
+
+
+@pytest.mark.parametrize(
+    "shape, heights, depth, row",
+    [
+        (DomeShape.COSINE, (9.0, 13.0, 7.5), 30.0, "..###.."),
+        (DomeShape.HALF_ELLIPSE, (9.0, 13.0, 7.5), 30.0, "..###.."),
+        (DomeShape.COSINE, (30.0, 30.0), 23.0, "......."),
+        (DomeShape.HALF_ELLIPSE, (22.0, 22.0), 23.0, "......."),
+    ],
+)
+def test_a_strip_edge_lowers_both_mirrored_cells(shape, heights, depth, row):
+    geometry = PalateGeometry(slices=tuple(
+        DomeSlice(x=40.0 * k / (len(heights) - 1), z_min=Z_MIN, z_max=Z_MAX, h=h, shape=shape)
+        for k, h in enumerate(heights)
+    ))
+    contour = TongueContour(points=((-1.0, 20.0), (41.0, 20.0)))
+    params = ShapingParams(
+        lateral_lower_enabled=True, lateral_lower_width=EDGE_WIDTH, lateral_lower_depth=depth
+    )
+    sl = slice_at(geometry, 20.0)
+    assert cell_offsets(sl, 7)[1] == cell_offsets(sl, 7)[5] == sl.half_width - EDGE_WIDTH
+    frame = compute_epg(geometry, contour, params, rows=1, cols=7)
+    assert frame.x_of_row == (20.0,)
+    assert frame.cells == epg_cells(geometry, contour, params, 1, 7)
+    assert "".join("#" if cell else "." for cell in frame.cells[0]) == row
+
+
 @settings(max_examples=100, deadline=None)
-@given(scene=scenes())
+@given(scene=scenes() | tie_scenes())
 @example(scene=MIRROR_TIE)
 def test_mirroring_the_palate_reverses_every_row(scene):
     geometry, contour, params, lattice = scene

@@ -1,12 +1,13 @@
 """The row kernel of the EPG raster against the per-cell evaluator in oracles.py.
 
-compute_epg walks each half row from its molar edge to the middle, where the
-offset |z - z_center| never grows and the dome never falls, and bisects each
-walk for the cells the tongue reaches (shaping.row_constants gives the
-row's terms; the dome rows are kept in walk order). It finds every row's
-midline height in one walk of the contour (midsagittal_heights). Every cell
-must come out as the per-cell sum, dome formula and bisected contour give
-it, and every height bit for bit, -0.0 included.
+compute_epg walks each row's left half from the molar edge to the middle,
+where the offset from the midline never grows and the dome never falls,
+bisects the walk for the cells the tongue reaches (shaping.row_constants
+gives the row's terms; the dome rows are kept in walk order) and mirrors it
+into the right half. It finds every row's midline height in one walk of the
+contour (midsagittal_heights). Every cell must come out as the per-cell
+sum, dome formula and bisected contour give it at the cell's offset, and
+every height bit for bit, -0.0 included.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from palatogram import (
     midsagittal_height,
     slice_at,
 )
-from palatogram.dome import dome_elevations
+from palatogram.dome import dome_elevations, dome_profile
 from palatogram import epg
-from palatogram.epg import EPGFrame
+from palatogram.epg import EPGFrame, column_fractions
 from palatogram.errors import MAX_MM, MIN_MM
 from palatogram.shaping import EDGE_RAMP_LENGTH, midsagittal_heights
-from oracles import cell_zs, dome_height, epg_cells, midline_height, shaped_height, shaped_row
+from oracles import (
+    cell_offsets, centered, dome_height, epg_cells, midline_height, shaped_height, shaped_row
+)
 
 
 def bits(values) -> list[str]:
@@ -257,48 +260,57 @@ far_slices = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(sl=slices | far_slices, cols=st.integers(2, 41) | st.integers(2, epg.MAX_EPG_SIDE))
 def test_each_walk_has_falling_offsets_and_a_rising_dome(sl, cols):
-    # a kept row holds the left half and the middle column as sampled, then
-    # the right half reversed; each walk, edge to middle, has offsets that
-    # never grow and a dome that never falls
+    # a kept row holds one walk, the left half and an odd middle column from
+    # the molar edge to the middle: its offsets never grow, and the dome
+    # never falls along each run of it that compute_epg bisects
     geometry = PalateGeometry(slices=(sl, DomeSlice(sl.x + 1.0, sl.z_min, sl.z_max, sl.h, sl.shape)))
     (x,), ((row_slice, kept, dome, ends),) = epg._dome_rows(geometry, sl.x, sl.x + 1.0, 1, cols)
     assert row_slice == slice_at(geometry, x)
-    zs = cell_zs(row_slice, cols)
     middle = (cols + 1) // 2
-    walk = zs[:middle] + zs[: middle - 1 : -1]
-    assert bits(kept) == bits(offsets(row_slice, walk))
-    assert bits(dome) == bits(dome_height(row_slice, z) for z in walk)
-    assert middle in ends and ends[-1] == cols
+    walk = cell_offsets(row_slice, cols)[:middle]
+    at_zero = centered(row_slice)
+    assert bits(kept) == bits(walk)
+    assert bits(dome) == bits(dome_height(at_zero, -o) for o in walk)
+    assert list(kept) == sorted(kept, reverse=True)
+    assert ends[-1] == middle
     a = 0
     for b in ends:
-        assert list(kept[a:b]) == sorted(kept[a:b], reverse=True)
         assert list(dome[a:b]) == sorted(dome[a:b])
         a = b
 
 
-def test_a_falling_dome_cuts_its_walk(monkeypatch):
-    # Where the sampled dome falls along a walk, the walk ends there. No
-    # slice was seen to fall: the half-ellipse's radicand rises toward the
-    # middle, and the cosine is a function of the offset alone, monotone as
-    # far as the platform's cos is. So the fall is planted: walk cell 3
-    # takes cell 1's lower elevation. A tongue at cell 1's level then
-    # reaches cells 0, 1 and 3 of the walk, which no prefix of it is.
-    real = epg.dome_elevations
+@pytest.mark.parametrize("rows, cols", [(4, 2), (4, 3), (8, 8), (7, 9), (100, 64), (129, 128), (3, 1024)])
+def test_a_kept_row_holds_one_walk(rows, cols):
+    # a row keeps (cols + 1) // 2 offsets and elevations, kept lattice or
+    # not, and compute_epg mirrors them into the rest of the row
+    x_of_row, dome_rows = epg._dome_rows(default_palate(), 0.0, 40.0, rows, cols)
+    lengths = [(len(kept), len(dome), ends[-1]) for _sl, kept, dome, ends in dome_rows]
+    assert lengths == [((cols + 1) // 2,) * 3] * len(x_of_row)
 
-    def dipped(sl, zs):
-        dome = real(sl, zs)
+
+def test_a_falling_dome_cuts_its_walk(monkeypatch):
+    # Where the sampled dome falls along the walk, a run of it ends there.
+    # No slice was seen to fall: the half-ellipse's radicand rises toward
+    # the middle, and the cosine is monotone in the offset as far as the
+    # platform's cos is. So the fall is planted: walk cell 3 takes cell 1's
+    # lower elevation. A tongue at cell 1's level then reaches cells 0, 1
+    # and 3 of the walk, which no prefix of it is, and their mirrors.
+    real = epg.dome_profile
+
+    def dipped(sl, offsets):
+        dome = real(sl, offsets)
         dome[3] = dome[1]
         return dome
 
-    monkeypatch.setattr(epg, "dome_elevations", dipped)
+    monkeypatch.setattr(epg, "dome_profile", dipped)
     geometry, rows, cols = default_palate(), 1, 9
     epg._dome_rows.cache_clear()
     try:
         (x,), ((sl, _kept, _dome, ends),) = epg._dome_rows(geometry, 0.0, 40.0, rows, cols)
-        assert ends == (3, 5, 9)
-        zs = cell_zs(sl, cols)
-        domes = [dome_height(sl, z) for z in zs]
-        domes[3] = domes[1]
+        assert ends == (3, 5)
+        row_offsets = cell_offsets(sl, cols)
+        walk = dipped(sl, row_offsets[:5])
+        domes = walk + walk[-2::-1]
         shapings = (
             ShapingParams(),
             ShapingParams(groove_enabled=True, groove_width=3.0, groove_depth=0.5),
@@ -308,12 +320,12 @@ def test_a_falling_dome_cuts_its_walk(monkeypatch):
         for u in sorted(set(domes)):
             contour = TongueContour(points=((0.0, u), (x, u), (40.0, u)))
             for params in shapings:
-                heights = shaped_row(params, sl, x, u, offsets(sl, zs))
+                heights = shaped_row(params, sl, x, u, row_offsets)
                 want = tuple(h >= d for h, d in zip(heights, domes))
                 assert compute_epg(geometry, contour, params, rows, cols).cells == (want,)
         flat = TongueContour(points=((0.0, domes[1]), (x, domes[1]), (40.0, domes[1])))
         row = compute_epg(geometry, flat, ShapingParams(), rows, cols).cells[0]
-        assert row[:5] == (True, True, False, True, False)
+        assert row == (True, True, False, True, False, True, False, True, True)
     finally:
         epg._dome_rows.cache_clear()
 
@@ -332,11 +344,12 @@ class CountedReads(list):
 
 @pytest.mark.parametrize("manner", list(MANNERS))
 def test_a_row_reads_log_many_of_its_values(monkeypatch, manner):
-    # Each walk of a 1024-column row is bisected twice on its dome (its
-    # unlowered and its lowered reach, an offset read beside each elevation
-    # with the edge weight) and twice on its offsets (the strip's ends),
-    # each at most about log2(cols) reads: a per-cell loop, 2 * 1024 reads a
-    # row, would fail this.
+    # A 1024-column row is one walk of its 512 left cells, bisected twice on
+    # its dome (its unlowered and its lowered reach, an offset read beside
+    # each elevation with the edge weight) and twice on its offsets (the
+    # strip's ends), each at most about log2(512) reads; the right half is
+    # the walk mirrored, and reads nothing. A per-cell loop, 2 * 1024 reads
+    # a row, or a second walk would fail this.
     rows, cols = 6, epg.MAX_EPG_SIDE
     geometry = default_palate()
     contour = TongueContour(points=((0.0, 8.0), (40.0, 11.0)))
@@ -356,24 +369,25 @@ def test_a_row_reads_log_many_of_its_values(monkeypatch, manner):
     frame = compute_epg(geometry, contour, params, rows=rows, cols=cols)
     assert frame.cells == epg_cells(geometry, contour, params, rows, cols)
     assert any(True in row and False in row for row in frame.cells)
-    assert reads[0] <= 6 * math.ceil(math.log2(cols)) * walks[0]
+    assert walks[0] == rows
+    assert reads[0] <= 6 * math.ceil(math.log2(cols // 2)) * rows
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))
 def test_cells_on_the_threshold_match_oracle(shape):
-    # a flat tongue exactly at one cell's dome height touches that cell, so a
-    # cell position or dome value one ulp off would show
+    # a flat tongue exactly at one cell's dome height touches that cell and
+    # its mirror, so a cell offset or dome value one ulp off would show
     geometry, rows, cols = default_palate(shape), 5, 7
     frame = compute_epg(geometry, TongueContour(points=((0.0, 0.0), (40.0, 0.0))),
                         ShapingParams(), rows=rows, cols=cols)
     for i, x in enumerate(frame.x_of_row):
         sl = slice_at(geometry, x)
-        for j, z in enumerate(cell_zs(sl, cols)):
-            u = dome_height(sl, z)
+        for j, o in enumerate(cell_offsets(sl, cols)):
+            u = dome_height(centered(sl), -o)
             # a contour point at x gives the midline height u exactly
             contour = TongueContour(points=((geometry.x_min, u), (x, u), (geometry.x_max, u)))
             cells = compute_epg(geometry, contour, ShapingParams(), rows=rows, cols=cols).cells
-            assert cells[i][j]
+            assert cells[i][j] and cells[i][cols - 1 - j]
             assert cells == epg_cells(geometry, contour, ShapingParams(), rows, cols)
 
 
@@ -415,13 +429,14 @@ def test_kernel_heights_match_per_term_sum(sl, params, behind_onset, u_mid, frac
 def test_row_kernel_on_offsets_matches_per_term_sum(
     tt_manner, td_manner, strip, data, sl, behind_onset, u_mid, cols
 ):
-    # the row kernel fed each lattice cell's offset |z - z_center|, as
-    # compute_epg keeps it, for every manner and strip
+    # the row kernel fed each lattice cell's offset from the midline, as
+    # compute_epg keeps it, for every manner and strip, against the per-term
+    # sum at z = -o on the centered slice, where the offset is exactly o
     params = data.draw(shaping(*map(st.just, (tt_manner, td_manner, strip, sl.x - behind_onset))))
-    zs = cell_zs(sl, cols)
+    row_offsets, at_zero = cell_offsets(sl, cols), centered(sl)
     for u in (u_mid, 0.0, -0.0):
-        want = [shaped_height(params, sl, sl.x, u, z) for z in zs]
-        assert bits(shaped_row(params, sl, sl.x, u, offsets(sl, zs))) == bits(want)
+        want = [shaped_height(params, at_zero, sl.x, u, -o) for o in row_offsets]
+        assert bits(shaped_row(params, sl, sl.x, u, row_offsets)) == bits(want)
 
 
 @pytest.mark.parametrize("strip", ["none", "groove", "lateral"])
@@ -496,9 +511,7 @@ def test_midline_walk_rejects_the_first_x_out_of_range(walk, bad, at):
 
 
 def strip_edge_palate(shape: DomeShape) -> PalateGeometry:
-    """Slices that all start at z = 0, so half_width == z_center and a cell z left of
-    the midline lies on the edge of a lateral strip of width z: its offset is
-    z_center - z, rounded once, as half_width - z is."""
+    """Slices of three widths and heights that start at z = 0, which flip_zero_signs flips."""
     return PalateGeometry(
         slices=tuple(
             DomeSlice(x=x, z_min=0.0, z_max=z_max, h=h, shape=shape)
@@ -507,14 +520,26 @@ def strip_edge_palate(shape: DomeShape) -> PalateGeometry:
     )
 
 
+def edge_width(half_width: float, o: float) -> float | None:
+    """A lateral_lower_width w with half_width - w == o, near half_width - o, or None.
+
+    half_width - o is exact for o >= half_width / 2, so w is found there;
+    nearer the middle the subtraction can round both ways.
+    """
+    w = half_width - o
+    near = (w, math.nextafter(w, -math.inf), math.nextafter(w, math.inf))
+    return next((v for v in near if half_width - v == o), None)
+
+
 @pytest.mark.parametrize("shape", list(DomeShape))
 @pytest.mark.parametrize("cols", [7, 9, 41])
 def test_cells_on_a_strip_edge_match_oracle(shape, cols):
     # a cell exactly on a strip's edge, o == 0.5 * groove_width or
     # o == half_width - lateral_lower_width, is lowered, as the per-term
-    # functions have it; the tongue reaches the apex and each strip drops it below the
-    # baseline, so only the unlowered cells touch. The twin palate, equal but
-    # with its zeros signed the other way, reuses the kept rows.
+    # functions have it, and so is its mirror cell; the tongue reaches the
+    # apex and each strip drops it below the baseline, so only the unlowered
+    # cells touch. The twin palate, equal but with its zeros signed the
+    # other way, reuses the kept rows.
     geometry, rows, row = strip_edge_palate(shape), 5, 2
     twin = flip_zero_signs(geometry)
     assert twin == geometry and twin is not geometry
@@ -522,21 +547,25 @@ def test_cells_on_a_strip_edge_match_oracle(shape, cols):
     probe = compute_epg(geometry, tongue, ShapingParams(), rows=rows, cols=cols)
     assert all(all(cells) for cells in probe.cells)
     sl = slice_at(geometry, probe.x_of_row[row])
-    for j, z in enumerate(cell_zs(sl, cols)[: cols // 2]):
-        assert sl.z_min + z == z
-        for params in (
-            ShapingParams(groove_enabled=True, groove_width=2.0 * abs(z - sl.z_center), groove_depth=30.0),
-            ShapingParams(lateral_lower_enabled=True, lateral_lower_width=z, lateral_lower_depth=30.0),
-        ):
+    lateral_edges = 0
+    for j, o in enumerate(cell_offsets(sl, cols)[: cols // 2]):
+        strips = [ShapingParams(groove_enabled=True, groove_width=2.0 * o, groove_depth=30.0)]
+        w = edge_width(sl.half_width, o)
+        if w is not None:
+            lateral_edges += 1
+            strips.append(
+                ShapingParams(lateral_lower_enabled=True, lateral_lower_width=w, lateral_lower_depth=30.0)
+            )
+        for params in strips:
             for palate in (geometry, twin):
                 cells = compute_epg(palate, tongue, params, rows=rows, cols=cols).cells
                 assert cells == epg_cells(palate, tongue, params, rows, cols)
-                assert not cells[row][j]  # on the edge, so lowered
+                assert not cells[row][j] and not cells[row][cols - 1 - j]  # on the edge, so lowered
                 if params.groove_enabled:
                     assert cells[row][:j] == (True,) * j
                 else:
                     assert cells[row][j + 1 : cols - 1 - j] == (True,) * (cols - 2 - 2 * j)
-
+    assert lateral_edges >= cols // 4
 
 
 @pytest.mark.parametrize("shape", list(DomeShape))
@@ -555,11 +584,10 @@ def test_lateral_strip_follows_the_offset_rule_off_zero(shape):
     )
     rows, row, cols, j, w = 5, 2, 8, 1, 9.562235714868136
     sl = geometry.slices[1]
-    zs = cell_zs(sl, cols)
-    lefts, rights = offsets(sl, zs[: cols // 2]), offsets(sl, zs[: cols // 2 - 1 : -1])
-    assert lefts == rights
+    zs = [sl.z_center + (f - 0.5) * sl.span for f in column_fractions(cols)]
+    row_offsets = cell_offsets(sl, cols)
     assert zs[j] <= sl.z_min + w and not zs[-1 - j] >= sl.z_max - w
-    assert lefts[j] < sl.half_width - w
+    assert row_offsets[j] == row_offsets[-1 - j] < sl.half_width - w
     # above the apex, so exactly the cells the strip lowers are open
     tongue = TongueContour(points=((-1.0, 14.0), (41.0, 14.0)))
     params = ShapingParams(
@@ -568,8 +596,9 @@ def test_lateral_strip_follows_the_offset_rule_off_zero(shape):
     frame = compute_epg(geometry, tongue, params, rows=rows, cols=cols)
     assert frame.cells == epg_cells(geometry, tongue, params, rows, cols)
     assert slice_at(geometry, frame.x_of_row[row]) is sl
-    assert frame.cells[row] == tuple(o < sl.half_width - w for o in offsets(sl, zs))
+    assert frame.cells[row] == tuple(o < sl.half_width - w for o in row_offsets)
     assert frame.cells[row] == (False,) + (True,) * (cols - 2) + (False,)
+
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), params=shaping(), g=st.floats(0, 1), f=st.floats(-0.25, 1.25))
@@ -597,6 +626,18 @@ def test_dome_row_matches_scalar_formula(sl, fracs):
     want = bits(dome_height(sl, z) for z in zs)
     assert bits(dome_elevations(sl, zs)) == want
     assert bits(dome_elevation(sl, z) for z in zs) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl=slices | far_slices, fracs=st.lists(st.floats(0, 1), max_size=41))
+def test_dome_profile_matches_scalar_formula_at_each_offset(sl, fracs):
+    # the dome at offset o is the scalar formula's at z = -o on the centered
+    # slice, an exact 0.0 at the edge and never above h
+    offsets = [f * sl.half_width for f in fracs] + [0.0, sl.half_width]
+    at_zero = centered(sl)
+    dome = dome_profile(sl, offsets)
+    assert bits(dome) == bits(dome_height(at_zero, -o) for o in offsets)
+    assert dome[-1] == 0.0 and max(dome) <= sl.h
 
 
 @pytest.mark.parametrize("bad", [-1.5, 1.5, math.nan])
