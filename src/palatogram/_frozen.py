@@ -1,8 +1,22 @@
-"""Base class of the package's immutable value classes."""
+"""Base class of the package's immutable value classes, and the lerp their derived values use."""
 
 from __future__ import annotations
 
 import operator
+
+
+def lerp(a: float, b: float, s: float, t: float) -> float:
+    """s * a + t * b, for s = 1 - t, kept in [min(a, b), max(a, b)].
+
+    The sum of two roundings can land an ulp outside that range, and so past
+    a bound that a and b both keep; kept inside it, a lerp of two checked
+    values is one their constructor accepts, and Frozen._unchecked may hold
+    it.
+    """
+    v = s * a + t * b
+    if a <= b:
+        return a if v < a else b if v > b else v
+    return b if v < b else a if v > a else v
 
 
 class Frozen:
@@ -41,10 +55,11 @@ class Frozen:
     def _unchecked(cls, *values: object):
         """An instance of values, in ``__slots__`` order, that skips ``__init__``'s checks.
 
-        Only for values derived from checked ones, which a check could fail by
-        rounding alone. Its three uses are slice_at's interpolated slices,
+        Only for values derived from checked ones, which the checks would
+        accept. Its three uses are slice_at's interpolated slices,
         compute_epg's frames and the blended frames of interpolate and
-        animate. Unpickling it runs the checks after all.
+        animate; their lerps go through lerp. Unpickling it runs the checks
+        after all.
         """
         self = object.__new__(cls)
         for name, value in zip(cls.__slots__, values, strict=True):

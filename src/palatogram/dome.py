@@ -21,7 +21,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, lerp
 from .errors import (
     MAX_MM, MIN_MM, ConfigError, DomainError, check_keys, finite_float, member, parse_json
 )
@@ -235,9 +235,10 @@ _SLICE_X = attrgetter("x")
 def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
     """Slice at an arbitrary x, linearly interpolating between stored slices.
 
-    The interpolated slice has the shape of the stored slices. It lies between
-    two that passed DomeSlice's checks, so rounding alone could fail them: it
-    is not checked again.
+    The interpolated slice has the shape of the stored slices. Each field is
+    a lerp kept between the two stored slices' values, which passed
+    DomeSlice's checks, and its half width is kept at least MIN_MM, so the
+    checks would pass it too: it is not checked again.
     """
     slices = geometry.slices
     if not slices[0].x <= x <= slices[-1].x:
@@ -253,9 +254,15 @@ def slice_at(geometry: PalateGeometry, x: float) -> DomeSlice:
         return b
     t = (x - a.x) / (b.x - a.x)
     s = 1.0 - t
-    return DomeSlice._unchecked(
-        x, s * a.z_min + t * b.z_min, s * a.z_max + t * b.z_max, s * a.h + t * b.h, a.shape
-    )
+    z_min, z_max = lerp(a.z_min, b.z_min, s, t), lerp(a.z_max, b.z_max, s, t)
+    # both ends round on their own, so a half width at MIN_MM can still round
+    # below it: widen by ulps, within both slices' ends, which the floor fits
+    while not 0.5 * (z_max - z_min) >= MIN_MM:
+        if z_max < max(a.z_max, b.z_max):
+            z_max = math.nextafter(z_max, math.inf)
+        else:
+            z_min = math.nextafter(z_min, -math.inf)
+    return DomeSlice._unchecked(x, z_min, z_max, lerp(a.h, b.h, s, t), a.shape)
 
 
 def _check_steps(name: str, n: int) -> None:

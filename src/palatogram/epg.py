@@ -68,7 +68,9 @@ class EPGFrame(Frozen):
     of floats share positions. Column j sits at column_fractions(cols)[j] of
     its row's lateral span, at the offset |f - 0.5| * span from the midline:
     compute_epg computes the left half and an odd middle column and mirrors
-    them, so every row it makes reads the same reversed.
+    them, so every row it makes reads the same reversed, and the equal rows
+    of a frame it makes are one shared tuple. A frame compares, hashes and
+    pickles by its cells' values, shared or not.
     """
 
     __slots__ = ("cells", "x_of_row")
@@ -143,10 +145,14 @@ def compute_epg(
     are a prefix of the strip's cells (a contiguous run, as the strip is a
     range of offsets), and each is found by bisection with the per-cell test
     itself, the same float operations as the per-term sum: a row costs
-    O(log cols) tests, and its cells are a few slices of runs.
+    O(log cols) tests. Each run's end and the three indices found in it
+    decide the row, so a row is built, as a few slices of _RUNS, only the
+    first time its key comes up in the call: equal rows whose walks are cut
+    alike (all of them, unless the dome falls) are one shared tuple, and
+    most rows of a frame repeat another.
     tests/test_raster_kernel.py checks every cell bit for bit against the
     per-cell evaluator in tests/oracles.py, and the number of values a row
-    reads.
+    reads; tests/test_invariants.py checks the sharing.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -163,11 +169,12 @@ def compute_epg(
     mirror = cols // 2 - 1  # the right half is the walk reversed, less an odd middle
     n = MAX_EPG_SIDE
     cells = []
+    made = {}  # each distinct row of this frame, by its key
     for x, u_mid, (sl, offsets, dome, ends) in zip(x_of_row, u_mids, dome_rows):
         u0, scale, lo, hi, drop = row_constants(params, sl, x, u_mid)
         if scale:
             half_width = sl.half_width
-        left = ()
+        key = ()
         a = 0
         # The four searches stay inline, as each alternative cost more a call
         # (41 interleaved in-process rounds on the same cells, CPython 3.11 on
@@ -210,19 +217,31 @@ def compute_epg(
             # written as [t, k) alone, so the run is one slice of _RUNS
             if j == t or t == k:
                 j, t, k = a, a, j + k - t
-            left += _RUNS[n - j + a : n + t - j] + _RUNS[n - k + t : n + b - k]
+            key += (b, j, t, k)
             a = b
-        cells.append(left + left[mirror::-1])
+        # each run's end and (j, t, k) decide the row, so a row whose key came
+        # up before is the tuple made then
+        row = made.get(key)
+        if row is None:
+            left = ()
+            a = 0
+            runs = iter(key)
+            for b, j, t, k in zip(runs, runs, runs, runs):
+                left += _RUNS[n - j + a : n + t - j] + _RUNS[n - k + t : n + b - k]
+                a = b
+            row = made[key] = left + left[mirror::-1]
+        cells.append(row)
         # free an unkept row's floats before the next row is made, which reuses them
         del offsets, dome
     return EPGFrame._unchecked(tuple(cells), x_of_row)
 
 
 # _RUNS[n - c : n + f] is c contacts then f misses, for any c, f <= n =
-# MAX_EPG_SIDE. A row is a few slices, and adding an empty one copies
-# nothing: a row of a one-run walk makes its half, its mirror and itself, no
-# tuple of another size. Tuples of many sizes each hold an allocator pool,
-# about 0.4 MB of raster peak RSS.
+# MAX_EPG_SIDE. A distinct row is a few slices, and adding an empty one
+# copies nothing: it makes its half, its mirror and itself, no tuple of
+# another size, and a row that repeats one made before makes only its key.
+# Tuples of many sizes each hold an allocator pool, about 0.4 MB of raster
+# peak RSS.
 _RUNS = (True,) * MAX_EPG_SIDE + (False,) * MAX_EPG_SIDE
 
 
@@ -276,8 +295,19 @@ _TEXT_OF_CELL = b"." + b"#" * 255  # bytes.translate table: 0 -> '.', any other 
 
 
 def epg_text(frame: EPGFrame) -> str:
-    """Anterior-first text rendering, '#' for contact and '.' otherwise."""
-    rows = [bytes(row).translate(_TEXT_OF_CELL) for row in frame.cells]
+    """Anterior-first text rendering, '#' for contact and '.' otherwise.
+
+    Each distinct row object is translated once: the equal rows of a frame
+    that compute_epg makes are one tuple. The frame keeps every row alive,
+    so a row's id names it for the whole call.
+    """
+    texts = {}
+    rows = []
+    for row in frame.cells:
+        text = texts.get(id(row))
+        if text is None:
+            text = texts[id(row)] = bytes(row).translate(_TEXT_OF_CELL)
+        rows.append(text)
     return (b"\n".join(rows) + b"\n").decode("ascii")
 
 

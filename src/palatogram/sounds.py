@@ -14,8 +14,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from ._frozen import Frozen
-from .errors import ConfigError, DomainError, check_keys, finite_float, parse_json
+from ._frozen import Frozen, lerp
+from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float, parse_json
 from .shaping import (
     _FLOAT_FIELDS,
     ShapingParams,
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 BLEND_GRID_POINTS = 64
+# where each point of the blend grid lies between the overlap's ends
+_BLEND_FRACS = tuple(k / (BLEND_GRID_POINTS - 1) for k in range(BLEND_GRID_POINTS))
 MAX_FRAMES = 100_000  # frames one animation may have; bounds what animate allocates
 
 
@@ -271,28 +273,42 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     return _blend(a, b)(lam)
 
 
+def _grid_heights(contour: TongueContour, xs: list[float]) -> list[float]:
+    """The contour's heights at xs, each kept within MAX_MM as the contour's points are.
+
+    A height between two points is a lerp, which can round an ulp past them.
+    """
+    return [
+        MAX_MM if u > MAX_MM else -MAX_MM if u < -MAX_MM else u
+        for u in midsagittal_heights(contour, xs)
+    ]
+
+
 def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
     """The blend of a into b as a function of lam in (0, 1).
 
     The common x grid, both contours' heights on it and the blended name do
     not depend on lam, so they are computed once; each call only lerps. A
     frame is built without re-running the constructors' checks: its heights
-    and float params are lerps, and its other params picks, of checked values
-    on the grid checked here.
+    and float params are lerps, each kept between its two ends (see
+    _frozen.lerp), and its other params picks, of checked values on the grid
+    checked here.
     """
     x_lo = max(a.contour.x_min, b.contour.x_min)
     x_hi = min(a.contour.x_max, b.contour.x_max)
     if not x_lo < x_hi:
         raise DomainError(f"contours of {a.name!r} and {b.name!r} do not overlap in x")
-    fracs = [k / (BLEND_GRID_POINTS - 1) for k in range(BLEND_GRID_POINTS)]
-    xs = [(1.0 - f) * x_lo + f * x_hi for f in fracs]
+    xs = [(1.0 - f) * x_lo + f * x_hi for f in _BLEND_FRACS]
     if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
         raise DomainError(
             f"contours of {a.name!r} and {b.name!r} overlap over [{x_lo}, {x_hi}] in x, "
             f"too few floats for a blend grid of {BLEND_GRID_POINTS} points"
         )
-    # (x, u of a, u of b) on the common grid
-    heights = list(zip(xs, midsagittal_heights(a.contour, xs), midsagittal_heights(b.contour, xs)))
+    # (x, u of a, u of b, the lesser, the greater) on the common grid
+    heights = [
+        (x, u0, u1, u0, u1) if u0 <= u1 else (x, u0, u1, u1, u0)
+        for x, u0, u1 in zip(xs, _grid_heights(a.contour, xs), _grid_heights(b.contour, xs))
+    ]
     name = f"{a.name}~{b.name}"
     # (a's value, b's value, whether it lerps) of each param, in __slots__ order
     fields = [
@@ -301,9 +317,15 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
     ]
 
     def at(lam: float) -> SoundTarget:
-        points = tuple((x, (1.0 - lam) * u0 + lam * u1) for x, u0, u1 in heights)
+        s = 1.0 - lam
+        # lerp's clamp, inline for the grid's many points, in a list, which
+        # builds faster than a generator
+        points = tuple([
+            (x, lo if (u := s * u0 + lam * u1) < lo else hi if u > hi else u)
+            for x, u0, u1, lo, hi in heights
+        ])
         params = [
-            (1.0 - lam) * va + lam * vb if lerps else (va if lam < 0.5 else vb)
+            lerp(va, vb, s, lam) if lerps else (va if lam < 0.5 else vb)
             for va, vb, lerps in fields
         ]
         return SoundTarget._unchecked(

@@ -179,12 +179,16 @@ def epg_cells(
     params: ShapingParams,
     rows: int,
     cols: int,
+    dip: tuple[int, int, float] | None = None,
 ) -> tuple[tuple[bool, ...], ...]:
     """The EPG grid evaluated cell by cell, one shaping sum and one dome formula each.
 
     This is the evaluator compute_epg ran before its row kernel, each cell
     taken at its offset from the midline (cell_offsets) on the centered
-    slice; the kernel must agree with it on every cell.
+    slice; the kernel must agree with it on every cell. dip = (m, k, x_from)
+    plants a falling dome, as a test that patches compute_epg's dome does:
+    in each row at x_from or behind it, cell m of the walk from the left
+    edge (column m and its mirror) takes the elevation of walk cell k.
     """
     x_lo = max(geometry.x_min, contour.x_min)
     x_hi = min(geometry.x_max, contour.x_max)
@@ -198,9 +202,13 @@ def epg_cells(
             cells.append((False,) * cols)
             continue
         at_zero = centered(sl)
+        offsets = cell_offsets(sl, cols)
         row = []
-        for o in cell_offsets(sl, cols):
-            row.append(shaped_height(params, at_zero, x, u_mid, -o) >= dome_height(at_zero, -o))
+        for c, o in enumerate(offsets):
+            o_dome = o
+            if dip is not None and x >= dip[2] and min(c, cols - 1 - c) == dip[0]:
+                o_dome = offsets[dip[1]]
+            row.append(shaped_height(params, at_zero, x, u_mid, -o) >= dome_height(at_zero, -o_dome))
         cells.append(tuple(row))
     return tuple(cells)
 
@@ -391,11 +399,17 @@ def export_obj(geometry: PalateGeometry, nx: int, nz: int, contacts=None) -> byt
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def between(va: float, vb: float, lam: float) -> float:
+    """(1 - lam) * va + lam * vb, rounded back into [min(va, vb), max(va, vb)] where it left it."""
+    return min(max((1.0 - lam) * va + lam * vb, min(va, vb)), max(va, vb))
+
+
 def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     """Blend two targets, resampling both contours afresh for this one lam.
 
     This is the blend sounds.interpolate made before one blend served a
-    whole transition; both must give the same target, float for float.
+    whole transition, each lerp kept between its ends; both must give the
+    same target, float for float.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"blend fraction must lie in [0, 1], got {lam}")
@@ -411,10 +425,9 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     for k in range(BLEND_GRID_POINTS):
         f = k / (BLEND_GRID_POINTS - 1)
         x = (1.0 - f) * x_lo + f * x_hi
-        u = (1.0 - lam) * midline_height(a.contour, x) + lam * midline_height(
-            b.contour, x
-        )
-        points.append((x, u))
+        # each contour's height kept within MAX_MM, past which its lerp can round
+        u0, u1 = (min(max(midline_height(c, x), -MAX_MM), MAX_MM) for c in (a.contour, b.contour))
+        points.append((x, between(u0, u1, lam)))
     discrete_src = a.params if lam < 0.5 else b.params
     blended = {}
     for name in ShapingParams.__slots__:
@@ -423,7 +436,7 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
         else:
             va = getattr(a.params, name)
             vb = getattr(b.params, name)
-            blended[name] = (1.0 - lam) * va + lam * vb
+            blended[name] = between(va, vb, lam)
     return SoundTarget(
         name=f"{a.name}~{b.name}",
         contour=TongueContour(points=tuple(points)),

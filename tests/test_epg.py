@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -203,15 +204,54 @@ def test_epg_text_direct():
 @given(rows=st.integers(1, 12), cols=st.integers(1, 40), data=st.data())
 @example(rows=1, cols=2, data=None)
 @example(rows=1, cols=1024, data=None)
+@example(rows=12, cols=5, data=None)
 def test_epg_text_matches_the_per_cell_join(rows, cols, data):
-    # any 0-255 int is a cell to the byte table, read by its truth as before
+    # any 0-255 int is a cell to the byte table, read by its truth as before;
+    # epg_text translates each row object once, so rows are drawn from a
+    # pool, each as the pool's own object or as an equal one made apart
     cells = st.one_of(st.booleans(), st.integers(0, 255), st.sampled_from([0, 1, 255]))
-    if data is None:
+    if data is None:  # equal rows, each its own object
         grid = tuple(tuple(bool(j % 3) for j in range(cols)) for _ in range(rows))
     else:
-        grid = data.draw(st.tuples(*[st.tuples(*[cells] * cols)] * rows))
+        pool = data.draw(st.lists(st.tuples(*[cells] * cols), min_size=1, max_size=rows))
+        picks = st.tuples(st.integers(0, len(pool) - 1), st.booleans())
+        grid = tuple(
+            pool[k] if shared else tuple(list(pool[k]))
+            for k, shared in data.draw(st.lists(picks, min_size=rows, max_size=rows))
+        )
     frame = EPGFrame(cells=grid, x_of_row=tuple(map(float, range(rows))))
     assert epg_text(frame) == oracles.epg_text(frame)
+    # every row one object
+    frame = EPGFrame(cells=(grid[-1],) * rows, x_of_row=frame.x_of_row)
+    assert epg_text(frame) == oracles.epg_text(frame)
+
+
+# the grids of the raster benchmark, and the 8 x 8 of the CLI and animations
+RASTER_GRIDS = [(48, 48), (62, 62), (64, 48), (80, 64), (100, 64), (8, 8)]
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+@pytest.mark.parametrize("rows, cols", RASTER_GRIDS)
+def test_equal_rows_of_a_preset_frame_are_one_tuple(shape, rows, cols):
+    geometry = default_palate(shape)
+    for target in default_library():
+        cells = compute_epg(geometry, target.contour, target.params, rows=rows, cols=cols).cells
+        assert len({id(row) for row in cells}) == len(set(cells))
+
+
+def test_a_frame_of_shared_rows_compares_and_pickles_as_one_of_its_own_rows():
+    target = default_library().get("s")
+    frame = compute_epg(default_palate(), target.contour, target.params, rows=48, cols=48)
+    shared = len({id(row) for row in frame.cells})
+    assert shared < frame.rows
+    apart = EPGFrame(tuple(tuple(list(row)) for row in frame.cells), frame.x_of_row)
+    assert len({id(row) for row in apart.cells}) == frame.rows
+    assert frame == apart and hash(frame) == hash(apart) and repr(frame) == repr(apart)
+    twin = pickle.loads(pickle.dumps(frame))
+    assert twin == frame and repr(twin) == repr(frame)
+    assert pickle.loads(pickle.dumps(apart)) == twin
+    # pickling keeps a shared row shared
+    assert len({id(row) for row in twin.cells}) == shared
 
 
 def test_epg_text_t_preset_anterior_closure():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import math
 import os
 import pickle
 import subprocess
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import palatogram
@@ -40,6 +41,7 @@ from palatogram import (
     get_target,
 )
 from palatogram._frozen import Frozen
+from palatogram.errors import MAX_MM, MIN_MM
 import oracles
 
 # small values, so that equal draws and ordering failures both come up often
@@ -218,21 +220,106 @@ def test_value_class_matches_the_dataclass(cls, data):
 
 
 def test_a_copy_is_the_value_itself():
-    # slice_at leaves interpolated slices unchecked; between two slices 2e-6
-    # wide, some round to a half width just under MIN_MM, which unpickling
-    # rejects but copying must not
+    # a value built unchecked copies as itself even where the checks reject
+    # it, as a slice a half width an ulp under MIN_MM does; unpickling runs
+    # the checks
+    sl = DomeSlice._unchecked(0.5, 0.0, math.nextafter(2 * MIN_MM, 0.0), 10.0, DomeShape.HALF_ELLIPSE)
+    assert copy.copy(sl) is sl and copy.deepcopy(sl) is sl
+    with pytest.raises(palatogram.DomainError, match="half width"):
+        pickle.loads(pickle.dumps(sl))
     ends = dict(z_min=0.0, z_max=2e-6, h=10.0, shape=DomeShape.HALF_ELLIPSE)
     geometry = PalateGeometry(slices=(DomeSlice(x=0.0, **ends), DomeSlice(x=1.0, **ends)))
-    rejected = 0
-    for k in range(1, 1000):
-        sl = palatogram.slice_at(geometry, k / 1000)
-        assert copy.copy(sl) is sl and copy.deepcopy(sl) is sl
-        try:
-            pickle.loads(pickle.dumps(sl))
-        except palatogram.DomainError:
-            rejected += 1
-    assert rejected  # the repro still draws slices the checks reject
     assert copy.deepcopy([geometry])[0] is geometry
+
+
+# Values at and near the bounds the checks enforce: lengths within 1 of
+# +-MAX_MM or anywhere between, half widths at the MIN_MM floor or within
+# 1e-12 above it, and dome heights at MIN_MM or within 1e-15 above it.
+def near(bound: float, width: float = 1.0):
+    return st.just(bound) | st.floats(min(bound, bound - width), max(bound, bound - width))
+
+
+lengths = near(MAX_MM) | near(-MAX_MM, -1.0) | st.floats(-MAX_MM, MAX_MM)
+
+
+def at_least_half_width(z_min: float, half_width: float) -> float:
+    """The least z_max whose slice over [z_min, z_max] has at least half_width."""
+    z_max = z_min + 2.0 * half_width
+    while not 0.5 * (z_max - z_min) >= half_width:
+        z_max = math.nextafter(z_max, math.inf)
+    return z_max
+
+
+@st.composite
+def slices_near_bounds(draw, x: float, shape: DomeShape) -> DomeSlice:
+    z_min = draw(lengths.filter(lambda z: z <= MAX_MM - 3 * MIN_MM))
+    floor = at_least_half_width(z_min, MIN_MM)
+    z_max = draw(st.sampled_from([floor, MAX_MM]) | st.floats(floor, min(floor + 1e-12, MAX_MM)))
+    h = draw(near(MIN_MM, -1e-15) | near(MAX_MM))
+    return DomeSlice(x=x, z_min=z_min, z_max=z_max, h=h, shape=shape)
+
+
+@st.composite
+def spans_near_bounds(draw) -> tuple[float, float]:
+    """x0 < x1, at least 1 apart, so that any blend grid between them has its points."""
+    x0 = draw(lengths.filter(lambda x: x <= MAX_MM - 1.0))
+    return x0, draw(st.floats(x0 + 1.0, MAX_MM) | st.just(MAX_MM))
+
+
+@st.composite
+def targets_near_bounds(draw, x0: float, x1: float) -> SoundTarget:
+    heights = draw(st.lists(lengths, min_size=2, max_size=4))
+    xs = [x0 + (x1 - x0) * k / (len(heights) - 1) for k in range(len(heights))]
+    xs[-1] = x1
+    fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e-12) | st.floats(1.0 - 1e-12, 1.0)
+    magnitudes = st.just(0.0) | near(MAX_MM)
+    params = ShapingParams(
+        tth=draw(fractions),
+        edge_elev_max=draw(magnitudes),
+        posterior_onset_x=draw(lengths),
+        groove_width=draw(magnitudes),
+        groove_depth=draw(magnitudes),
+        lateral_lower_width=draw(magnitudes),
+        lateral_lower_depth=draw(magnitudes),
+    )
+    return SoundTarget(name="near", contour=TongueContour(points=tuple(zip(xs, heights))), params=params)
+
+
+def round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_derived_values_near_the_bounds_survive_a_pickle_round_trip(data):
+    # Interpolated slices, EPG frames and blended targets are built without
+    # the checks; each lerp is kept between its ends, so unpickling, which
+    # runs the checks, takes every one back. The example is the palate of
+    # two [0, 2e-6] slices, 24 of whose 999 interpolated slices below once
+    # rounded to a half width under MIN_MM.
+    if data is None:
+        ends = dict(z_min=0.0, z_max=2e-6, h=10.0, shape=DomeShape.HALF_ELLIPSE)
+        geometry = PalateGeometry(slices=(DomeSlice(x=0.0, **ends), DomeSlice(x=1.0, **ends)))
+        for k in range(1, 1000):
+            sl = palatogram.slice_at(geometry, k / 1000)
+            assert round_trip(sl) == sl
+        return
+    x0, x1 = data.draw(spans_near_bounds())
+    shape = data.draw(st.sampled_from(DomeShape))
+    geometry = PalateGeometry(slices=(
+        data.draw(slices_near_bounds(x0, shape)), data.draw(slices_near_bounds(x1, shape))
+    ))
+    for x in data.draw(st.lists(st.floats(x0, x1), min_size=1, max_size=8)):
+        sl = palatogram.slice_at(geometry, x)
+        assert round_trip(sl) == sl
+    a, b = data.draw(targets_near_bounds(x0, x1)), data.draw(targets_near_bounds(x0, x1))
+    lattice = dict(rows=data.draw(st.integers(1, 6)), cols=data.draw(st.integers(2, 6)))
+    frame = palatogram.compute_epg(geometry, a.contour, a.params, **lattice)
+    assert round_trip(frame) == frame
+    for lam in data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=8)):
+        blended = palatogram.interpolate(a, b, lam)
+        assert round_trip(blended) == blended
 
 
 HUGE = 10**400  # an int too large for a float
