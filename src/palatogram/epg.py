@@ -30,13 +30,12 @@ MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg
 # own arithmetic. A kept row holds one walk, its left half and an odd middle
 # column: each cell's offset from the midline and dome elevation as doubles,
 # 16 bytes a cell of the walk, about 8 a cell of the row, beside about 0.4 KB
-# for its x, slice and containers (the end of its walk is one tuple that a
-# lattice's rows share), so a lattice of 128 x 128 holds about 0.18 MB and
-# the tallest one, 1024 x 16, about 0.54 MB: the 16 kept lattices hold at
-# most about 8.6 MB, and 48 x 48 to 100 x 64 on both built-in palates (10
-# lattices, 41,480 cells) about 0.6 MB. A larger lattice's rows are sampled
-# afresh, one at a time, for each frame, in the same order and through the
-# same kernel.
+# for its x, slice and containers, so a lattice of 128 x 128 holds about
+# 0.18 MB and the tallest one, 1024 x 16, about 0.54 MB: the 16 kept
+# lattices hold at most about 8.6 MB, and 48 x 48 to 100 x 64 on both
+# built-in palates (10 lattices, 41,480 cells) about 0.6 MB. A larger
+# lattice's rows are sampled afresh, one at a time, for each frame, in the
+# same order and through the same kernel.
 _CACHED_CELLS = 128 * 128
 
 
@@ -139,17 +138,15 @@ def compute_epg(
     and the lattice, not on the tongue, and _dome_rows keeps it (see
     _CACHED_CELLS). Along the walk the offset never grows, so neither does
     the unlowered tongue (its edge weight scale * (o / half_width) ** 2 has
-    scale >= 0), and the dome never falls (the walk is cut into runs where
-    rounding makes it fall). So the cells of a run the unlowered tongue
-    reaches are a prefix of it, those the tongue lowered by a strip reaches
-    are a prefix of the strip's cells (a contiguous run, as the strip is a
-    range of offsets), and each is found by bisection with the per-cell test
-    itself, the same float operations as the per-term sum: a row costs
-    O(log cols) tests. Each run's end and the three indices found in it
-    decide the row, so a row is built, as a few slices of _RUNS, only the
-    first time its key comes up in the call: equal rows whose walks are cut
-    alike (all of them, unless the dome falls) are one shared tuple, and
-    most rows of a frame repeat another.
+    scale >= 0), and the dome never falls (see _sample_rows). So the cells
+    of the walk the unlowered tongue reaches are a prefix of it, those the
+    tongue lowered by a strip reaches are a prefix of the strip's cells (a
+    contiguous run, as the strip is a range of offsets), and each is found
+    by bisection with the per-cell test itself, the same float operations
+    as the per-term sum: a row costs O(log cols) tests. The three indices
+    found decide the row, so a row is built, as two slices of _RUNS, only
+    the first time its indices come up in the call: equal rows are one
+    shared tuple, and most rows of a frame repeat another.
     tests/test_raster_kernel.py checks every cell bit for bit against the
     per-cell evaluator in tests/oracles.py, and the number of values a row
     reads; tests/test_invariants.py checks the sharing.
@@ -167,69 +164,59 @@ def compute_epg(
     x_of_row, dome_rows = _dome_rows(geometry, x_lo, x_hi, rows, cols)
     u_mids = midsagittal_heights(contour, x_of_row)
     mirror = cols // 2 - 1  # the right half is the walk reversed, less an odd middle
+    b = (cols + 1) // 2  # the walk's length
     n = MAX_EPG_SIDE
     cells = []
-    made = {}  # each distinct row of this frame, by its key
-    for x, u_mid, (sl, offsets, dome, ends) in zip(x_of_row, u_mids, dome_rows):
+    made = {}  # each distinct row of this frame, by its (j, t, k)
+    for x, u_mid, (sl, offsets, dome) in zip(x_of_row, u_mids, dome_rows):
         u0, scale, lo, hi, drop = row_constants(params, sl, x, u_mid)
-        if scale:
-            half_width = sl.half_width
-        key = ()
-        a = 0
         # The four searches stay inline, as each alternative cost more a call
         # (41 interleaved in-process rounds on the same cells, CPython 3.11 on
         # a 2-core Xeon): one helper function for them 8.5% more on the raster
-        # grids and 9.1% at 8 x 8, and bisect_left(range(b), True, a, key=...)
+        # grids and 9.1% at 8 x 8, and bisect_left(range(b), True, key=...)
         # for the two loops on edge rows 12% and 15.5% more.
-        for b in ends:
-            # k: the first cell of the run [a, b) that the unlowered tongue
-            # misses, which then misses every later cell. The bisections
-            # here probe their first cell first: many rows reach no cell.
+        # k: the first cell of the walk that the unlowered tongue misses,
+        # which then misses every later cell. The bisections here probe
+        # their first cell first: many rows reach no cell.
+        if scale:
+            half_width = sl.half_width
+            k, q, m = 0, b, 0
+            while k < q:
+                if u0 + scale * (offsets[m] / half_width) ** 2 >= dome[m]:
+                    k = m + 1
+                else:
+                    q = m
+                m = (k + q) // 2
+        else:
+            k = bisect_right(dome, u0)
+        # [s, t): the strip's cells before k, as the offsets fall along the
+        # walk: a groove's from the first offset <= hi on, a lateral strip's
+        # up to the first offset < lo. j: the first of them the lowered
+        # tongue misses. A strip that drops by 0 lowers nothing.
+        j = t = 0
+        if drop and k:
+            s = 0 if hi == math.inf else bisect_left(offsets, -hi, 0, k, key=operator.neg)
+            t = k if lo <= 0.0 else bisect_right(offsets, -lo, s, k, key=operator.neg)
             if scale:
-                k, q, m = a, b, a
-                while k < q:
-                    if u0 + scale * (offsets[m] / half_width) ** 2 >= dome[m]:
-                        k = m + 1
+                j, q, m = s, t, s
+                while j < q:
+                    if u0 + scale * (offsets[m] / half_width) ** 2 + drop >= dome[m]:
+                        j = m + 1
                     else:
                         q = m
-                    m = (k + q) // 2
+                    m = (j + q) // 2
             else:
-                k = bisect_right(dome, u0, a, b)
-            # [s, t): the strip's cells before k, as the offsets fall along
-            # the walk: a groove's from the first offset <= hi on, a lateral
-            # strip's up to the first offset < lo. j: the first of them the
-            # lowered tongue misses. A strip that drops by 0 lowers nothing.
-            j = t = a
-            if drop and a < k:
-                s = a if hi == math.inf else bisect_left(offsets, -hi, a, k, key=operator.neg)
-                t = k if lo <= 0.0 else bisect_right(offsets, -lo, s, k, key=operator.neg)
-                if scale:
-                    j, q, m = s, t, s
-                    while j < q:
-                        if u0 + scale * (offsets[m] / half_width) ** 2 + drop >= dome[m]:
-                            j = m + 1
-                        else:
-                            q = m
-                        m = (j + q) // 2
-                else:
-                    j = bisect_right(dome, u0 + drop, s, t)
-            # so the run's contacts are [a, j) and [t, k); one run of them is
-            # written as [t, k) alone, so the run is one slice of _RUNS
-            if j == t or t == k:
-                j, t, k = a, a, j + k - t
-            key += (b, j, t, k)
-            a = b
-        # each run's end and (j, t, k) decide the row, so a row whose key came
-        # up before is the tuple made then
-        row = made.get(key)
+                j = bisect_right(dome, u0 + drop, s, t)
+        # so the walk's contacts are [0, j) and [t, k); one run of them is
+        # written as [t, k) alone, so the row is two slices of _RUNS
+        if j == t or t == k:
+            j, t, k = 0, 0, j + k - t
+        # (j, t, k) decides the row, so a row whose (j, t, k) came up before
+        # is the tuple made then
+        row = made.get((j, t, k))
         if row is None:
-            left = ()
-            a = 0
-            runs = iter(key)
-            for b, j, t, k in zip(runs, runs, runs, runs):
-                left += _RUNS[n - j + a : n + t - j] + _RUNS[n - k + t : n + b - k]
-                a = b
-            row = made[key] = left + left[mirror::-1]
+            left = _RUNS[n - j : n + t - j] + _RUNS[n - k + t : n + b - k]
+            row = made[j, t, k] = left + left[mirror::-1]
         cells.append(row)
         # free an unkept row's floats before the next row is made, which reuses them
         del offsets, dome
@@ -237,7 +224,7 @@ def compute_epg(
 
 
 # _RUNS[n - c : n + f] is c contacts then f misses, for any c, f <= n =
-# MAX_EPG_SIDE. A distinct row is a few slices, and adding an empty one
+# MAX_EPG_SIDE. A distinct row is two slices, and adding an empty one
 # copies nothing: it makes its half, its mirror and itself, no tuple of
 # another size, and a row that repeats one made before makes only its key.
 # Tuples of many sizes each hold an allocator pool, about 0.4 MB of raster
@@ -248,14 +235,12 @@ _RUNS = (True,) * MAX_EPG_SIDE + (False,) * MAX_EPG_SIDE
 def _as_doubles(lattice) -> tuple:
     """A dome lattice to keep, each row's offsets and elevations packed as doubles."""
     x_of_row, rows = lattice
-    return x_of_row, tuple(
-        (sl, array("d", offsets), array("d", dome), ends) for sl, offsets, dome, ends in rows
-    )
+    return x_of_row, tuple((sl, array("d", offsets), array("d", dome)) for sl, offsets, dome in rows)
 
 
 @_per_lattice(_CACHED_CELLS, keep=_as_doubles)
 def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, cols: int):
-    """The rows' x, and each row's slice, walk offsets, dome elevations and walk ends.
+    """The rows' x, and each row's slice, walk offsets and dome elevations.
 
     A row keeps its left half and an odd middle column, the walk from the
     left molar edge to the middle: each cell's offset from the midline and
@@ -271,24 +256,32 @@ def _dome_rows(geometry: PalateGeometry, x_lo: float, x_hi: float, rows: int, co
 
 
 def _sample_rows(geometry: PalateGeometry, x_of_row: tuple[float, ...], walk):
-    """Each row's slice, walk offsets and dome, and the ends of the runs it is bisected in.
+    """Each row's slice, and the offsets and dome elevations along its walk.
 
-    A cell's offset is |f - 0.5| * span, from the slice's span alone, so the
-    offsets never grow along the walk, and the dome is dome_profile's at
-    them. The dome rises along the walk as far as its rounding and math.cos
-    allow, which nothing promises, so the elevations are checked: where one
-    falls, a run ends there and the next one starts.
+    A cell's offset is o = w * span, from the slice's span alone, for the
+    walk's fractions w, which fall by 1 / cols >= 1 / MAX_EPG_SIDE a cell:
+    o never grows along the walk. The dome is dome_profile's at the offsets,
+    and it never falls along the walk either, although rounding and math.cos
+    promise nothing cell by cell, as every step is far wider than them:
+
+    - cosine: consecutive values of 1 + cos(2 pi o / span) differ by at
+      least about (2 pi / cols) ** 2 / 2 >= 1.8e-5, against a few ulps,
+      about 1e-15, of rounding and of any libm cos with a sane error bound;
+    - half-ellipse: the radicand (hw - o) * (hw + o) grows by at least
+      about 4 * hw ** 2 / cols ** 2 a cell, 3.8e-6 of itself, against at
+      most 3 ulps of rounding; sqrt, * h, / hw and the clamp at h are all
+      monotone;
+    - MIN_MM <= hw, h <= MAX_MM and cols <= MAX_EPG_SIDE keep every value
+      clear of subnormals.
+
+    tests/test_raster_kernel.py checks this on every cols for slices at
+    those bounds. compute_epg bisects each walk whole.
     """
-    whole = (len(walk),)
     for x in x_of_row:
         sl = slice_at(geometry, x)
         span = sl.span
         offsets = [w * span for w in walk]
-        dome = dome_profile(sl, offsets)
-        ends = whole
-        if dome != sorted(dome):
-            ends = tuple(k for k in range(1, len(walk)) if dome[k] < dome[k - 1]) + whole
-        yield sl, offsets, dome, ends
+        yield sl, offsets, dome_profile(sl, offsets)
 
 
 _TEXT_OF_CELL = b"." + b"#" * 255  # bytes.translate table: 0 -> '.', any other byte -> '#'

@@ -189,8 +189,10 @@ def midsagittal_heights(contour: TongueContour, xs: Iterable[float]) -> list[flo
     """``midsagittal_height`` at every x in xs, walking the contour with one cursor.
 
     The cursor only moves forward for nondecreasing xs, so a row of them costs
-    one walk of the contour. Raises DomainError for the first x outside the
-    contour's range.
+    one walk of the contour. A height between two points is their lerp, kept
+    between them as _frozen.lerp keeps it, so a flat contour is flat and
+    every height is within MAX_MM as the points are. Raises DomainError for
+    the first x outside the contour's range.
     """
     pts = contour.points
     x_first, x_last = pts[0][0], pts[-1][0]
@@ -210,7 +212,12 @@ def midsagittal_heights(contour: TongueContour, xs: Iterable[float]) -> list[flo
             heights.append(u1)
         else:
             t = (x - x0) / (x1 - x0)
-            heights.append((1.0 - t) * u0 + t * u1)
+            u = (1.0 - t) * u0 + t * u1
+            # lerp's clamp, inline as the raster calls this for every frame
+            if u0 <= u1:
+                heights.append(u0 if u < u0 else u1 if u > u1 else u)
+            else:
+                heights.append(u1 if u < u1 else u0 if u > u0 else u)
     return heights
 
 

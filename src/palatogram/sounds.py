@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from ._frozen import Frozen, lerp
-from .errors import MAX_MM, ConfigError, DomainError, check_keys, finite_float, parse_json
+from .errors import ConfigError, DomainError, check_keys, finite_float, parse_json
 from .shaping import (
     _FLOAT_FIELDS,
     ShapingParams,
@@ -273,17 +273,6 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     return _blend(a, b)(lam)
 
 
-def _grid_heights(contour: TongueContour, xs: list[float]) -> list[float]:
-    """The contour's heights at xs, each kept within MAX_MM as the contour's points are.
-
-    A height between two points is a lerp, which can round an ulp past them.
-    """
-    return [
-        MAX_MM if u > MAX_MM else -MAX_MM if u < -MAX_MM else u
-        for u in midsagittal_heights(contour, xs)
-    ]
-
-
 def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
     """The blend of a into b as a function of lam in (0, 1).
 
@@ -307,7 +296,9 @@ def _blend(a: SoundTarget, b: SoundTarget) -> Callable[[float], SoundTarget]:
     # (x, u of a, u of b, the lesser, the greater) on the common grid
     heights = [
         (x, u0, u1, u0, u1) if u0 <= u1 else (x, u0, u1, u1, u0)
-        for x, u0, u1 in zip(xs, _grid_heights(a.contour, xs), _grid_heights(b.contour, xs))
+        for x, u0, u1 in zip(
+            xs, midsagittal_heights(a.contour, xs), midsagittal_heights(b.contour, xs)
+        )
     ]
     name = f"{a.name}~{b.name}"
     # (a's value, b's value, whether it lerps) of each param, in __slots__ order

@@ -109,7 +109,10 @@ def dome_height(slice_: DomeSlice, z: float) -> float:
 
 
 def midline_height(contour: TongueContour, x: float) -> float:
-    """The contour's height at one x, bisecting for its segment as the per-point lookup did."""
+    """The contour's height at one x, bisecting for its segment as the per-point lookup did.
+
+    Between two points it is their lerp, rounded back between them where it left.
+    """
     pts = contour.points
     if not pts[0][0] <= x <= pts[-1][0]:
         raise DomainError(f"x={x} outside tongue contour range [{pts[0][0]}, {pts[-1][0]}]")
@@ -121,7 +124,7 @@ def midline_height(contour: TongueContour, x: float) -> float:
     if x == x1:
         return u1
     t = (x - x0) / (x1 - x0)
-    return (1.0 - t) * u0 + t * u1
+    return min(max((1.0 - t) * u0 + t * u1, min(u0, u1)), max(u0, u1))
 
 
 def shaped_height(
@@ -179,16 +182,12 @@ def epg_cells(
     params: ShapingParams,
     rows: int,
     cols: int,
-    dip: tuple[int, int, float] | None = None,
 ) -> tuple[tuple[bool, ...], ...]:
     """The EPG grid evaluated cell by cell, one shaping sum and one dome formula each.
 
     This is the evaluator compute_epg ran before its row kernel, each cell
     taken at its offset from the midline (cell_offsets) on the centered
-    slice; the kernel must agree with it on every cell. dip = (m, k, x_from)
-    plants a falling dome, as a test that patches compute_epg's dome does:
-    in each row at x_from or behind it, cell m of the walk from the left
-    edge (column m and its mirror) takes the elevation of walk cell k.
+    slice; the kernel must agree with it on every cell.
     """
     x_lo = max(geometry.x_min, contour.x_min)
     x_hi = min(geometry.x_max, contour.x_max)
@@ -202,14 +201,10 @@ def epg_cells(
             cells.append((False,) * cols)
             continue
         at_zero = centered(sl)
-        offsets = cell_offsets(sl, cols)
-        row = []
-        for c, o in enumerate(offsets):
-            o_dome = o
-            if dip is not None and x >= dip[2] and min(c, cols - 1 - c) == dip[0]:
-                o_dome = offsets[dip[1]]
-            row.append(shaped_height(params, at_zero, x, u_mid, -o) >= dome_height(at_zero, -o_dome))
-        cells.append(tuple(row))
+        cells.append(tuple(
+            shaped_height(params, at_zero, x, u_mid, -o) >= dome_height(at_zero, -o)
+            for o in cell_offsets(sl, cols)
+        ))
     return tuple(cells)
 
 
@@ -425,9 +420,7 @@ def interpolate(a: SoundTarget, b: SoundTarget, lam: float) -> SoundTarget:
     for k in range(BLEND_GRID_POINTS):
         f = k / (BLEND_GRID_POINTS - 1)
         x = (1.0 - f) * x_lo + f * x_hi
-        # each contour's height kept within MAX_MM, past which its lerp can round
-        u0, u1 = (min(max(midline_height(c, x), -MAX_MM), MAX_MM) for c in (a.contour, b.contour))
-        points.append((x, between(u0, u1, lam)))
+        points.append((x, between(midline_height(a.contour, x), midline_height(b.contour, x), lam)))
     discrete_src = a.params if lam < 0.5 else b.params
     blended = {}
     for name in ShapingParams.__slots__:

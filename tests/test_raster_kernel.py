@@ -13,6 +13,7 @@ every height bit for bit, -0.0 included.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -257,26 +258,55 @@ far_slices = st.builds(
 )
 
 
+# the slices at the bounds of DomeSlice, where a step of the dome along a
+# walk is least against its rounding: half width and height each at MIN_MM
+# or MAX_MM, and the narrowest slices at either end of the z range
+BOUND_SLICES = tuple(
+    DomeSlice(x=0.0, z_min=z_min, z_max=z_max, h=h, shape=shape)
+    for shape in DomeShape
+    for z_min, z_max in (
+        (-MIN_MM, MIN_MM),
+        (-MAX_MM, MAX_MM),
+        (MAX_MM - 2 * MIN_MM, MAX_MM),
+        (-MAX_MM, 2 * MIN_MM - MAX_MM),
+    )
+    for h in (MIN_MM, MAX_MM)
+)
+
+
+def flat_palate(sl: DomeSlice) -> PalateGeometry:
+    """The slice and its copy 1 mm behind it, so every row between them is the slice."""
+    return PalateGeometry(slices=(sl, DomeSlice(sl.x + 1.0, sl.z_min, sl.z_max, sl.h, sl.shape)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(sl=slices | far_slices, cols=st.integers(2, 41) | st.integers(2, epg.MAX_EPG_SIDE))
+@given(
+    sl=slices | far_slices | st.sampled_from(BOUND_SLICES),
+    cols=st.integers(2, 41) | st.integers(2, epg.MAX_EPG_SIDE),
+)
 def test_each_walk_has_falling_offsets_and_a_rising_dome(sl, cols):
     # a kept row holds one walk, the left half and an odd middle column from
     # the molar edge to the middle: its offsets never grow, and the dome
-    # never falls along each run of it that compute_epg bisects
-    geometry = PalateGeometry(slices=(sl, DomeSlice(sl.x + 1.0, sl.z_min, sl.z_max, sl.h, sl.shape)))
-    (x,), ((row_slice, kept, dome, ends),) = epg._dome_rows(geometry, sl.x, sl.x + 1.0, 1, cols)
+    # never falls along it, so compute_epg bisects it whole
+    geometry = flat_palate(sl)
+    (x,), ((row_slice, kept, dome),) = epg._dome_rows(geometry, sl.x, sl.x + 1.0, 1, cols)
     assert row_slice == slice_at(geometry, x)
-    middle = (cols + 1) // 2
-    walk = cell_offsets(row_slice, cols)[:middle]
+    walk = cell_offsets(row_slice, cols)[: (cols + 1) // 2]
     at_zero = centered(row_slice)
     assert bits(kept) == bits(walk)
     assert bits(dome) == bits(dome_height(at_zero, -o) for o in walk)
     assert list(kept) == sorted(kept, reverse=True)
-    assert ends[-1] == middle
-    a = 0
-    for b in ends:
-        assert list(dome[a:b]) == sorted(dome[a:b])
-        a = b
+    assert list(dome) == sorted(dome)
+
+
+@pytest.mark.parametrize("sl", BOUND_SLICES)
+def test_the_dome_rises_along_every_walk_of_a_bound_slice(sl):
+    # _sample_rows's argument that the dome never falls along a walk, checked
+    # on every lattice width at the bounds where its steps are least
+    geometry = flat_palate(sl)
+    for cols in range(2, epg.MAX_EPG_SIDE + 1):
+        ((_sl, _kept, dome),) = epg._dome_rows(geometry, sl.x, sl.x + 1.0, 1, cols)[1]
+        assert list(dome) == sorted(dome), cols
 
 
 @pytest.mark.parametrize("rows, cols", [(4, 2), (4, 3), (8, 8), (7, 9), (100, 64), (129, 128), (3, 1024)])
@@ -284,50 +314,8 @@ def test_a_kept_row_holds_one_walk(rows, cols):
     # a row keeps (cols + 1) // 2 offsets and elevations, kept lattice or
     # not, and compute_epg mirrors them into the rest of the row
     x_of_row, dome_rows = epg._dome_rows(default_palate(), 0.0, 40.0, rows, cols)
-    lengths = [(len(kept), len(dome), ends[-1]) for _sl, kept, dome, ends in dome_rows]
-    assert lengths == [((cols + 1) // 2,) * 3] * len(x_of_row)
-
-
-def test_a_falling_dome_cuts_its_walk(monkeypatch):
-    # Where the sampled dome falls along the walk, a run of it ends there.
-    # No slice was seen to fall: the half-ellipse's radicand rises toward
-    # the middle, and the cosine is monotone in the offset as far as the
-    # platform's cos is. So the fall is planted: walk cell 3 takes cell 1's
-    # lower elevation. A tongue at cell 1's level then reaches cells 0, 1
-    # and 3 of the walk, which no prefix of it is, and their mirrors.
-    real = epg.dome_profile
-
-    def dipped(sl, offsets):
-        dome = real(sl, offsets)
-        dome[3] = dome[1]
-        return dome
-
-    monkeypatch.setattr(epg, "dome_profile", dipped)
-    geometry, rows, cols = default_palate(), 1, 9
-    epg._dome_rows.cache_clear()
-    try:
-        (x,), ((sl, _kept, _dome, ends),) = epg._dome_rows(geometry, 0.0, 40.0, rows, cols)
-        assert ends == (3, 5)
-        row_offsets = cell_offsets(sl, cols)
-        walk = dipped(sl, row_offsets[:5])
-        domes = walk + walk[-2::-1]
-        shapings = (
-            ShapingParams(),
-            ShapingParams(groove_enabled=True, groove_width=3.0, groove_depth=0.5),
-            ShapingParams(lateral_lower_enabled=True, lateral_lower_width=4.0, lateral_lower_depth=0.5),
-            ShapingParams(tt_manner=TipManner.FULL, tth=0.5, edge_elev_max=0.1, posterior_onset_x=0.0),
-        )
-        for u in sorted(set(domes)):
-            contour = TongueContour(points=((0.0, u), (x, u), (40.0, u)))
-            for params in shapings:
-                heights = shaped_row(params, sl, x, u, row_offsets)
-                want = tuple(h >= d for h, d in zip(heights, domes))
-                assert compute_epg(geometry, contour, params, rows, cols).cells == (want,)
-        flat = TongueContour(points=((0.0, domes[1]), (x, domes[1]), (40.0, domes[1])))
-        row = compute_epg(geometry, flat, ShapingParams(), rows, cols).cells[0]
-        assert row == (True, True, False, True, False, True, False, True, True)
-    finally:
-        epg._dome_rows.cache_clear()
+    lengths = [(len(kept), len(dome)) for _sl, kept, dome in dome_rows]
+    assert lengths == [((cols + 1) // 2,) * 2] * len(x_of_row)
 
 
 class CountedReads(list):
@@ -359,10 +347,9 @@ def test_a_row_reads_log_many_of_its_values(monkeypatch, manner):
 
     def counted(*key):
         x_of_row, dome_rows = real(*key)  # kept, so a tuple
-        walks[0] += sum(len(ends) for _sl, _kept, _dome, ends in dome_rows)
+        walks[0] += len(dome_rows)
         return x_of_row, [
-            (sl, CountedReads(kept, reads), CountedReads(dome, reads), ends)
-            for sl, kept, dome, ends in dome_rows
+            (sl, CountedReads(kept, reads), CountedReads(dome, reads)) for sl, kept, dome in dome_rows
         ]
 
     monkeypatch.setattr(epg, "_dome_rows", counted)
@@ -494,6 +481,21 @@ def test_midline_walk_matches_per_point_lookup(walk, shuffled):
     assert bits(midsagittal_height(contour, x) for x in xs) == bits(want)
     shuffled.shuffle(xs)  # the cursor also steps back, so any order is right
     assert bits(midsagittal_heights(contour, xs)) == bits(midline_height(contour, x) for x in xs)
+
+
+FLAT_CONTOUR = (TongueContour(points=((0.0, 3.0), (40.0, 3.0))), [0.5, 0.75, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk=walked_contours())
+@example(walk=FLAT_CONTOUR)  # a plain lerp reads 3.0000000000000004 and 2.9999999999999996
+def test_every_midline_height_lies_between_its_segments_ends(walk):
+    contour, xs = walk
+    pts = contour.points
+    for x, u in zip(xs, midsagittal_heights(contour, xs)):
+        i = bisect_left(pts, x, 1, key=lambda point: point[0])
+        (_x0, u0), (_x1, u1) = pts[i - 1], pts[i]
+        assert min(u0, u1) <= u <= max(u0, u1), x
 
 
 @settings(max_examples=100, deadline=None)
