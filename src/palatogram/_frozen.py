@@ -22,13 +22,17 @@ def lerp(a: float, b: float, s: float, t: float) -> float:
 class Frozen:
     """An immutable value whose fields are named, in constructor order, in ``__slots__``.
 
-    A subclass sets its fields in ``__init__`` with ``object.__setattr__``
-    and then validates them. This base gives what ``@dataclass(frozen=True)``
-    would: field-wise equality between instances of the same class, a hash
-    and repr of the fields, ``__match_args__``, and ``AttributeError`` on
-    assignment or deletion. A copy, shallow or deep, is the value itself.
-    Unpickling rebuilds the value through the constructor, so it is
-    validated like the original.
+    A subclass's ``__init__`` normalises its arguments, stores them as its
+    fields with one call of ``_set`` and then validates them; only this base
+    writes past the blocking ``__setattr__``. ``_unchecked`` keeps its own
+    loop rather than calling ``_set``: it builds every interpolated slice,
+    raster frame and blended frame, and the extra call would cost each of
+    them. This base gives what ``@dataclass(frozen=True)`` would: field-wise
+    equality between instances of the same class, a hash and repr of the
+    fields, ``__match_args__``, and ``AttributeError`` on assignment or
+    deletion. A copy, shallow or deep, is the value itself. Unpickling
+    rebuilds the value through the constructor, so it is validated like the
+    original.
 
     The hash is worked out on first use and kept in the one slot of this
     base, which is not a field: a palate's hash, a key of compute_epg's dome
@@ -50,6 +54,11 @@ class Frozen:
         else:
             values = lambda value: ()
         cls._values = staticmethod(values)
+
+    def _set(self, *values: object) -> None:
+        """Store values as the fields, in ``__slots__`` order, past the blocking ``__setattr__``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _unchecked(cls, *values: object):

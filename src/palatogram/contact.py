@@ -40,8 +40,7 @@ class Intersection(Frozen):
     __slots__ = ("z_left", "z_right")
 
     def __init__(self, z_left: float, z_right: float) -> None:
-        object.__setattr__(self, "z_left", z_left)
-        object.__setattr__(self, "z_right", z_right)
+        self._set(z_left, z_right)
 
 
 class FullContact(Frozen):
@@ -50,7 +49,7 @@ class FullContact(Frozen):
     __slots__ = ("z_apex",)
 
     def __init__(self, z_apex: float) -> None:
-        object.__setattr__(self, "z_apex", z_apex)
+        self._set(z_apex)
 
 
 ContactClass = Union[NoContact, Intersection, FullContact]

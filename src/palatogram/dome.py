@@ -82,11 +82,7 @@ class DomeSlice(Frozen):
     ) -> None:
         if shape.__class__ is not DomeShape:
             shape = member(DomeShape, shape, "dome shape")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z_min", z_min)
-        object.__setattr__(self, "z_max", z_max)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "shape", shape)
+        self._set(x, z_min, z_max, h, shape)
         # rejects NaN, the infinities and ints too large for a float as well
         for name, value in (("x", x), ("z_min", z_min), ("z_max", z_max), ("h", h)):
             if not abs(value) <= MAX_MM:
@@ -122,7 +118,7 @@ class PalateGeometry(Frozen):
     __slots__ = ("slices",)
 
     def __init__(self, slices: tuple[DomeSlice, ...]) -> None:
-        object.__setattr__(self, "slices", slices)
+        self._set(slices)
         if len(slices) < 2:
             raise DomainError("a palate needs at least two slices")
         xs = [s.x for s in slices]
@@ -218,13 +214,14 @@ def invert_dome(slice_: DomeSlice, u: float) -> tuple[float, float]:
             f"invert_dome needs 0 < u < h ({slice_.h}), got u={u}; "
             "classify_slice handles the boundary cases"
         )
+    # 0 < u < h bounds both arguments without a clamp: 2u/h rounds into
+    # [0, 2], so acos gets a value in [-1, 1], and u/h rounds to at most
+    # 1 - 2**-53, so sqrt gets one above 0
     if slice_.shape is DomeShape.COSINE:
-        arg = 1.0 - 2.0 * u / slice_.h
-        arg = min(1.0, max(-1.0, arg))  # absorb 1-ulp excursions
-        t = math.acos(arg) / TWO_PI
+        t = math.acos(1.0 - 2.0 * u / slice_.h) / TWO_PI
         return (slice_.z_min + t * slice_.span, slice_.z_max - t * slice_.span)
     r = u / slice_.h
-    off = slice_.half_width * math.sqrt(max(1.0 - r * r, 0.0))
+    off = slice_.half_width * math.sqrt(1.0 - r * r)
     # z_center -/+ half_width can round an ulp past the edges; keep to the slice
     return (max(slice_.z_center - off, slice_.z_min), min(slice_.z_center + off, slice_.z_max))
 

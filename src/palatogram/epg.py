@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
@@ -77,8 +76,7 @@ class EPGFrame(Frozen):
     def __init__(
         self, cells: tuple[tuple[bool, ...], ...], x_of_row: tuple[float, ...]
     ) -> None:
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "x_of_row", x_of_row)
+        self._set(cells, x_of_row)
         if not cells or not cells[0]:
             raise DomainError("an EPG frame needs at least one row and one column")
         cols = len(cells[0])
@@ -195,8 +193,8 @@ def compute_epg(
         # tongue misses. A strip that drops by 0 lowers nothing.
         j = t = 0
         if drop and k:
-            s = 0 if hi == math.inf else bisect_left(offsets, -hi, 0, k, key=operator.neg)
-            t = k if lo <= 0.0 else bisect_right(offsets, -lo, s, k, key=operator.neg)
+            s = bisect_left(offsets, -hi, 0, k, key=operator.neg)
+            t = bisect_right(offsets, -lo, s, k, key=operator.neg)
             if scale:
                 j, q, m = s, t, s
                 while j < q:

@@ -69,7 +69,7 @@ class TongueContour(Frozen):
     __slots__ = ("points",)
 
     def __init__(self, points: tuple[tuple[float, float], ...]) -> None:
-        object.__setattr__(self, "points", points)
+        self._set(points)
         if len(points) < 2:
             raise DomainError("a tongue contour needs at least two points")
         # every bound before the order, so a bad coordinate is what gets reported
@@ -146,17 +146,11 @@ class ShapingParams(Frozen):
             tt_manner = member(TipManner, tt_manner, "tt_manner")
         if td_manner.__class__ is not DorsumManner:
             td_manner = member(DorsumManner, td_manner, "td_manner")
-        object.__setattr__(self, "tt_manner", tt_manner)
-        object.__setattr__(self, "td_manner", td_manner)
-        object.__setattr__(self, "tth", tth)
-        object.__setattr__(self, "edge_elev_max", edge_elev_max)
-        object.__setattr__(self, "posterior_onset_x", posterior_onset_x)
-        object.__setattr__(self, "groove_enabled", groove_enabled)
-        object.__setattr__(self, "groove_width", groove_width)
-        object.__setattr__(self, "groove_depth", groove_depth)
-        object.__setattr__(self, "lateral_lower_enabled", lateral_lower_enabled)
-        object.__setattr__(self, "lateral_lower_width", lateral_lower_width)
-        object.__setattr__(self, "lateral_lower_depth", lateral_lower_depth)
+        self._set(
+            tt_manner, td_manner, tth, edge_elev_max, posterior_onset_x, groove_enabled,
+            groove_width, groove_depth, lateral_lower_enabled, lateral_lower_width,
+            lateral_lower_depth,
+        )
         # a truthy non-bool such as "no" would switch a strip on
         if groove_enabled.__class__ is not bool:
             raise DomainError("groove_enabled must be a boolean")

@@ -50,9 +50,7 @@ class SoundTarget(Frozen):
     __slots__ = ("name", "contour", "params")
 
     def __init__(self, name: str, contour: TongueContour, params: ShapingParams) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "contour", contour)
-        object.__setattr__(self, "params", params)
+        self._set(name, contour, params)
         if not name:
             raise ConfigError("sound target needs a non-empty name")
 
@@ -75,10 +73,7 @@ class AnimationSpec(Frozen):
         transition_ms: tuple[float, ...],
         fps: float,
     ) -> None:
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "hold_ms", hold_ms)
-        object.__setattr__(self, "transition_ms", transition_ms)
-        object.__setattr__(self, "fps", fps)
+        self._set(targets, hold_ms, transition_ms, fps)
         if len(targets) < 1:
             raise ConfigError("animation needs at least one target")
         if len(hold_ms) != len(targets):
@@ -95,9 +90,9 @@ class AnimationSpec(Frozen):
         # ceil(n) > MAX_FRAMES iff n > MAX_FRAMES; an infinite n fails too
         n_frames = self.total_ms * fps / 1000.0
         if not n_frames <= MAX_FRAMES:
-            raise ConfigError(
-                f"animation would need {n_frames:.0f} frames, more than {MAX_FRAMES}"
-            )
+            # the count animate would make, exact while it is short
+            count = math.ceil(n_frames) if n_frames < 1e15 else f"{n_frames:.3g}"
+            raise ConfigError(f"animation would need {count} frames, more than {MAX_FRAMES}")
 
     @property
     def total_ms(self) -> float:

@@ -737,9 +737,8 @@ class DataclassAnimationSpec:
             raise ConfigError(f"fps must be >= 1, got {self.fps}")
         n_frames = self.total_ms * self.fps / 1000.0
         if not n_frames <= MAX_FRAMES:
-            raise ConfigError(
-                f"animation would need {n_frames:.0f} frames, more than {MAX_FRAMES}"
-            )
+            count = str(math.ceil(n_frames)) if n_frames < 1e15 else "%.3g" % n_frames
+            raise ConfigError(f"animation would need {count} frames, more than {MAX_FRAMES}")
 
     @property
     def total_ms(self) -> float:

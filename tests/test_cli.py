@@ -232,13 +232,20 @@ def test_animate_rejects_too_many_frames(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sounds, "animate", no_frames)
     spec = tmp_path / "anim.json"
-    spec.write_text('{"targets": ["t", "s"], "fps": 5e8}', encoding="utf-8")
     outdir = tmp_path / "o"
-    assert run(["animate", "--spec", str(spec), "--outdir", str(outdir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:") and "100000" in err
-    assert err.count("\n") == 1
-    assert not outdir.exists()
+    for doc, count in (
+        ('{"targets": ["t", "s"], "fps": 5e8}', "320000000"),
+        # 100000.4 frame times, which animate makes 100001 frames of
+        ('{"targets": ["t"], "hold_ms": 4000016, "fps": 25}', "100001"),
+        # a count too long to print whole
+        ('{"targets": ["t", "s"], "fps": 1e300}', "6.4e+299"),
+    ):
+        spec.write_text(doc, encoding="utf-8")
+        assert run(["animate", "--spec", str(spec), "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: animation would need {count} frames, more than 100000\n"
+        )
+        assert not outdir.exists()
 
 
 @pytest.mark.parametrize("argv", [

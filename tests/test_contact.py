@@ -24,6 +24,7 @@ from palatogram import (
     surface_contacts,
 )
 from palatogram.dome import dome_elevations
+from palatogram.errors import MAX_MM, MIN_MM
 from oracles import bisect_crossings, mesh_contacts, shaped_height
 
 
@@ -146,12 +147,17 @@ def test_inward_monotonicity(sl, f1, gap):
 
 @pytest.mark.parametrize("shape", list(DomeShape))
 def test_limit_continuity(shape):
-    sl = DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=10.0, shape=shape)
-    z_left, z_right = invert_dome(sl, 1e-9 * sl.h)
-    assert abs(z_left - sl.z_min) < 1e-3 * sl.span
-    z_left, z_right = invert_dome(sl, (1.0 - 1e-9) * sl.h)
-    assert abs(z_left - sl.z_center) < 1e-3 * sl.span
-    assert abs(z_right - sl.z_center) < 1e-3 * sl.span
+    # down to the least u above 0 and up to the greatest below h, at the
+    # least and greatest heights a slice may have too
+    for h in (MIN_MM, 10.0, MAX_MM):
+        sl = DomeSlice(x=0.0, z_min=-1.0, z_max=1.0, h=h, shape=shape)
+        for u in (5e-324, 1e-9 * sl.h):
+            z_left, z_right = invert_dome(sl, u)
+            assert abs(z_left - sl.z_min) < 1e-3 * sl.span
+        for u in ((1.0 - 1e-9) * sl.h, math.nextafter(sl.h, 0.0)):
+            z_left, z_right = invert_dome(sl, u)
+            assert abs(z_left - sl.z_center) < 1e-3 * sl.span
+            assert abs(z_right - sl.z_center) < 1e-3 * sl.span
 
 
 def test_model_comparison_offsets():

@@ -1,5 +1,8 @@
 """No module of the package imports a name it never uses, or defines a private one none reads.
 
+Nor does any module but ``_frozen.py`` call ``object.__setattr__``: how a
+frozen value stores its fields is decided there alone.
+
 A name counts as used when the module reads it anywhere, annotations
 included, or lists it in its ``__all__``. A module-level name with one
 leading underscore counts as read when some module of the package reads it,
@@ -93,3 +96,35 @@ def test_the_check_sees_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def frozen_writes(source: str) -> list[int]:
+    """The lines that call object.__setattr__, which writes past a Frozen value's __setattr__."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+
+
+def test_the_check_sees_a_frozen_write():
+    source = (
+        "class A(Frozen):\n"
+        "    def __init__(self, x, y):\n"
+        "        self._set(x, y)\n"
+        "        object.__setattr__(self, 'y', abs(y))\n"
+        "        setattr(self, 'x', x)\n"
+    )
+    assert frozen_writes(source) == [4]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "_frozen.py"], ids=lambda path: path.name
+)
+def test_only_frozen_writes_fields(path):
+    # a constructor stores its fields through Frozen._set
+    assert frozen_writes(path.read_text(encoding="utf-8")) == []
