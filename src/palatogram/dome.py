@@ -17,9 +17,10 @@ import functools
 import math
 from bisect import bisect_left
 from enum import Enum
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, mul
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._frozen import Frozen, lerp
 from .errors import (
@@ -31,7 +32,6 @@ __all__ = [
     "DomeSlice",
     "PalateGeometry",
     "dome_elevation",
-    "dome_elevations",
     "dome_profile",
     "invert_dome",
     "slice_at",
@@ -148,40 +148,26 @@ def dome_elevation(slice_: DomeSlice, z: float) -> float:
     Zero exactly at both edges, ``h`` at the midline, mirror-symmetric about
     the midline. Raises DomainError for z outside [z_min, z_max].
     """
-    return dome_elevations(slice_, (z,))[0]
-
-
-def dome_elevations(slice_: DomeSlice, zs: Sequence[float]) -> list[float]:
-    """``dome_elevation`` at every z in zs, reading the slice fields once.
-
-    Raises DomainError for the first z outside [z_min, z_max].
-    """
     z_min, z_max = slice_.z_min, slice_.z_max
-    for z in zs:
-        if not z_min <= z <= z_max:
-            raise DomainError(
-                f"z={z} outside lateral span [{z_min}, {z_max}] of slice at x={slice_.x}"
-            )
-    # Both profiles as dome_profile has them, but not by calling it: at
-    # z = z_min the offset |z - z_center| can round past half_width, where
-    # the half-ellipse's offset form is not 0.0 or its radicand is below 0,
-    # and for the cosine a list of the offsets made the figures benchmark's
-    # ops about 5% slower (3 of 3 pairs on a 2-core Xeon).
-    z_center = slice_.z_center
+    if not z_min <= z <= z_max:
+        raise DomainError(
+            f"z={z} outside lateral span [{z_min}, {z_max}] of slice at x={slice_.x}"
+        )
+    # Both profiles as dome_profile has them, but of z: at z = z_min the
+    # offset |z - z_center| can round past half_width, where the
+    # half-ellipse's offset form is not 0.0 or its radicand is below 0.
     if slice_.shape is DomeShape.COSINE:
         # distance-from-midline form of the raised cosine; evaluates to an
         # exact 0.0 at the edges and exact h at the center
         half_h, span = 0.5 * slice_.h, slice_.span
-        return [half_h * (1.0 + math.cos(TWO_PI * (abs(z - z_center) / span))) for z in zs]
+        return half_h * (1.0 + math.cos(TWO_PI * (abs(z - slice_.z_center) / span)))
     # half-ellipse, factored so the radicand hits an exact 0.0 at the edges:
     # half_width^2 - (z - z_center)^2 == (z - z_min) * (z_max - z), which the
     # span check above keeps >= 0 and the MAX_MM bound keeps finite; the apex
-    # can round one ulp above h, so clamp to h (min() would double the cost)
-    h, half_width = slice_.h, slice_.half_width
-    return [
-        e if (e := h * math.sqrt((z - z_min) * (z_max - z)) / half_width) <= h else h
-        for z in zs
-    ]
+    # can round one ulp above h, so clamp to h
+    h = slice_.h
+    e = h * math.sqrt((z - z_min) * (z_max - z)) / slice_.half_width
+    return e if e <= h else h
 
 
 def dome_profile(slice_: DomeSlice, offsets: Sequence[float]) -> list[float]:
@@ -277,23 +263,46 @@ def surface_xs(geometry: PalateGeometry, nx: int) -> list[float]:
     return [(1.0 - i / nx) * x_lo + i / nx * x_hi for i in range(nx + 1)]
 
 
+def _unit_profile(shape: DomeShape, n: int) -> list[float]:
+    """The dome of a unit height at the n + 1 fractions k / n across its span.
+
+    The left half and an odd middle point are sampled at the offset
+    fractions t = 0.5 - k / n from the midline, and mirrored, so the list
+    reads the same reversed. It is an exact 0.0 at both ends and, for an
+    even n, an exact 1.0 in the middle; tests/test_obj_rows.py checks that
+    no point exceeds 1.0 for any n up to MAX_SURFACE_STEPS, so a slice's
+    profile h * p never exceeds h.
+    """
+    ts = [0.5 - k / n for k in range(n // 2 + 1)]
+    if shape is DomeShape.COSINE:
+        half = [0.5 * (1.0 + math.cos(TWO_PI * t)) for t in ts]
+    else:
+        # 1 - (2t)^2 factored, so an exact 0.0 at t = 0.5 and 1.0 at t = 0
+        half = [2.0 * math.sqrt((0.5 - t) * (0.5 + t)) for t in ts]
+    return half + half[n - len(half) :: -1]
+
+
 def _surface_rows(
     geometry: PalateGeometry, nx: int, nz: int
-) -> list[tuple[float, DomeSlice, list[float], list[float]]]:
-    """The (x, slice, zs, ys) of each row of sample_surface.
+) -> Iterator[tuple[float, DomeSlice, list[float], list[float]]]:
+    """The (x, slice, zs, ys) of each row of sample_surface, made as it is read.
 
-    Every row is sampled up front, so a bad count or row raises before a
-    caller formats anything.
+    nz and then nx are checked here, before any row is made; no row can
+    fail after that. A row's elevations are its slice's height times the
+    one _unit_profile of the call, so each row reads the same reversed.
     """
     _check_steps("nz", nz)
+    xs = surface_xs(geometry, nx)
     weights = [(1.0 - j / nz, j / nz) for j in range(nz + 1)]
-    rows = []
-    for x in surface_xs(geometry, nx):
+    unit = _unit_profile(geometry.shape, nz)
+
+    def row(x: float) -> tuple[float, DomeSlice, list[float], list[float]]:
         sl = slice_at(geometry, x)
         z_min, z_max = sl.z_min, sl.z_max
         zs = [g * z_min + f * z_max for g, f in weights]
-        rows.append((x, sl, zs, dome_elevations(sl, zs)))
-    return rows
+        return x, sl, zs, list(map(mul, repeat(sl.h), unit))
+
+    return map(row, xs)
 
 
 def sample_surface(
@@ -304,8 +313,11 @@ def sample_surface(
     x runs anterior to posterior, y is the elevation and z is lateral. Row i
     sits at an x uniformly spanning the palate's range; within a row, z spans
     that slice's [z_min, z_max] so the boundary columns land exactly on the
-    dome edges (y = 0). Every coordinate is finite: the slices are. nx and
-    nz must each lie in [1, MAX_SURFACE_STEPS].
+    dome edges (y = 0). A row's y values are the slice's height times one
+    profile of unit height sampled over the left half and mirrored, so they
+    read the same reversed, bit for bit.
+    Every coordinate is finite: the slices are. nx and nz must each lie in
+    [1, MAX_SURFACE_STEPS].
     """
     return [
         [(x, y, z) for z, y in zip(zs, ys)] for x, _sl, zs, ys in _surface_rows(geometry, nx, nz)

@@ -12,13 +12,7 @@ import itertools
 import math
 
 from .contact import ContactClass, FullContact, Intersection, NoContact, classify_slice
-from .dome import (
-    DomeSlice,
-    PalateGeometry,
-    dome_elevation,
-    dome_elevations,
-    _surface_rows,
-)
+from .dome import DomeSlice, PalateGeometry, dome_elevation, _surface_rows, _unit_profile
 from .epg import EPGFrame, _per_lattice, column_fractions
 from .errors import DomainError
 
@@ -152,7 +146,8 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     """Coronal view: dome profile, flat tongue line at u, contact markers.
 
     Every point is placed by one z -> x map and one elevation -> y map, each
-    over a list.
+    over a list. The profile's elevations are h times one mirrored unit
+    profile, as the mesh rows are, so its y values read the same reversed.
     """
     z_min, z_max, span, h = slice_.z_min, slice_.z_max, slice_.span, slice_.h
     u_lo = min(0.0, u) - 0.15 * h
@@ -168,7 +163,7 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     zs = [(1.0 - t) * z_min + t * z_max for t in ts]
     xy = [0.0] * (2 * CORONAL_CURVE_SAMPLES)
     xy[::2] = sx(zs)
-    xy[1::2] = sy(dome_elevations(slice_, zs))
+    xy[1::2] = sy([h * p for p in _unit_profile(slice_.shape, CORONAL_CURVE_SAMPLES - 1)])
     points = _CORONAL_POINTS % tuple(xy)
     if "-0.000" in points:
         points = points.replace("-0.000", "0.000")
@@ -211,6 +206,29 @@ _GROUP_OF_CLASS = {
 }
 
 
+# The most vertices, those of a 128 x 128 mesh, whose 1-based number strings
+# export_obj keeps: at most 16,641 strings, about 1 MB. The kept list grows
+# to the largest mesh drawn so far, so a 40 x 32 mesh makes 1,353 of them; a
+# mesh past the bound makes its own numbers for the call.
+_KEPT_VERTEX_NUMBERS = 129 * 129
+_kept_numbers: list[str] = []
+
+
+def _vertex_numbers(n: int) -> list[str]:
+    """The strings of 1 to at least n, kept across calls for n within the bound.
+
+    A kept list is never changed: growing it makes a new one, so a call that
+    holds the old list, in this thread or another, still reads it whole.
+    """
+    global _kept_numbers
+    if n > _KEPT_VERTEX_NUMBERS:
+        return list(map(str, range(1, n + 1)))
+    kept = _kept_numbers
+    if len(kept) < n:
+        kept = _kept_numbers = kept + list(map(str, range(len(kept) + 1, n + 1)))
+    return kept
+
+
 def export_obj(
     geometry: PalateGeometry,
     nx: int,
@@ -220,12 +238,14 @@ def export_obj(
     """Triangulated dome surface, plus optional per-slice contact markers.
 
     The bytes are one ``v x y z`` line per surface point, row by row, then
-    two ``f`` lines per quad. Each row of vertices is formatted by one bytes
-    ``%`` over the row, its x formatted once, and each row of faces by one
-    join of its vertex numbers into pieces made once per call; the document
-    is one join of its rows, never held as text. Markers are emitted as
-    extra vertices inside named groups (no_contact, intersection,
-    full_contact); they are not referenced by any face.
+    two ``f`` lines per quad. The rows are sampled as they are formatted,
+    each by one bytes ``%`` over the row with its x formatted once, keeping
+    only each row's x and slice for the markers; each row of faces is one
+    join of slices of the vertex numbers (kept up to _KEPT_VERTEX_NUMBERS)
+    into pieces made once per call. The document is one join of its rows,
+    never held as text. Markers are emitted as extra vertices inside named
+    groups (no_contact, intersection, full_contact); they are not
+    referenced by any face.
     """
     rows = _surface_rows(geometry, nx, nz)
     if contacts is not None and len(contacts) != nx + 1:
@@ -234,11 +254,13 @@ def export_obj(
         )
     stride = nz + 1
     out = []
+    row_slices = []
     yz = [0.0] * (2 * stride)
-    for x, _sl, zs, ys in rows:
+    for x, sl, zs, ys in rows:
         yz[::2] = ys
         yz[1::2] = zs
         out.append((b"v %.6f %%.6f %%.6f\n" % x) * stride % tuple(yz))
+        row_slices.append((x, sl))
     out.append(b"g palate\n")
     # two triangles per quad (v, v+stride, v+stride+1) and (v, v+stride+1, v+1),
     # v the 1-based number of the quad's corner at (row i, column j): a row
@@ -246,7 +268,7 @@ def export_obj(
     # "\nf ", v, " ", v+stride+1, " ", v+1, each quad after the first opening
     # with "\nf ", and a closing "\n"; each corner is a slice of the vertex
     # numbers
-    numbers = list(map(str, range(1, (nx + 1) * stride + 1)))
+    numbers = _vertex_numbers((nx + 1) * stride)
     pieces = ["\nf ", "", " ", "", " ", "", "\nf ", "", " ", "", " ", ""] * nz + ["\n"]
     pieces[0] = "f "
     for base in range(0, nx * stride, stride):
@@ -256,7 +278,7 @@ def export_obj(
         pieces[11::12] = numbers[base + 1 : base + stride]
         out.append("".join(pieces).encode("ascii"))
     if contacts is not None:
-        for i, ((x, sl, _zs, _ys), contact) in enumerate(zip(rows, contacts)):
+        for i, ((x, sl), contact) in enumerate(zip(row_slices, contacts)):
             group = _GROUP_OF_CLASS.get(type(contact))
             if group is None:
                 raise DomainError(f"contacts[{i}] is not a contact classification")

@@ -334,13 +334,29 @@ def palatal_ppm(frame: EPGFrame) -> bytes:
     return bytes(raster)
 
 
+def unit_elevation(shape: DomeShape, t: float) -> float:
+    """The dome of a unit height at the offset fraction t = |z - z_center| / span."""
+    if shape is DomeShape.COSINE:
+        return 0.5 * (1.0 + math.cos(2.0 * math.pi * t))
+    return 2.0 * math.sqrt((0.5 - t) * (0.5 + t))
+
+
+def mirrored_unit_elevation(shape: DomeShape, k: int, n: int) -> float:
+    """unit_elevation at point k of n + 1 across the span, taken from the left half.
+
+    A point right of the middle takes its mirror's fraction, 0.5 - (n - k) / n.
+    """
+    return unit_elevation(shape, 0.5 - min(k, n - k) / n)
+
+
 def sample_surface(
     geometry: PalateGeometry, nx: int, nz: int
 ) -> list[list[tuple[float, float, float]]]:
-    """The dome sampled into (x, y, z) rows, one dome_elevation call per point.
+    """The dome sampled into (x, y, z) rows, one unit elevation per point.
 
-    This is the sampler dome.sample_surface was before it became a view of
-    the rows export_obj formats; both must give the same floats.
+    Each point's y is its slice's height times mirrored_unit_elevation at
+    its column, evaluated on its own; dome.sample_surface samples one
+    unit profile per call and mirrors it, and both must give the same floats.
     """
     if not 1 <= nz <= MAX_SURFACE_STEPS:
         raise DomainError(f"grid needs 1 <= nz <= {MAX_SURFACE_STEPS}, got nz={nz}")
@@ -348,8 +364,12 @@ def sample_surface(
     grid = []
     for x in surface_xs(geometry, nx):
         sl = slice_at(geometry, x)
-        zs = [g * sl.z_min + f * sl.z_max for g, f in weights]
-        grid.append([(x, dome_elevation(sl, z), z) for z in zs])
+        grid.append(
+            [
+                (x, sl.h * mirrored_unit_elevation(sl.shape, j, nz), g * sl.z_min + f * sl.z_max)
+                for j, (g, f) in enumerate(weights)
+            ]
+        )
     return grid
 
 
@@ -357,7 +377,8 @@ def export_obj(geometry: PalateGeometry, nx: int, nz: int, contacts=None) -> byt
     """The OBJ mesh formatted one vertex line and one face pair at a time.
 
     This is the emitter render.export_obj was before it formatted a row at a
-    time; both must give the same bytes, and the same errors in the same order.
+    time, over the per-point sample_surface above; both must give the same
+    bytes, and the same errors in the same order.
     """
     grid = sample_surface(geometry, nx, nz)
     if contacts is not None and len(contacts) != nx + 1:
@@ -493,7 +514,8 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     """The coronal SVG with each profile point placed and formatted on its own.
 
     This is the emitter render.render_coronal_svg was before it formatted
-    the profile by one %; both must give the same bytes.
+    the profile by one %, each profile point's elevation the slice's height
+    times mirrored_unit_elevation; both must give the same bytes.
     """
     inset = 0.10 * min(WIDTH, HEIGHT)
     marker = min(WIDTH, HEIGHT) * 0.018
@@ -519,7 +541,8 @@ def render_coronal_svg(slice_: DomeSlice, u: float) -> bytes:
     for k in range(256):
         t = k / 255
         z = (1.0 - t) * slice_.z_min + t * slice_.z_max
-        pts.append(f"{f(sx(z))},{f(sy(dome_elevation(slice_, z)))}")
+        elev = slice_.h * mirrored_unit_elevation(slice_.shape, k, 255)
+        pts.append(f"{f(sx(z))},{f(sy(elev))}")
     parts.append(
         f'<polyline points="{" ".join(pts)}" fill="none" '
         f'stroke="{OUTLINE_COLOR}" stroke-width="2"/>'

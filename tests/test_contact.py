@@ -23,7 +23,6 @@ from palatogram import (
     invert_dome,
     surface_contacts,
 )
-from palatogram.dome import dome_elevations
 from palatogram.errors import MAX_MM, MIN_MM
 from oracles import bisect_crossings, mesh_contacts, shaped_height
 
@@ -35,7 +34,7 @@ def _flat_row_contact_runs(sl: DomeSlice, u: float, n: int) -> list[tuple[float,
     us = [shaped_height(ShapingParams(), sl, sl.x, u, z) for z in zs]
     runs: list[tuple[float, float]] = []
     start = None
-    for k, (z, t, d) in enumerate(zip(zs, us, dome_elevations(sl, zs))):
+    for k, (z, t, d) in enumerate(zip(zs, us, [dome_elevation(sl, z) for z in zs])):
         if t >= d and start is None:
             start = z
         if start is not None and (t < d or k == n - 1):

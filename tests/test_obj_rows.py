@@ -3,13 +3,18 @@
 export_obj formats each row of vertices with one bytes ``%`` and joins each
 row of faces from its vertex numbers in one join; the bytes, the sampled
 floats and every error, with its message, must equal those of the emitter
-that formats one vertex line and one face pair at a time.
+that formats one vertex line and one face pair at a time. The mesh rows and
+the coronal curve take their elevations from one mirrored unit profile, so
+each reads the same reversed.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +32,14 @@ from palatogram import (
     default_library,
     default_palate,
     export_obj,
+    render_coronal_svg,
     sample_surface,
     slice_at,
     surface_contacts,
+    with_shape,
 )
-from palatogram.dome import MAX_SURFACE_STEPS, surface_xs
+from palatogram import render
+from palatogram.dome import MAX_SURFACE_STEPS, _unit_profile, surface_xs
 
 PRESETS = default_library().names()
 
@@ -119,9 +127,11 @@ def test_obj_at_the_figure_sizes_matches_per_vertex_emitter(nx, nz, shape):
 
 
 def test_obj_peak_memory_holds_no_text_copy_of_the_document():
-    # The rows are bytes and the document one join of them: the peak is the
-    # rows, the document and the vertex numbers, about 3.9 times the output
-    # at 256 x 256. Holding the document also as text read 4.9 times.
+    # The rows are sampled as they are written, as bytes, and the document
+    # is one join of them: the peak is the rows' bytes, the document and the
+    # vertex numbers, about 3.0 times the output at 256 x 256. Sampling
+    # every row's floats up front read 3.9 times, and holding the document
+    # also as text 4.9 times.
     geometry = default_palate()
     contacts = surface_contacts(geometry, default_library().get("k").contour, 256)
     export_obj(geometry, 2, 2, contacts[:3])
@@ -131,7 +141,135 @@ def test_obj_peak_memory_holds_no_text_copy_of_the_document():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4.3 * len(data)
+    assert peak < 3.4 * len(data)
+
+
+@pytest.mark.parametrize("shape", list(DomeShape))
+def test_unit_profile_is_mirrored_and_within_unit_height(shape):
+    # render.py and dome.py scale it by h and take no clamp: no point may
+    # pass 1.0, the ends are exact 0.0 and an even n's middle exact 1.0
+    for n in range(1, MAX_SURFACE_STEPS + 1):
+        unit = _unit_profile(shape, n)
+        assert len(unit) == n + 1
+        assert unit == unit[::-1]
+        assert unit[0] == unit[-1] == 0.0
+        assert max(unit) <= 1.0
+        if n % 2 == 0:
+            assert unit[n // 2] == 1.0
+
+
+def coronal_curve_ys(sl: DomeSlice, u: float) -> list[float]:
+    """The y of each point of render_coronal_svg's dome curve, as floats before formatting."""
+    seen = []
+
+    class Points(str):
+        def __mod__(self, values):
+            seen.append(values)
+            return str.__mod__(self, values)
+
+    with mock.patch.object(render, "_CORONAL_POINTS", Points(render._CORONAL_POINTS)):
+        render_coronal_svg(sl, u)
+    (xy,) = seen
+    return list(xy[1::2])
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    geometry=palates(),
+    nx=st.integers(1, 24),
+    nz=st.integers(1, 160),
+    g=st.floats(0.0, 1.0),
+    u=st.floats(-5.0, 30.0),
+)
+def test_mesh_rows_and_coronal_curve_read_the_same_reversed(geometry, nx, nz, g, u):
+    for shape in DomeShape:
+        geometry = with_shape(geometry, shape)
+        for row in sample_surface(geometry, nx, nz):
+            ys = bits(y for _x, y, _z in row)
+            assert ys == ys[::-1]
+        x = geometry.x_min + g * (geometry.x_max - geometry.x_min)
+        ys = bits(coronal_curve_ys(slice_at(geometry, min(x, geometry.x_max)), u))
+        assert len(ys) == render.CORONAL_CURVE_SAMPLES
+        assert ys == ys[::-1]
+
+
+def test_a_second_obj_within_the_bound_makes_no_vertex_numbers(monkeypatch):
+    geometry = default_palate()
+    export_obj(geometry, 128, 128)
+    kept = render._kept_numbers
+    made = sys.getsizeof(kept) + sum(map(sys.getsizeof, kept))
+
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            export_obj(geometry, 128, 128)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kept_peak = peak()
+    assert render._kept_numbers is kept
+    # the same call with every mesh past the bound makes its numbers afresh,
+    # which peaks higher by about their size
+    monkeypatch.setattr(render, "_KEPT_VERTEX_NUMBERS", 0)
+    assert peak() - kept_peak > 0.9 * made
+
+
+def test_kept_vertex_numbers_grow_to_the_largest_mesh_and_stop_at_128_by_128(monkeypatch):
+    monkeypatch.setattr(render, "_kept_numbers", [])
+    geometry = default_palate(DomeShape.HALF_ELLIPSE)
+    contour = default_library().get("t").contour
+    for nx, nz, kept_len in [
+        (40, 32, 41 * 33),
+        (2, 2, 41 * 33),
+        (128, 128, 129 * 129),
+        (1, MAX_SURFACE_STEPS, 129 * 129),
+        (200, 200, 129 * 129),
+    ]:
+        contacts = surface_contacts(geometry, contour, nx)
+        want = oracles.export_obj(geometry, nx, nz, contacts)
+        assert export_obj(geometry, nx, nz, contacts) == want
+        kept = render._kept_numbers
+        assert kept == list(map(str, range(1, kept_len + 1)))
+    assert render._KEPT_VERTEX_NUMBERS == 129 * 129
+
+
+def test_threads_growing_the_kept_vertex_numbers_each_get_whole_meshes(monkeypatch):
+    # every thread starts on an empty kept list and the sizes grow it in
+    # turn; a grown list is a new one, so no call reads a list another grows
+    geometry = default_palate()
+    sizes = [(2, 3), (40, 32), (12, 90), (64, 64), (30, 100), (7, 7)] * 2
+    want = {size: oracles.export_obj(geometry, *size) for size in sizes}
+    monkeypatch.setattr(render, "_kept_numbers", [])
+    got, errors = {}, []
+
+    def draw(size):
+        try:
+            for _ in range(3):
+                got.setdefault(size, []).append(export_obj(geometry, *size))
+        except Exception as exc:  # reported below, with the size it came from
+            errors.append((size, exc))
+
+    threads = [threading.Thread(target=draw, args=(size,)) for size in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for size in want:
+        assert got[size] == [want[size]] * 6
+    kept = render._kept_numbers
+    assert kept == list(map(str, range(1, len(kept) + 1)))
 
 
 def intersection_outside_the_slice(geometry: PalateGeometry) -> Intersection:

@@ -39,7 +39,7 @@ from palatogram import (
     midsagittal_height,
     slice_at,
 )
-from palatogram.dome import dome_elevations, dome_profile
+from palatogram.dome import dome_profile
 from palatogram import epg
 from palatogram.epg import EPGFrame, column_fractions
 from palatogram.errors import MAX_MM, MIN_MM
@@ -625,9 +625,7 @@ def test_field_matches_per_term_sum(data, params, g, f):
 )
 def test_dome_row_matches_scalar_formula(sl, fracs):
     zs = [min(max(sl.z_min + f * sl.span, sl.z_min), sl.z_max) for f in fracs]
-    want = bits(dome_height(sl, z) for z in zs)
-    assert bits(dome_elevations(sl, zs)) == want
-    assert bits(dome_elevation(sl, z) for z in zs) == want
+    assert bits(dome_elevation(sl, z) for z in zs) == bits(dome_height(sl, z) for z in zs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -645,7 +643,7 @@ def test_dome_profile_matches_scalar_formula_at_each_offset(sl, fracs):
 @pytest.mark.parametrize("bad", [-1.5, 1.5, math.nan])
 def test_dome_row_rejects_out_of_span(s0_cosine, bad):
     with pytest.raises(DomainError, match="x=0"):
-        dome_elevations(s0_cosine, [0.0, bad, 0.5])
+        dome_elevation(s0_cosine, bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -667,7 +665,7 @@ def test_flat_rows_match_classify_slice(sl, u, at_apex, cols):
     zs = [sl.z_min + (k + 0.5) / cols * sl.span for k in range(cols)]
     us = shaped_row(ShapingParams(), sl, sl.x, u, offsets(sl, zs))
     assert us == [u] * cols
-    touching = [a >= b for a, b in zip(us, dome_elevations(sl, zs))]
+    touching = [a >= b for a, b in zip(us, [dome_elevation(sl, z) for z in zs])]
     contact = classify_slice(sl, u)
     if isinstance(contact, NoContact):
         assert not any(touching)
@@ -689,9 +687,9 @@ def test_shaped_row_contacts_only_unlowered_strip(s0_cosine):
     n = 1024
     zs = [-1.0 + 2.0 * k / (n - 1) for k in range(n)]
     us = shaped_row(params, s0_cosine, 0.0, 11.0, offsets(s0_cosine, zs))
-    touching = [z for z, u, d in zip(zs, us, dome_elevations(s0_cosine, zs)) if u >= d]
+    touching = [z for z, u in zip(zs, us) if u >= dome_elevation(s0_cosine, z)]
     assert touching == [z for z in zs if -0.2 < z < 0.2]
     groove = ShapingParams(groove_enabled=True, groove_width=0.4, groove_depth=12.0)
     us = shaped_row(groove, s0_cosine, 0.0, 11.0, offsets(s0_cosine, zs))
-    touching = [z for z, u, d in zip(zs, us, dome_elevations(s0_cosine, zs)) if u >= d]
+    touching = [z for z, u in zip(zs, us) if u >= dome_elevation(s0_cosine, z)]
     assert touching == [z for z in zs if abs(z) > 0.2]
