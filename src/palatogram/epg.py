@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 from array import array
 from bisect import bisect_left, bisect_right
 
 from ._frozen import Frozen
 from .dome import PalateGeometry, dome_profile, slice_at
 from .errors import DomainError
-from .shaping import ShapingParams, TongueContour, midsagittal_heights, row_constants
+from .shaping import (
+    EDGE_RAMP_LENGTH,
+    ShapingParams,
+    TongueContour,
+    frame_constants,
+    midsagittal_heights,
+)
 
 __all__ = [
     "EPGFrame",
@@ -36,6 +43,19 @@ MAX_EPG_SIDE = 1024  # largest rows or cols of a raster; bounds what compute_epg
 # lattice's rows are sampled afresh, one at a time, for each frame, in the
 # same order and through the same kernel.
 _CACHED_CELLS = 128 * 128
+
+# The most cells, summed over rows, of the EPG rows compute_epg keeps across
+# calls and threads, by (j, t, k) per cols, whatever the palate: a kept row
+# is a tuple of cols pointers, 8 B a cell, beside about 0.15 KB for its key,
+# its header and its dict slot, so the kept rows hold at most about 0.5 MB
+# of cells and about 1.2 MB in all. The 12 presets on both built-in palates
+# at 48 x 48 to 100 x 64 keep 114 rows, 6,696 cells, about 70 KB. Once the
+# bound is reached, a new row is built for its call alone, still one tuple
+# for the equal rows of its frame.
+_KEPT_ROW_CELLS = 1 << 16
+_kept_rows: dict[int, dict[tuple[int, int, int], tuple[bool, ...]]] = {}
+_kept_cells = 0  # the cells of every kept row, at most _KEPT_ROW_CELLS
+_keeping = threading.Lock()
 
 
 def _per_lattice(max_cells: int, keep=tuple):
@@ -67,8 +87,9 @@ class EPGFrame(Frozen):
     its row's lateral span, at the offset |f - 0.5| * span from the midline:
     compute_epg computes the left half and an odd middle column and mirrors
     them, so every row it makes reads the same reversed, and the equal rows
-    of a frame it makes are one shared tuple. A frame compares, hashes and
-    pickles by its cells' values, shared or not.
+    of a frame it makes are one shared tuple, which later frames of its cols
+    share too while it is kept (see _KEPT_ROW_CELLS). A frame compares,
+    hashes and pickles by its cells' values, shared or not.
     """
 
     __slots__ = ("cells", "x_of_row")
@@ -141,13 +162,17 @@ def compute_epg(
     tongue lowered by a strip reaches are a prefix of the strip's cells (a
     contiguous run, as the strip is a range of offsets), and each is found
     by bisection with the per-cell test itself, the same float operations
-    as the per-term sum: a row costs O(log cols) tests. The three indices
-    found decide the row, so a row is built, as two slices of _RUNS, only
-    the first time its indices come up in the call: equal rows are one
-    shared tuple, and most rows of a frame repeat another.
+    as the per-term sum: a row costs O(log cols) tests. The constants of
+    that sum that depend on the frame alone come from frame_constants once
+    a call, and a row works out only its own (u0, scale and a lateral
+    strip's lo). The three indices found decide the row, so a row is built,
+    as two slices of _RUNS, only the first time its indices come up for its
+    cols, and kept for later calls while _KEPT_ROW_CELLS allows: equal rows
+    are one shared tuple, most rows of a frame repeat another, and few
+    distinct rows occur over many frames.
     tests/test_raster_kernel.py checks every cell bit for bit against the
     per-cell evaluator in tests/oracles.py, and the number of values a row
-    reads; tests/test_invariants.py checks the sharing.
+    reads; tests/test_invariants.py and tests/test_epg.py check the sharing.
     """
     if not 1 <= rows <= MAX_EPG_SIDE:
         raise DomainError(f"rows must lie in [1, {MAX_EPG_SIDE}], got {rows}")
@@ -161,18 +186,32 @@ def compute_epg(
         )
     x_of_row, dome_rows = _dome_rows(geometry, x_lo, x_hi, rows, cols)
     u_mids = midsagittal_heights(contour, x_of_row)
+    edge, onset, width, hi, drop = frame_constants(params)
     mirror = cols // 2 - 1  # the right half is the walk reversed, less an odd middle
     b = (cols + 1) // 2  # the walk's length
     n = MAX_EPG_SIDE
+    kept = _kept_rows.get(cols) or _kept_rows.setdefault(cols, {})
+    made = {}  # the rows this frame built, kept or not (past _KEPT_ROW_CELLS), by (j, t, k)
     cells = []
-    made = {}  # each distinct row of this frame, by its (j, t, k)
     for x, u_mid, (sl, offsets, dome) in zip(x_of_row, u_mids, dome_rows):
-        u0, scale, lo, hi, drop = row_constants(params, sl, x, u_mid)
+        # the row's terms, as frame_constants states them
+        u0 = u_mid + 0.0
+        scale = 0.0
+        if edge:
+            ramp = (x - onset) / EDGE_RAMP_LENGTH
+            if ramp > 0.0:
+                scale = edge * (ramp if ramp < 1.0 else 1.0)
         # The four searches stay inline, as each alternative cost more a call
         # (41 interleaved in-process rounds on the same cells, CPython 3.11 on
         # a 2-core Xeon): one helper function for them 8.5% more on the raster
         # grids and 9.1% at 8 x 8, and bisect_left(range(b), True, key=...)
-        # for the two loops on edge rows 12% and 15.5% more.
+        # for the two loops on edge rows 12% and 15.5% more. On the 120
+        # raster ops (median op, 25 interleaved in-process rounds, the same
+        # machine), a call to shaping.row_constants a row read 91.2 us, the
+        # constants once a frame 73.5 us, with the rows kept across calls
+        # 72.4 us and with epg_text's run of one row 69.8 us; a batched
+        # kernel, every k of a frame without edge elevation by one
+        # map(bisect_right, ...) over its kept dome rows, read 75.7 us.
         # k: the first cell of the walk that the unlowered tongue misses,
         # which then misses every later cell. The bisections here probe
         # their first cell first: many rows reach no cell.
@@ -193,6 +232,7 @@ def compute_epg(
         # tongue misses. A strip that drops by 0 lowers nothing.
         j = t = 0
         if drop and k:
+            lo = sl.half_width - width
             s = bisect_left(offsets, -hi, 0, k, key=operator.neg)
             t = bisect_right(offsets, -lo, s, k, key=operator.neg)
             if scale:
@@ -209,12 +249,13 @@ def compute_epg(
         # written as [t, k) alone, so the row is two slices of _RUNS
         if j == t or t == k:
             j, t, k = 0, 0, j + k - t
-        # (j, t, k) decides the row, so a row whose (j, t, k) came up before
-        # is the tuple made then
-        row = made.get((j, t, k))
+        # (j, t, k) decides the row, so a row whose (j, t, k) came up before,
+        # in this call or an earlier one, is the tuple made then
+        key = j, t, k
+        row = kept.get(key) or made.get(key)
         if row is None:
             left = _RUNS[n - j : n + t - j] + _RUNS[n - k + t : n + b - k]
-            row = made[j, t, k] = left + left[mirror::-1]
+            row = made[key] = _keep_row(kept, key, left + left[mirror::-1])
         cells.append(row)
         # free an unkept row's floats before the next row is made, which reuses them
         del offsets, dome
@@ -228,6 +269,21 @@ def compute_epg(
 # Tuples of many sizes each hold an allocator pool, about 0.4 MB of raster
 # peak RSS.
 _RUNS = (True,) * MAX_EPG_SIDE + (False,) * MAX_EPG_SIDE
+
+
+def _keep_row(kept: dict, key: tuple[int, int, int], row: tuple[bool, ...]) -> tuple[bool, ...]:
+    """The row kept for key: the first one kept, by this thread or another, or row.
+
+    row is kept while the table holds at most _KEPT_ROW_CELLS cells.
+    """
+    global _kept_cells
+    with _keeping:
+        if _kept_cells + len(row) > _KEPT_ROW_CELLS:
+            return kept.get(key, row)
+        shared = kept.setdefault(key, row)
+        if shared is row:
+            _kept_cells += len(row)
+        return shared
 
 
 def _as_doubles(lattice) -> tuple:
@@ -289,15 +345,19 @@ def epg_text(frame: EPGFrame) -> str:
     """Anterior-first text rendering, '#' for contact and '.' otherwise.
 
     Each distinct row object is translated once: the equal rows of a frame
-    that compute_epg makes are one tuple. The frame keeps every row alive,
-    so a row's id names it for the whole call.
+    that compute_epg makes are one tuple, and a row that is the row before
+    it reuses that row's text without a lookup. The frame keeps every row
+    alive, so a row's id names it for the whole call.
     """
     texts = {}
     rows = []
+    last = text = None
     for row in frame.cells:
-        text = texts.get(id(row))
-        if text is None:
-            text = texts[id(row)] = bytes(row).translate(_TEXT_OF_CELL)
+        if row is not last:  # a run of one row object reads its text once
+            text = texts.get(id(row))
+            if text is None:
+                text = texts[id(row)] = bytes(row).translate(_TEXT_OF_CELL)
+            last = row
         rows.append(text)
     return (b"\n".join(rows) + b"\n").decode("ascii")
 

@@ -39,7 +39,7 @@ __all__ = [
     "edge_elevation_delta",
     "groove_delta",
     "lateral_lowering_delta",
-    "row_constants",
+    "frame_constants",
     "params_from_dict",
 ]
 
@@ -252,41 +252,43 @@ def lateral_lowering_delta(params: ShapingParams, slice_: DomeSlice, z: float) -
     return 0.0
 
 
-# an Enum member read from its class costs about 0.17 us, in a call made once a row
+# an Enum member read from its class costs about 0.17 us, in a call made once a frame
 _FULL_TIP, _FULL_DORSUM = TipManner.FULL, DorsumManner.FULL
 
 
-def row_constants(
-    params: ShapingParams, slice_: DomeSlice, x: float, u_mid: float
-) -> tuple[float, float, float, float, float]:
-    """The constants (u0, scale, lo, hi, drop) that shape the row at x.
+def frame_constants(params: ShapingParams) -> tuple[float, float, float, float, float]:
+    """The constants (edge, onset, width, hi, drop) that shape every row of a frame.
 
-    The shaped height at a cell of offset o = |z - z_center| is
-    ``u0 + scale * (o / half_width) ** 2 + (drop if lo <= o <= hi else 0.0)``,
-    bit for bit the per-term sum ``u_mid + edge_elevation_delta + groove_delta
-    + lateral_lowering_delta``: the same float operations in the same order,
-    as adding 0.0 changes no sum that is not -0.0. scale >= 0 is the edge
-    weight's factor, zero unless a manner is full, and the groove and the
-    lateral lowering are one strip, the offsets in [lo, hi] dropped by drop;
-    a row with neither strip drops every offset, [0, inf], by 0.0. So the
-    height never grows as o falls, except where it steps up out of the strip.
+    The row at x, of midline height u_mid on a slice of half width hw, is
+    shaped by
+
+    - u0 = u_mid + 0.0,
+    - scale = edge * ramp, for ramp = (x - onset) / EDGE_RAMP_LENGTH clamped
+      to 1.0 above, and scale = 0.0 where edge is 0 or ramp <= 0.0,
+    - lo = hw - width,
+
+    and the shaped height at a cell of offset o = |z - z_center| is
+    ``u0 + scale * (o / hw) ** 2 + (drop if lo <= o <= hi else 0.0)``, bit
+    for bit the per-term sum ``u_mid + edge_elevation_delta + groove_delta +
+    lateral_lowering_delta``: the same float operations in the same order,
+    as adding 0.0 changes no sum that is not -0.0. edge is tth *
+    edge_elev_max if a manner is full and 0.0 otherwise, so scale >= 0, and
+    the groove and the lateral lowering are one strip, the offsets in
+    [lo, hi] dropped by drop: a groove's runs from the midline (width inf,
+    so lo = -inf), a lateral strip's to the molar edge (hi = inf), and a
+    frame with neither drops every offset by 0.0. So the height never grows
+    as o falls, except where it steps up out of the strip. compute_epg
+    evaluates the row terms inline, once a row.
     """
-    # adding 0.0 turns -0.0 into 0.0, as the zero terms of the per-term sum
-    # do; from then on no sum is -0.0, so adding a zero term changes nothing
-    u0 = u_mid + 0.0
-    scale = 0.0
+    edge = 0.0
     if params.tt_manner is _FULL_TIP or params.td_manner is _FULL_DORSUM:
-        # the ramp clamped to [0, 1], as edge_elevation_delta's min and max
-        # clamp it, without their calls; a ramp of 0 leaves scale 0.0
-        ramp = (x - params.posterior_onset_x) / EDGE_RAMP_LENGTH
-        if ramp > 0.0:
-            scale = params.tth * params.edge_elev_max * (ramp if ramp < 1.0 else 1.0)
+        edge = params.tth * params.edge_elev_max
+    onset = params.posterior_onset_x
     if params.groove_enabled:
-        return u0, scale, 0.0, 0.5 * params.groove_width, -params.groove_depth
+        return edge, onset, math.inf, 0.5 * params.groove_width, -params.groove_depth
     if params.lateral_lower_enabled:
-        lo = slice_.half_width - params.lateral_lower_width
-        return u0, scale, lo, math.inf, -params.lateral_lower_depth
-    return u0, scale, 0.0, math.inf, 0.0
+        return edge, onset, params.lateral_lower_width, math.inf, -params.lateral_lower_depth
+    return edge, onset, math.inf, math.inf, 0.0
 
 
 def params_from_dict(doc: object) -> ShapingParams:

@@ -43,7 +43,7 @@ from palatogram.render import (
     _SVG_HEAD,
     fmt,
 )
-from palatogram.shaping import _FLOAT_FIELDS, row_constants
+from palatogram.shaping import _FLOAT_FIELDS, EDGE_RAMP_LENGTH, frame_constants
 from palatogram.sounds import BLEND_GRID_POINTS, MAX_FRAMES
 
 
@@ -144,11 +144,20 @@ def shaped_row(
     """The shaped height at each offset |z - z_center| of the row at x, cell by cell.
 
     This is the row kernel compute_epg ran before it bisected its rows: the
-    sum row_constants states, evaluated at every cell. compute_epg tests
-    the same sum, in the same order, at the cells its bisections probe.
+    frame's constants from frame_constants, the row's terms as its
+    docstring states them and compute_epg computes them once a row, and
+    their sum evaluated at every cell. compute_epg tests the same sum, in
+    the same order, at the cells its bisections probe.
     """
-    u0, scale, lo, hi, drop = row_constants(params, slice_, x, u_mid)
+    edge, onset, width, hi, drop = frame_constants(params)
+    u0 = u_mid + 0.0
+    scale = 0.0
+    if edge:
+        ramp = (x - onset) / EDGE_RAMP_LENGTH
+        if ramp > 0.0:
+            scale = edge * (ramp if ramp < 1.0 else 1.0)
     half_width = slice_.half_width
+    lo = half_width - width
     return [
         u0 + scale * (o / half_width) ** 2 + (drop if lo <= o <= hi else 0.0) for o in offsets
     ]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import math
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -198,6 +200,27 @@ def test_epg_text_direct():
     empty = EPGFrame(cells=((False, False), (False, False)), x_of_row=(1.0, 2.0))
     assert epg_text(empty) == "..\n..\n"
     assert len(epg_text(empty)) == 2 * (2 + 1)
+
+
+def test_epg_text_of_hand_built_frames():
+    # epg_text reads a row's text again only when the row is not the one
+    # before it: equal rows made apart, alternating rows and runs of one
+    # object each come out as the per-cell join
+    a = (True, False, False, True)
+    apart = tuple(list(a))  # equal to a, another tuple
+    ints = (1, 0, 0, 255)  # a's text, from cells of other values
+    b = (False, True, True, False)
+    grids = [
+        (a, apart, a, apart),
+        (a, b, a, b, a),
+        (a, a, a, b, b, apart, apart, a),
+        (b,) * 5 + (a,),
+        (a, ints, a, ints, ints, apart),
+        (apart, a, b, b, a, apart),
+    ]
+    for grid in grids:
+        frame = EPGFrame(cells=grid, x_of_row=tuple(map(float, range(len(grid)))))
+        assert epg_text(frame) == oracles.epg_text(frame)
 
 
 @settings(max_examples=200, deadline=None)
@@ -397,3 +420,146 @@ def test_kept_dome_rows_stay_under_their_stated_size():
     held = held_bytes(draw)
     epg._dome_rows.cache_clear()
     assert 16 * 500 * 1024 < held < 9 * 2**20
+
+
+@pytest.fixture
+def no_kept_rows(monkeypatch):
+    """An empty table of kept EPG rows, as a fresh process starts with."""
+    monkeypatch.setattr(epg, "_kept_rows", {})
+    monkeypatch.setattr(epg, "_kept_cells", 0)
+
+
+def kept_row_cells() -> int:
+    """The cells of every row in the table of kept EPG rows."""
+    return sum(len(row) for kept in epg._kept_rows.values() for row in kept.values())
+
+
+def test_equal_rows_of_two_calls_are_one_tuple(no_kept_rows):
+    # the rows a call builds are kept for the calls after it on any palate:
+    # equal rows of two frames of one cols are one object
+    lattice = {"rows": 62, "cols": 62}
+    frames = [
+        compute_epg(default_palate(shape), target.contour, target.params, **lattice)
+        for target in default_library()
+        for shape in DomeShape
+    ]
+    frames.append(compute_epg(
+        default_palate(), default_library().get("s").contour, default_library().get("s").params,
+        **lattice,
+    ))
+    rows = [row for frame in frames for row in frame.cells]
+    assert len({id(row) for row in rows}) == len(set(rows)) < 62
+    assert frames[-1].cells == frames[2 * 7].cells  # "s" on the cosine palate again
+    assert all(a is b for a, b in zip(frames[-1].cells, frames[2 * 7].cells))
+    assert epg._kept_cells == kept_row_cells() == 62 * len(set(rows))
+
+
+def test_kept_rows_stay_under_their_stated_size(no_kept_rows):
+    # a sweep of lattices with more distinct rows than the bound allows
+    # fills the table up to _KEPT_ROW_CELLS cells and no further, which
+    # _KEPT_ROW_CELLS's comment puts at about 1.2 MB; the frames past the
+    # bound still give each of their distinct rows one tuple
+    targets = list(default_library())
+    past = []
+
+    def draw():
+        for cols in range(20, 400, 3):
+            for shape in DomeShape:
+                for target in targets:
+                    frame = compute_epg(default_palate(shape), target.contour, target.params, 48, cols)
+                    if epg._kept_cells + cols > epg._KEPT_ROW_CELLS:
+                        past.append(frame)
+            if len(past) > 2 * len(targets):
+                break
+        epg._dome_rows.cache_clear()  # only the kept rows stay
+
+    held = held_bytes(draw)
+    assert epg._kept_cells == kept_row_cells() <= epg._KEPT_ROW_CELLS
+    assert epg._KEPT_ROW_CELLS - epg._kept_cells < max(epg._kept_rows)  # full to a row
+    assert 8 * epg._KEPT_ROW_CELLS < held < 1.2 * 2**20
+    kept = {id(row) for table in epg._kept_rows.values() for row in table.values()}
+    unkept = 0
+    for frame in past:
+        assert len({id(row) for row in frame.cells}) == len(set(frame.cells))
+        unkept += sum(id(row) not in kept for row in set(frame.cells))
+    assert unkept
+
+
+def test_rows_past_the_bound_are_one_tuple_per_frame(no_kept_rows, monkeypatch):
+    # with no room in the table, each call builds its own rows, equal rows
+    # of a frame still one tuple, and keeps none of them
+    monkeypatch.setattr(epg, "_KEPT_ROW_CELLS", 0)
+    geometry = default_palate()
+    for target in default_library():
+        first, again = (
+            compute_epg(geometry, target.contour, target.params, rows=62, cols=62)
+            for _ in range(2)
+        )
+        assert first == again
+        for frame in (first, again):
+            assert len({id(row) for row in frame.cells}) == len(set(frame.cells))
+        assert not any(row is other for row in first.cells for other in again.cells)
+    assert epg._kept_cells == kept_row_cells() == 0
+
+
+def test_threads_rastering_one_lattice_share_one_tuple_per_row(no_kept_rows, monkeypatch):
+    # 12 threads raster every preset on one lattice at once, from an empty
+    # table: each gets the frames drawn alone, and every distinct row of
+    # every frame is one tuple, the one kept for it
+    geometry, targets = default_palate(), list(default_library())
+    monkeypatch.setattr(epg, "_KEPT_ROW_CELLS", 0)
+    want = [compute_epg(geometry, t.contour, t.params, rows=48, cols=48) for t in targets]
+    monkeypatch.undo()
+    monkeypatch.setattr(epg, "_kept_rows", {})
+    monkeypatch.setattr(epg, "_kept_cells", 0)
+    got, errors = [[] for _ in range(12)], []
+    start = threading.Barrier(len(got))
+
+    def draw(frames):
+        try:
+            start.wait(timeout=60)
+            for _ in range(3):
+                frames.append([
+                    compute_epg(geometry, t.contour, t.params, rows=48, cols=48) for t in targets
+                ])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=draw, args=(frames,)) for frames in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(frames == [want] * 3 for frames in got)
+    rows = [row for frames in got for frame in sum(frames, []) for row in frame.cells]
+    kept = epg._kept_rows[48]
+    assert {id(row) for row in rows} == {id(row) for row in kept.values()}
+    assert len(kept) == len(set(rows)) and epg._kept_cells == kept_row_cells()
+
+
+def test_a_row_kept_meanwhile_by_another_call_is_the_one_returned(no_kept_rows, monkeypatch):
+    # the interleaving the threads above can meet, made to happen: another
+    # call keeps the rows of the same frame between this call's lookup of
+    # its first row and its keeping of it; this call then returns the rows
+    # kept by the other, not its own
+    geometry, target = default_palate(), default_library().get("s")
+    real, inner = epg._keep_row, []
+
+    def keep_after_another_call(kept, key, row):
+        if not inner:
+            monkeypatch.setattr(epg, "_keep_row", real)
+            inner.append(compute_epg(geometry, target.contour, target.params, rows=48, cols=48))
+        return real(kept, key, row)
+
+    monkeypatch.setattr(epg, "_keep_row", keep_after_another_call)
+    outer = compute_epg(geometry, target.contour, target.params, rows=48, cols=48)
+    assert outer == inner[0]
+    assert all(a is b for a, b in zip(outer.cells, inner[0].cells))
+    assert epg._kept_cells == kept_row_cells() == 48 * len(set(outer.cells))

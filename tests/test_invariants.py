@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palatogram import (
+    DomainError,
     DomeShape,
     DomeSlice,
     DorsumManner,
@@ -36,7 +37,7 @@ from palatogram import (
     slice_at,
 )
 from oracles import (
-    cell_offsets, centered, dome_height, epg_cells, midline_height, shaped_height
+    cell_offsets, centered, dome_height, epg_cells, midline_height, shaped_height, shaped_row
 )
 
 # small raises, down to ones that vanish in rounding, and large ones
@@ -274,6 +275,28 @@ def test_every_cell_matches_the_per_cell_oracle(scene):
     geometry, contour, params, lattice = scene
     grid = cells(*scene)
     assert grid == epg_cells(geometry, contour, params, lattice["rows"], lattice["cols"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=tied)
+@example(scene=MIRROR_TIE)
+def test_the_per_frame_shaping_form_matches_the_per_term_sum(scene):
+    # frame_constants once a frame and each row's own terms, as compute_epg
+    # works them out, give every cell of every row the per-term sum's
+    # height, bit for bit, at the offset where compute_epg samples it
+    geometry, contour, params, lattice = scene
+    rows, cols = lattice["rows"], lattice["cols"]
+    x_lo, x_hi = max(geometry.x_min, contour.x_min), min(geometry.x_max, contour.x_max)
+    for i in range(rows):
+        x = x_lo + (i + 0.5) * (x_hi - x_lo) / rows
+        sl = slice_at(geometry, x)
+        try:
+            u = midline_height(contour, x)
+        except DomainError:  # the row lies outside the contour
+            continue
+        offsets, at_zero = cell_offsets(sl, cols), centered(sl)
+        want = [shaped_height(params, at_zero, x, u, -o).hex() for o in offsets]
+        assert [h.hex() for h in shaped_row(params, sl, x, u, offsets)] == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,9 @@
 
 compute_epg walks each row's left half from the molar edge to the middle,
 where the offset from the midline never grows and the dome never falls,
-bisects the walk for the cells the tongue reaches (shaping.row_constants
-gives the row's terms; the dome rows are kept in walk order) and mirrors it
+bisects the walk for the cells the tongue reaches (shaping.frame_constants
+gives the frame's terms, and compute_epg works out each row's from them;
+the dome rows are kept in walk order) and mirrors it
 into the right half. It finds every row's midline height in one walk of the
 contour (midsagittal_heights). Every cell must come out as the per-cell
 sum, dome formula and bisected contour give it at the cell's offset, and
