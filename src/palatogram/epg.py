@@ -194,7 +194,9 @@ def compute_epg(
     made = {}  # the rows this frame built, kept or not (past _KEPT_ROW_CELLS), by (j, t, k)
     cells = []
     for x, u_mid, (sl, offsets, dome) in zip(x_of_row, u_mids, dome_rows):
-        # the row's terms, as frame_constants states them
+        # the row's terms, as frame_constants states them: adding 0.0 turns
+        # -0.0 into 0.0, as the zero terms of the per-term sum do, and the
+        # ramp is clamped as edge_elevation_delta's min and max clamp it
         u0 = u_mid + 0.0
         scale = 0.0
         if edge:
