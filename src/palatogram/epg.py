@@ -191,7 +191,7 @@ def compute_epg(
     b = (cols + 1) // 2  # the walk's length
     n = MAX_EPG_SIDE
     kept = _kept_rows.get(cols) or _kept_rows.setdefault(cols, {})
-    made = {}  # the rows this frame built, kept or not (past _KEPT_ROW_CELLS), by (j, t, k)
+    made = {}  # each row this call built, by (j, t, k); past _KEPT_ROW_CELLS, the only copy
     cells = []
     for x, u_mid, (sl, offsets, dome) in zip(x_of_row, u_mids, dome_rows):
         # the row's terms, as frame_constants states them: adding 0.0 turns
